@@ -204,11 +204,6 @@ def cyclically_decreasing_word(letters, n: int, anchor: int | None = None):
     return tuple(sorted(letters, key=cyclic_anchor_key(anchor, n), reverse=True))
 
 
-def cyclically_decreasing_element(letters, n: int) -> AffinePermutation:
-    """The cyclically decreasing element with the given support."""
-    return from_word(cyclically_decreasing_word(letters, n), n)
-
-
 def is_word_cyclically_decreasing(word, n: int) -> bool:
     """Each letter at most once and i+1 occurs before i whenever both do."""
     word = list(word)
@@ -252,6 +247,3 @@ def cyclically_decreasing_of_length(n: int, m: int):
         out.append((word, from_word(word, n)))
     return tuple(out)
 
-
-def grassmannian_test(w: AffinePermutation) -> bool:
-    return w.is_grassmannian()

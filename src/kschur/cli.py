@@ -2,23 +2,24 @@
 
 Subcommands: cores, strips, abc, kf-table, expand, pieri, verify.
 Output is JSON (--json) or aligned text, byte-deterministic for fixed
-inputs.  Exit codes: 0 success, 1 usage error, 2 conjecture mismatch.
-Verification sweeps fan out over a thread pool capped by ASK_THREADS.
+inputs.  Exit codes: 0 success, 1 usage error (including a verification
+sweep with no instances), 2 conjecture mismatch.  Every usage error
+prints an `error:` line to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .abctab import count_affine_factorizations, enumerate_abc
+from .affine import cyclically_decreasing_of_length
 from .cores import (
     NCore,
     c_inverse,
     c_map,
+    core_of,
     cores_of_degree,
     normalize,
     w_core,
@@ -50,10 +51,6 @@ from .tableaux import kostka_foulkes
 from .tpoly import TPoly
 
 
-class UsageError(SystemExit):
-    pass
-
-
 class Parser(argparse.ArgumentParser):
     def error(self, message):
         print(f"error: {message}", file=sys.stderr)
@@ -66,8 +63,23 @@ def parse_partition(text: str) -> tuple:
     try:
         parts = tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise SystemExit(1)
+        raise ValueError(f"not a partition: {text!r}") from None
     return normalize(parts)
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _core_from_args(args) -> NCore:
@@ -75,8 +87,7 @@ def _core_from_args(args) -> NCore:
         return NCore(args.n, parse_partition(args.core))
     if getattr(args, "bounded", None) is not None:
         return c_map(parse_partition(args.bounded), args.n)
-    print("error: one of --core/--bounded is required", file=sys.stderr)
-    raise SystemExit(1)
+    raise ValueError("one of --core/--bounded is required")
 
 
 def core_json(core: NCore) -> dict:
@@ -110,15 +121,16 @@ def cmd_cores(args) -> int:
     lines = []
     for d in degs:
         for core in cores_of_degree(args.n, d):
+            bounded = list(c_inverse(core))
             payload.append(
                 {
                     "degree": d,
                     "core": core_json(core),
-                    "bounded": list(c_inverse(core)) if core.parts else [],
+                    "bounded": bounded,
                     "word": list(w_core(core).window),
                 }
             )
-            lines.append(f"deg {d}: core {list(core.parts)} bounded {list(c_inverse(core)) if core.parts else []}")
+            lines.append(f"deg {d}: core {list(core.parts)} bounded {bounded}")
     _emit(args, payload, lines)
     return 0
 
@@ -143,16 +155,14 @@ def cmd_strips(args) -> int:
             lines.append(f"nu {list(s.nu.parts)} contents {list(s.contents)} word {list(psi(s))}")
     elif args.kind == "strong":
         if args.to is None:
-            print("error: --to is required for strong strips", file=sys.stderr)
-            raise SystemExit(1)
+            raise ValueError("--to is required for strong strips")
         gamma = NCore(args.n, parse_partition(args.to))
         for s in strong_strips(lam, gamma, args.m):
             payload.append(_strip_json(s.chain, s.contents))
             lines.append(f"chain {[list(c.parts) for c in s.chain]} contents {list(s.contents)}")
     elif args.kind == "ribbon":
         if args.r is None or args.b is None:
-            print("error: --r and --b are required for ribbon strips", file=sys.stderr)
-            raise SystemExit(1)
+            raise ValueError("--r and --b are required for ribbon strips")
         for s in ribbon_strong_strips(lam, args.r, args.b):
             payload.append({"nu": core_json(s.nu), **_strip_json(s.chain)})
             lines.append(f"nu {list(s.nu.parts)} chain {[list(c.parts) for c in s.chain]}")
@@ -222,12 +232,11 @@ def cmd_expand(args) -> int:
     if args.basis in ("dualk", "k"):
         core = _core_from_args(args)
         f = dual_kschur(core, t_on) if args.basis == "dualk" else kschur(core, t_on)
-    elif args.basis == "ptilde":
-        f = ptilde_in_m(parse_partition(args.bounded))
-    elif args.basis == "h0t":
-        f = h0t_in_m(parse_partition(args.bounded))
+    elif args.bounded is None:
+        raise ValueError(f"--bounded is required for --basis {args.basis}")
     else:
-        raise SystemExit(1)
+        bounded = parse_partition(args.bounded)
+        f = ptilde_in_m(bounded) if args.basis == "ptilde" else h0t_in_m(bounded)
     if args.at_t is not None:
         f = f.at_t(args.at_t)
     terms = sorted(f.terms.items(), reverse=True)
@@ -270,22 +279,28 @@ def cmd_pieri(args) -> int:
 # -- verify sweeps -----------------------------------------------------------
 
 
-def _pool_map(fn, items):
-    workers = int(os.environ.get("ASK_THREADS", "1") or "1")
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def _cores_up_to(n: int, max_deg: int):
+    return [lam for d in range(max_deg + 1) for lam in cores_of_degree(n, d)]
+
+
+def _report(conjecture, instance, instances, failures, **extra):
+    """The sweep report; a sweep that checked nothing is a usage error."""
+    if not instances:
+        raise ValueError(f"the {conjecture} sweep has no instances at {instance}")
+    return {
+        "conjecture": conjecture,
+        "instance": instance,
+        "match": not failures,
+        "instances": instances,
+        "lhs": [],
+        "rhs": [],
+        "failures": failures,
+        **extra,
+    }
 
 
 def _verify_prop_main(args):
-    from .affine import cyclically_decreasing_of_length
-    from .cores import core_of
-
-    instances = []
-    for d in range(args.max_deg + 1):
-        for lam in cores_of_degree(args.n, d):
-            instances.append(lam)
+    instances = _cores_up_to(args.n, args.max_deg)
 
     def check(lam):
         n = lam.n
@@ -305,23 +320,14 @@ def _verify_prop_main(args):
                     return ("roundtrip", lam.parts, m, list(psi(s)))
         return None
 
-    failures = [r for r in _pool_map(check, instances) if r is not None]
-    return {
-        "conjecture": "prop-main",
-        "instance": {"n": args.n, "max_deg": args.max_deg},
-        "match": not failures,
-        "instances": len(instances),
-        "lhs": [],
-        "rhs": [],
-        "failures": failures,
-    }
+    failures = [r for r in map(check, instances) if r is not None]
+    return _report(
+        "prop-main", {"n": args.n, "max_deg": args.max_deg}, len(instances), failures
+    )
 
 
 def _verify_theta(args):
-    instances = []
-    for d in range(args.max_deg + 1):
-        for lam in cores_of_degree(args.n, d):
-            instances.append(lam)
+    instances = _cores_up_to(args.n, args.max_deg)
 
     def compositions(total, n):
         if total == 0:
@@ -332,69 +338,51 @@ def _verify_theta(args):
                 yield (first,) + rest
 
     def check(lam):
-        n = lam.n
         w = w_core(lam)
         bad = []
-        for alpha in compositions(lam.degree(), n):
+        for alpha in compositions(lam.degree(), lam.n):
             na = len(enumerate_abc(lam, alpha))
             nf = count_affine_factorizations(w, alpha)
             if na != nf:
                 bad.append((lam.parts, list(alpha), na, nf))
         return bad or None
 
-    failures = [r for r in _pool_map(check, instances) if r is not None]
-    return {
-        "conjecture": "theta-bijection",
-        "instance": {"n": args.n, "max_deg": args.max_deg},
-        "match": not failures,
-        "instances": len(instances),
-        "lhs": [],
-        "rhs": [],
-        "failures": failures,
-    }
+    failures = [r for r in map(check, instances) if r is not None]
+    return _report(
+        "theta-bijection", {"n": args.n, "max_deg": args.max_deg}, len(instances), failures
+    )
+
+
+def _bounded_up_to(n: int, max_size: int):
+    return [lam for size in range(max_size + 1) for lam in bounded_partitions_of(size, n)]
 
 
 def _verify_affine_monk(args):
-    instances = []
-    for size in range(0, args.max_size + 1):
-        for lam in bounded_partitions_of(size, args.n):
-            for r in range(1, args.n):
-                instances.append((r, lam))
-    reports = _pool_map(lambda rl: affine_monk_check(rl[0], rl[1], args.n), instances)
+    n = args.n
+    reports = [
+        affine_monk_check(r, lam, n)
+        for lam in _bounded_up_to(n, args.max_size)
+        for r in range(1, n)
+    ]
     failures = [r for r in reports if not r["match"]]
-    return {
-        "conjecture": "affine-monk",
-        "instance": {"n": args.n, "max_size": args.max_size},
-        "match": not failures,
-        "instances": len(instances),
-        "lhs": [],
-        "rhs": [],
-        "failures": failures,
-    }
+    return _report(
+        "affine-monk", {"n": n, "max_size": args.max_size}, len(reports), failures
+    )
 
 
 def _verify_rect_pieri(args):
-    instances = []
-    for size in range(0, args.max_size + 1):
-        for lam in bounded_partitions_of(size, args.n):
-            for r in range(2, args.n):
-                for b in range(1, r):
-                    instances.append((r, b, lam))
-    reports = _pool_map(
-        lambda rbl: rect_pieri_check(rbl[0], rbl[1], rbl[2], args.n), instances
-    )
+    n = args.n
+    reports = [
+        rect_pieri_check(r, b, lam, n)
+        for lam in _bounded_up_to(n, args.max_size)
+        for r in range(2, n)
+        for b in range(1, r)
+    ]
     failures = [r for r in reports if not r["match"]]
-    disagreements = sum(1 for r in reports if not r["readings_agree"])
-    return {
-        "conjecture": "rect-pieri",
-        "instance": {"n": args.n, "max_size": args.max_size},
-        "match": not failures,
-        "instances": len(instances),
-        "reading_disagreements": disagreements,
-        "lhs": [],
-        "rhs": [],
-        "failures": failures,
-    }
+    return _report(
+        "rect-pieri", {"n": n, "max_size": args.max_size}, len(reports), failures,
+        reading_disagreements=sum(1 for r in reports if not r["readings_agree"]),
+    )
 
 
 def cmd_verify(args) -> int:
@@ -416,14 +404,16 @@ def build_parser() -> Parser:
     parser = Parser(prog="kschur", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    count, modulus = _int_at_least(0), _int_at_least(2)
+
     def common(p):
-        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--n", type=modulus, required=True)
         p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("cores", help="list n-cores by degree")
     common(p)
-    p.add_argument("--deg", type=int, default=None)
-    p.add_argument("--max-deg", type=int, default=6)
+    p.add_argument("--deg", type=count, default=None)
+    p.add_argument("--max-deg", type=count, default=6)
     p.set_defaults(func=cmd_cores)
 
     p = sub.add_parser("strips", help="enumerate strips")
@@ -431,7 +421,7 @@ def build_parser() -> Parser:
     p.add_argument("--core", default=None)
     p.add_argument("--bounded", default=None)
     p.add_argument("--kind", choices=("horizontal", "strong", "ribbon"), default="horizontal")
-    p.add_argument("--m", type=int, default=1)
+    p.add_argument("--m", type=count, default=1)
     p.add_argument("--to", default=None, help="target core for strong strips")
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--b", type=int, default=None)
@@ -446,7 +436,7 @@ def build_parser() -> Parser:
 
     p = sub.add_parser("kf-table", help="Kostka-Foulkes tables")
     common(p)
-    p.add_argument("--deg", type=int, required=True)
+    p.add_argument("--deg", type=count, required=True)
     p.add_argument("--weak", action="store_true")
     p.add_argument("--at-t", type=int, default=None)
     p.set_defaults(func=cmd_kf_table)
@@ -469,9 +459,9 @@ def build_parser() -> Parser:
 
     p = sub.add_parser("verify", help="conjecture verification sweeps")
     p.add_argument("sweep", choices=("affine-monk", "rect-pieri", "prop-main", "theta-bijection"))
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--max-deg", type=int, default=6)
-    p.add_argument("--max-size", type=int, default=6)
+    p.add_argument("--n", type=modulus, default=4)
+    p.add_argument("--max-deg", type=count, default=6)
+    p.add_argument("--max-size", type=count, default=6)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 

@@ -24,6 +24,7 @@ from functools import lru_cache
 from .affine import (
     AffinePermutation,
     from_word,
+    reduced_word,
     transposition,
 )
 
@@ -243,13 +244,7 @@ def w_core(core: NCore) -> AffinePermutation:
 
 @lru_cache(maxsize=None)
 def _core_of_window(n: int, window) -> NCore:
-    w = AffinePermutation(n, window)
-    word = []
-    while not w.is_identity():
-        i = min(w.left_descents())
-        word.append(i)
-        w = AffinePermutation.simple(n, i) * w
-    return a_map(word, n)
+    return a_map(reduced_word(AffinePermutation(n, window)), n)
 
 
 def core_of(w: AffinePermutation) -> NCore:
@@ -381,8 +376,8 @@ def _tau_bound(n: int, d: int) -> int:
     return n * (d + 2) // (n - 1) + n
 
 
-@lru_cache(maxsize=None)
-def _covers_up(n: int, parts):
+def _covers(n: int, parts, step: int):
+    """Strong covers one degree up (step 1) or down (step -1)."""
     core = NCore(n, parts)
     w = w_core(core)
     d = core.degree()
@@ -392,34 +387,27 @@ def _covers_up(n: int, parts):
             if s % n == 0:
                 continue
             u = transposition(i, i + s, n) * w
-            if u.length() == d + 1 and u.is_grassmannian():
-                gamma = core_of(u)
-                ribbons = tuple(ribbon_components(skew_cells(gamma.parts, parts)))
-                out.append((gamma, ribbons, (i, i + s)))
+            if u.length() == d + step and u.is_grassmannian():
+                other = core_of(u)
+                outer, inner = (other.parts, parts) if step > 0 else (parts, other.parts)
+                ribbons = tuple(ribbon_components(skew_cells(outer, inner)))
+                out.append((other, ribbons, (i, i + s)))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _covers_up(n: int, parts):
+    return _covers(n, parts, 1)
+
+
+@lru_cache(maxsize=None)
+def _covers_down(n: int, parts):
+    return _covers(n, parts, -1)
 
 
 def strong_covers_up(core: NCore):
     """All (gamma, ribbons, tau) with core <_B gamma a strong cover."""
     return _covers_up(core.n, core.parts)
-
-
-@lru_cache(maxsize=None)
-def _covers_down(n: int, parts):
-    core = NCore(n, parts)
-    w = w_core(core)
-    d = core.degree()
-    out = []
-    for i in range(n):
-        for s in range(1, _tau_bound(n, d) + 1):
-            if s % n == 0:
-                continue
-            u = transposition(i, i + s, n) * w
-            if u.length() == d - 1 and u.is_grassmannian():
-                mu = core_of(u)
-                ribbons = tuple(ribbon_components(skew_cells(parts, mu.parts)))
-                out.append((mu, ribbons, (i, i + s)))
-    return tuple(out)
 
 
 def strong_covers_down(core: NCore):

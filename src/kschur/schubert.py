@@ -240,20 +240,10 @@ def gw_invariant(u, v, w, d) -> int:
     d = tuple(d)
     if len(d) != n - 1 or any(x < 0 for x in d):
         raise ValueError("d must have n-1 nonnegative entries")
-    out_perm = perm_mult(w0(n), w)
-    base = conjugate(sh_map(out_perm))
-    base = tuple(base) + (0,) * (n - 1 - len(base))
-    cols = []
-    for i in range(1, n):
-        di = d[i - 1]
-        dprev = d[i - 2] if i >= 2 else 0
-        cols.append(base[i - 1] + comb(n + 1 - i, 2) - (n - i + 1) * di + (n - i) * dprev)
-    if any(c < 0 for c in cols) or any(
-        cols[i] < cols[i + 1] for i in range(len(cols) - 1)
-    ):
+    eta = _eta_of_monk_term(perm_mult(w0(n), w), d)
+    if eta is None:
         eta_invalid_count += 1
         return 0
-    eta = conjugate(normalize(cols))
     sh_u, sh_v = sh_map(u), sh_map(v)
     if sum(eta) != sum(sh_u) + sum(sh_v):
         return 0

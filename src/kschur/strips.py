@@ -33,6 +33,7 @@ from .cores import (
     core_of,
     rect,
     rect_translation,
+    ribbon_components,
     ribbon_head,
     ribbon_tail,
     skew_cells,
@@ -123,10 +124,17 @@ def strong_strips(nu: NCore, gamma: NCore, m: int):
 
 def _bottom_ribbon(outer: NCore, inner: NCore):
     """The lowest ribbon copy of the cover skew outer/inner."""
-    from .cores import ribbon_components
-
     comps = ribbon_components(skew_cells(outer.parts, inner.parts))
     return min(comps, key=lambda comp: min(i for (i, _) in comp))
+
+
+def _chain_contents(desc) -> tuple:
+    """Head contents of the lowest ribbon of each step of an ascending chain."""
+    contents = []
+    for lo, hi in zip(desc, desc[1:]):
+        i, j = ribbon_head(_bottom_ribbon(hi, lo))
+        contents.append(j - i)
+    return tuple(contents)
 
 
 @lru_cache(maxsize=None)
@@ -141,14 +149,8 @@ def _hss_from(n: int, lam_parts, m: int):
         # chain is descending from R(n-1, lam); bottom rows shrink.
         if len(chain) == m + 1:
             if contains(cur.parts, lam_parts):
-                desc = list(reversed(chain))
-                contents = []
-                for lo, hi in zip(desc, desc[1:]):
-                    i, j = ribbon_head(_bottom_ribbon(hi, lo))
-                    contents.append(j - i)
-                strips.append(
-                    HorizontalStrongStrip(lam, cur, tuple(desc), tuple(contents))
-                )
+                desc = tuple(reversed(chain))
+                strips.append(HorizontalStrongStrip(lam, cur, desc, _chain_contents(desc)))
             return
         cur_bottom = cur.parts[0] if cur.parts else 0
         for mu, _ribbons, _tau in strong_covers_down(cur):
@@ -218,16 +220,10 @@ def phi(word, lam: NCore) -> HorizontalStrongStrip:
         if u.length() != chain[-1].degree() - 1 or not u.is_grassmannian():
             raise AssertionError("phi: ribbon deletion is not a strong cover")
         chain.append(core_of(u))
-    chain.reverse()
-    desc = chain
-    contents = []
-    for lo, hi in zip(desc, desc[1:]):
-        i, j = ribbon_head(_bottom_ribbon(hi, lo))
-        contents.append(j - i)
-    nu = desc[0]
-    if not contains(nu.parts, lam.parts):
+    desc = tuple(reversed(chain))
+    if not contains(desc[0].parts, lam.parts):
         raise AssertionError("phi: resulting shape does not contain lam")
-    return HorizontalStrongStrip(lam, nu, tuple(desc), tuple(contents))
+    return HorizontalStrongStrip(lam, desc[0], desc, _chain_contents(desc))
 
 
 # -- ribbon strong strips ------------------------------------------------
@@ -251,8 +247,6 @@ def col_r(lam: NCore, r: int):
 
 def _step_heads_ok(hi: NCore, lo: NCore, base_parts) -> bool:
     """Each ribbon head of hi/lo in row 1 or directly above a base cell."""
-    from .cores import ribbon_components
-
     for comp in ribbon_components(skew_cells(hi.parts, lo.parts)):
         i, j = ribbon_head(comp)
         if i == 1:
@@ -263,8 +257,6 @@ def _step_heads_ok(hi: NCore, lo: NCore, base_parts) -> bool:
 
 
 def _step_tail_ok(hi: NCore, lo: NCore, columns) -> bool:
-    from .cores import ribbon_components
-
     for comp in ribbon_components(skew_cells(hi.parts, lo.parts)):
         if ribbon_tail(comp)[1] in columns:
             return True

@@ -94,6 +94,17 @@ def _upper_unit_inverse(M):
     return X
 
 
+def _expand(terms, M, idx, cols) -> dict:
+    """sum_p c_p * (row idx[p] of M), as a dict over the column labels."""
+    out: dict = {}
+    for p, c in terms.items():
+        row = M[idx[p]]
+        for j, mu in enumerate(cols):
+            if not row[j].is_zero():
+                out[mu] = out.get(mu, ZERO) + c * row[j]
+    return out
+
+
 def _transpose(M):
     return [list(col) for col in zip(*M)] if M else []
 
@@ -233,19 +244,11 @@ def kschur_to_h(n: int, d: int):
 
 @lru_cache(maxsize=None)
 def kschur_to_m(n: int, d: int, t_on: bool = True):
-    if t_on:
-        P = partitions_of(d)
-        idx = _index(P)
-        Pn = bounded_partitions_of(d, n)
-        h0t = h0t_to_m(d)
-        rows_h0t = [h0t[idx[mu]] for mu in Pn]
-        return _matmul(kschur_to_h0t(n, d), rows_h0t)
-    P = partitions_of(d)
-    idx = _index(P)
-    Pn = bounded_partitions_of(d, n)
-    hm = h_to_m(d)
-    rows_h = [hm[idx[mu]] for mu in Pn]
-    return _matmul(kschur_to_h(n, d), rows_h)
+    """k-Schur rows in m, through H(x;0,t) with t on and through h at t=1."""
+    idx = _index(partitions_of(d))
+    to_m = h0t_to_m(d) if t_on else h_to_m(d)
+    rows = [to_m[idx[mu]] for mu in bounded_partitions_of(d, n)]
+    return _matmul((kschur_to_h0t if t_on else kschur_to_h)(n, d), rows)
 
 
 # -- symmetric function values -------------------------------------------
@@ -321,17 +324,10 @@ class SymF:
                 "ptilde": ptilde_to_m,
                 "H0t": h0t_to_m,
             }[self.basis](d)
-            out: dict = {}
-            for p, c in self.terms.items():
-                row = M[idx[p]]
-                for j, mu in enumerate(P):
-                    if not row[j].is_zero():
-                        out[mu] = out.get(mu, ZERO) + c * row[j]
-            return SymF("m", d, out)
+            return SymF("m", d, _expand(self.terms, M, idx, P))
         if self.basis in ("dualk", "k", "kt1", "dualkt1"):
             n = self.n
             Pn = bounded_partitions_of(d, n)
-            idxn = _index(Pn)
             t_on = self.basis in ("dualk", "k")
             if self.basis.startswith("dualk"):
                 M = dualk_to_m(n, d, t_on)
@@ -339,28 +335,13 @@ class SymF:
             else:
                 M = kschur_to_m(n, d, t_on)
                 cols = partitions_of(d)
-            out = {}
-            for p, c in self.terms.items():
-                row = M[idxn[p]]
-                for j, mu in enumerate(cols):
-                    if not row[j].is_zero():
-                        out[mu] = out.get(mu, ZERO) + c * row[j]
-            return SymF("m", d, out)
+            return SymF("m", d, _expand(self.terms, M, _index(Pn), cols))
         raise ValueError(f"unknown basis {self.basis}")
 
     def in_h(self) -> "SymF":
-        f = self.in_m()
         d = self.degree
         P = partitions_of(d)
-        idx = _index(P)
-        M = m_to_h(d)
-        out: dict = {}
-        for p, c in f.terms.items():
-            row = M[idx[p]]
-            for j, mu in enumerate(P):
-                if not row[j].is_zero():
-                    out[mu] = out.get(mu, ZERO) + c * row[j]
-        return SymF("h", d, out)
+        return SymF("h", d, _expand(self.in_m().terms, m_to_h(d), _index(P), P))
 
 
 def m_sym(p) -> SymF:

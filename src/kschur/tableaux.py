@@ -123,40 +123,11 @@ def semistandard_tableaux(shape, weight):
 
 def cocharge(tab: Tableau) -> int:
     """Total cocharge of a tableau with partition weight."""
-    weight = tab.weight
-    if not is_partition(weight):
-        raise ValueError(f"weight {weight} is not a partition")
-    remaining = set()
-    letter_of = {}
-    for (i, j, x) in tab.cells_with_letters():
-        remaining.add((i, j))
-        letter_of[(i, j)] = x
-    total = 0
-    while remaining:
-        ones = [c for c in remaining if letter_of[c] == 1]
-        cur = max(ones, key=lambda c: c[1])
-        remaining.remove(cur)
-        seq = [cur]
-        x = 1
-        while True:
-            options = [c for c in remaining if letter_of[c] == x + 1]
-            if not options:
-                break
-            above = [c for c in options if c[0] > cur[0]]
-            pool = above if above else options
-            cur = min(pool, key=lambda c: (c[0], -c[1]))
-            remaining.remove(cur)
-            seq.append(cur)
-            x += 1
-        index = [0]
-        for (pi, pj), (ci, cj) in zip(seq, seq[1:]):
-            index.append(index[-1] if cj - ci > pj - pi else index[-1] + 1)
-        total += sum(index)
-    return total
+    return sum(map(sum, cocharge_index_vectors(tab)))
 
 
 def cocharge_index_vectors(tab: Tableau):
-    """The index vectors of the successive extractions (for inspection)."""
+    """The index vectors of the successive standard-subword extractions."""
     weight = tab.weight
     if not is_partition(weight):
         raise ValueError(f"weight {weight} is not a partition")

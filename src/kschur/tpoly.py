@@ -4,11 +4,11 @@ Coefficient arithmetic for the graded bases: everything downstream
 (Kostka-Foulkes polynomials, weak Kostka-Foulkes polynomials, basis
 transition matrices) lives over ZZ[t, t^-1].  Negative exponents are
 needed because the deformation of Macdonald's P-function divides by a
-power of t; all coefficients that reach the CLI are plain polynomials
-and `coeff_list` enforces that.
+power of t; `coeff_list` serves the plain polynomials, and the CLI
+prints the genuinely Laurent ones with their valuation.
 
 Unitriangular matrices over this ring have unit diagonal (+-t^k), so
-they invert exactly with no fractions; see `unit_inverse`.
+they invert exactly with no fractions (`symfun._upper_unit_inverse`).
 """
 
 from __future__ import annotations
@@ -157,26 +157,3 @@ class TPoly:
                 parts.append(f"{head}t^{e}" if e != 1 else f"{head}t")
         return " + ".join(parts).replace("+ -", "- ")
 
-
-ZERO = TPoly.zero()
-ONE = TPoly.one()
-
-
-def unit_inverse(order, matrix):
-    """Invert a triangular matrix of TPoly with unit diagonal.
-
-    `order` is the index list; `matrix[i][j]` may only be nonzero when
-    j <= i in list position (lower triangular).  Division happens only
-    by the diagonal units, so the inverse is again over ZZ[t, t^-1].
-    """
-    size = len(order)
-    inv = [[ZERO for _ in range(size)] for _ in range(size)]
-    for j in range(size):
-        inv[j][j] = ONE.divide_unit(matrix[j][j])
-        for i in range(j + 1, size):
-            acc = ZERO
-            for k in range(j, i):
-                if not matrix[i][k].is_zero():
-                    acc = acc + matrix[i][k] * inv[k][j]
-            inv[i][j] = (-acc).divide_unit(matrix[i][i])
-    return inv

@@ -114,14 +114,46 @@ def test_expand_laurent_coefficients(capsys):
     ]
 
 
+def usage_error(capsys, *argv):
+    """Exit code 1 with an error message on stderr and nothing on stdout."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: "), argv
+    assert captured.out == "", argv
+    return code
+
+
 def test_usage_error_exit_code(capsys):
-    assert main(["cores"]) == 1  # missing --n
-    assert main(["verify", "nonsense"]) == 1
-    assert main(["pieri", "--n", "4", "--core", "3,1,1", "--m", "5"]) == 1
+    assert usage_error(capsys, "cores") == 1  # missing --n
+    assert usage_error(capsys, "verify", "nonsense") == 1
+    assert usage_error(capsys, "pieri", "--n", "4", "--core", "3,1,1", "--m", "5") == 1
+    assert usage_error(capsys, "expand", "--n", "4", "--basis", "ptilde") == 1
+    assert usage_error(capsys, "expand", "--n", "4", "--basis", "h0t") == 1
+    assert usage_error(capsys, "cores", "--n", "4", "--deg", "-1") == 1
+    assert usage_error(capsys, "cores", "--n", "4", "--max-deg", "-1") == 1
+    assert usage_error(capsys, "verify", "prop-main", "--max-deg", "-1") == 1
+    assert usage_error(capsys, "verify", "affine-monk", "--max-size", "-1") == 1
+    assert usage_error(capsys, "kf-table", "--n", "4", "--deg", "-1") == 1
+    assert usage_error(capsys, "strips", "--n", "4", "--core", "3,1,1", "--m", "-1") == 1
+    assert usage_error(capsys, "cores", "--n", "1") == 1
+    assert usage_error(capsys, "expand", "--n", "0", "--basis", "k", "--core", "1") == 1
+    assert usage_error(capsys, "verify", "theta-bijection", "--n", "1") == 1
+    assert usage_error(capsys, "cores", "--n", "four") == 1
 
 
 def test_bad_partition_exit_code(capsys):
-    assert main(["pieri", "--n", "4", "--core", "1,2", "--m", "1"]) == 1
+    assert usage_error(capsys, "pieri", "--n", "4", "--core", "1,2", "--m", "1") == 1
+    assert usage_error(capsys, "pieri", "--n", "4", "--core", "3,x", "--m", "1") == 1
+    assert usage_error(capsys, "abc", "--n", "4", "--bounded", "2,,1") == 1
+    assert usage_error(capsys, "expand", "--n", "4", "--basis", "h0t", "--bounded", "x") == 1
+
+
+def test_verify_affine_monk_without_instances(capsys):
+    assert usage_error(capsys, "verify", "affine-monk", "--n", "1") == 1
+
+
+def test_verify_rect_pieri_without_instances(capsys):
+    assert usage_error(capsys, "verify", "rect-pieri", "--n", "2") == 1
 
 
 def test_parallel_sweep_env(capsys, monkeypatch):
