@@ -79,7 +79,7 @@ def _matmul(A, B):
     return out
 
 
-def _upper_unit_inverse(M):
+def _unitriangular_inverse(M):
     """Inverse of an upper-triangular matrix with unit diagonal entries."""
     size = len(M)
     X = [[ZERO for _ in range(size)] for _ in range(size)]
@@ -120,7 +120,7 @@ def s_to_m(d: int):
 
 @lru_cache(maxsize=None)
 def m_to_s(d: int):
-    return _upper_unit_inverse(s_to_m(d))
+    return _unitriangular_inverse(s_to_m(d))
 
 
 @lru_cache(maxsize=None)
@@ -132,7 +132,7 @@ def kf_matrix(d: int):
 
 @lru_cache(maxsize=None)
 def ptilde_to_s(d: int):
-    return _upper_unit_inverse(kf_matrix(d))
+    return _unitriangular_inverse(kf_matrix(d))
 
 
 @lru_cache(maxsize=None)
@@ -233,13 +233,13 @@ def dualk_to_m(n: int, d: int, t_on: bool = True):
 @lru_cache(maxsize=None)
 def kschur_to_h0t(n: int, d: int):
     """k-Schur rows in the H(x;0,t) basis: transpose inverse of Kn(t)."""
-    return _transpose(_upper_unit_inverse(kn_matrix(n, d)))
+    return _transpose(_unitriangular_inverse(kn_matrix(n, d)))
 
 
 @lru_cache(maxsize=None)
 def kschur_to_h(n: int, d: int):
     """k-Schur rows at t=1 in the homogeneous basis (bounded indices)."""
-    return _transpose(_upper_unit_inverse(kn1_matrix(n, d)))
+    return _transpose(_unitriangular_inverse(kn1_matrix(n, d)))
 
 
 @lru_cache(maxsize=None)
