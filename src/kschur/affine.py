@@ -154,11 +154,11 @@ def _simple_times(n: int, i: int, w: AffinePermutation) -> AffinePermutation:
 
 
 def reduced_word(w: AffinePermutation):
-    """A reduced word for w: repeatedly peel the smallest left descent."""
+    """A reduced word for w: repeatedly peel the largest left descent."""
     word = []
     cur = w
     while not cur.is_identity():
-        i = min(cur.left_descents())
+        i = max(cur.left_descents())
         word.append(i)
         cur = _simple_times(cur.n, i, cur)
     return tuple(word)

@@ -57,14 +57,18 @@ class Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def parse_partition(text: str) -> tuple:
+def parse_composition(text: str) -> tuple:
+    """Comma-separated integers in the order given, zeros dropped."""
     if text in ("", "-", "0"):
         return ()
     try:
-        parts = tuple(int(x) for x in text.split(","))
+        return tuple(p for p in map(int, text.split(",")) if p != 0)
     except ValueError:
-        raise ValueError(f"not a partition: {text!r}") from None
-    return normalize(parts)
+        raise ValueError(f"not a list of integers: {text!r}") from None
+
+
+def parse_partition(text: str) -> tuple:
+    return normalize(parse_composition(text))
 
 
 def _int_at_least(low: int):
@@ -147,6 +151,8 @@ def cmd_strips(args) -> int:
     payload = []
     lines = []
     if args.kind == "horizontal":
+        if args.m > args.n - 1:
+            raise ValueError(f"--m must be at most n-1 = {args.n - 1}, got {args.m}")
         for s in horizontal_strong_strips_from(lam, args.m):
             payload.append(
                 {"nu": core_json(s.nu), **_strip_json(s.chain, s.contents),
@@ -173,7 +179,7 @@ def cmd_strips(args) -> int:
 def cmd_abc(args) -> int:
     shape = _core_from_args(args)
     weights = (
-        [parse_partition(args.weight)]
+        [parse_composition(args.weight)]
         if args.weight is not None
         else list(bounded_partitions_of(shape.degree(), args.n))
     )

@@ -1,16 +1,24 @@
-"""Partitions and n-cores.
+"""Partitions and n-cores on the abacus.
 
 Partitions are tuples of weakly decreasing positive integers.  Rows are
 indexed 1..len bottom-to-top (row 1 is the longest, at the bottom), the
 cell (i, j) sits in row i column j, its content is j - i and its
-n-residue is (j - i) mod n.  An n-core has no cell of hook length
-exactly n.
+n-residue is (j - i) mod n.
 
-The two bijections implemented here:
-  * a_map: reduced words of affine Grassmannian elements -> n-cores,
-    each letter adding every addable corner of its residue;
-  * c_map / c_inverse: partitions with parts < n <-> n-cores, row i of
-    the bounded partition counting the row-i cells of hook length < n.
+A partition of length L is the bead set of its beta numbers
+b_i = lam_i - i + 1, together with every position at or below the floor
+-L; the other positions are gaps, and the hooks of row i are b_i - g
+over the gaps g < b_i.  Wound onto n runners by residue, lam is an
+n-core (no hook of length exactly n) iff every bead b has a bead at
+b - n.  The top bead of each runner, plus n, sorted, is the core's
+`window`: the window of its affine Grassmannian element w_core.  The
+other views are read off the beads:
+  * degree is ell(w_core), the number of cells of hook length < n;
+  * core_of winds a Grassmannian window back into beads and parts;
+  * c_inverse / c_map: partitions with parts < n <-> n-cores, row i
+    of the bounded partition counting the gaps in (b_i - n, b_i);
+  * a_map: reduced words -> n-cores, each letter adding every addable
+    corner of its residue; core_to_word is a reduced word of w_core.
 
 Strong (Bruhat) covers on cores are containment plus degree difference
 one; they are computed through the transposition action and decomposed
@@ -23,7 +31,6 @@ from functools import lru_cache
 
 from .affine import (
     AffinePermutation,
-    from_word,
     reduced_word,
     transposition,
 )
@@ -85,24 +92,21 @@ def dominance_leq(mu, lam) -> bool:
     return True
 
 
-def cells(parts):
-    return [(i, j) for i, p in enumerate(parts, start=1) for j in range(1, p + 1)]
+def _beads(parts) -> list:
+    """Beta numbers lam_i - i + 1, row 1 (the highest bead) first."""
+    return [p - i for i, p in enumerate(parts)]
 
 
-def hook(parts, i: int, j: int) -> int:
-    arm = parts[i - 1] - j
-    leg = sum(1 for p in parts[i:] if p >= j)
-    return arm + leg + 1
-
-
-def hooks_of_row(parts, i: int):
-    return [hook(parts, i, j) for j in range(1, parts[i - 1] + 1)]
+def _parts_of_beads(beads) -> tuple:
+    """The partition of a bead set read above a floor of beads."""
+    return normalize(b + i for i, b in enumerate(sorted(beads, reverse=True)))
 
 
 def is_ncore(parts, n: int) -> bool:
-    """No cell has hook length exactly n (larger hooks are allowed)."""
-    parts = tuple(parts)
-    return all(hook(parts, i, j) != n for (i, j) in cells(parts))
+    """No hook of length exactly n: every bead has a bead n below it."""
+    beads = _beads(parts)
+    have = set(beads)
+    return all(b - n <= -len(beads) or b - n in have for b in beads)
 
 
 def addable_corner_rows(parts):
@@ -116,19 +120,10 @@ def addable_corner_rows(parts):
     return rows
 
 
-def removable_corner_cells(parts):
-    out = []
-    for i, p in enumerate(parts, start=1):
-        nxt = parts[i] if i < len(parts) else 0
-        if p > nxt:
-            out.append((i, p))
-    return out
-
-
 class NCore:
     """An n-core partition."""
 
-    __slots__ = ("n", "parts", "_deg")
+    __slots__ = ("n", "parts", "window", "_deg")
 
     def __init__(self, n: int, parts):
         parts = normalize(parts)
@@ -136,14 +131,16 @@ class NCore:
             raise ValueError(f"{parts} has a hook of length {n}")
         self.n = n
         self.parts = parts
+        # top bead of each runner, plus n; the floor fills empty runners
+        floor = -len(parts)
+        top = {b % n: b + n for b in [*range(floor - n + 1, floor + 1), *_beads(parts)[::-1]]}
+        self.window = tuple(sorted(top.values()))
         self._deg = None
 
     def degree(self) -> int:
         """Number of cells of hook length < n; equals ell(w_core)."""
         if self._deg is None:
-            self._deg = sum(
-                1 for (i, j) in cells(self.parts) if hook(self.parts, i, j) < self.n
-            )
+            self._deg = w_core(self).length()
         return self._deg
 
     def residue(self, i: int, j: int) -> int:
@@ -202,49 +199,24 @@ def a_map(word, n: int) -> NCore:
 
 
 def core_to_word(core: NCore):
-    """Canonical reduced word for w_core.
+    """Reduced word of w_core, peeling the largest left descent first.
 
-    Peels, at each step, every removable corner of the largest residue
-    that has one; a_map(core_to_word(c)) == c and the length is deg(c).
+    At each step that removes every removable corner of the largest
+    residue that has one; a_map(core_to_word(c)) == c.
     """
-    word = []
-    parts = core.parts
-    n = core.n
-    while parts:
-        by_res = {}
-        for (i, j) in removable_corner_cells(parts):
-            by_res.setdefault((j - i) % n, []).append((i, j))
-        res = max(by_res)
-        removed = list(parts)
-        for (i, _) in by_res[res]:
-            removed[i - 1] -= 1
-        word.append(res)
-        parts = normalize(removed)
-    return tuple(word)
-
-
-@lru_cache(maxsize=None)
-def _word_of_core(n: int, parts) -> tuple:
-    return core_to_word(NCore(n, parts))
-
-
-def core_word(core: NCore) -> tuple:
-    return _word_of_core(core.n, core.parts)
-
-
-@lru_cache(maxsize=None)
-def _w_of_core(n: int, parts) -> AffinePermutation:
-    return from_word(_word_of_core(n, parts), n)
+    return reduced_word(w_core(core))
 
 
 def w_core(core: NCore) -> AffinePermutation:
     """The affine Grassmannian element of the core."""
-    return _w_of_core(core.n, core.parts)
+    return AffinePermutation(core.n, core.window)
 
 
 @lru_cache(maxsize=None)
 def _core_of_window(n: int, window) -> NCore:
-    return a_map(reduced_word(AffinePermutation(n, window)), n)
+    # runner tops v - n and every position n, 2n, ... below them
+    low = min(window)
+    return NCore(n, _parts_of_beads(v - n - k for v in window for k in range(0, v - low + 1, n)))
 
 
 def core_of(w: AffinePermutation) -> NCore:
@@ -255,45 +227,34 @@ def core_of(w: AffinePermutation) -> NCore:
 
 
 def c_inverse(core: NCore) -> tuple:
-    """Row-wise count of cells of hook length < n: the bounded partition."""
-    return normalize(
-        tuple(
-            sum(1 for h in hooks_of_row(core.parts, i) if h < core.n)
-            for i in range(1, len(core.parts) + 1)
-        )
-    )
+    """Row i counts the gaps in (b_i - n, b_i): its hooks shorter than n."""
+    n, beads = core.n, _beads(core.parts)
+    have = set(beads)
+    floor = -len(beads)
+    return tuple(sum(g not in have for g in range(max(b - n, floor) + 1, b)) for b in beads)
 
 
 def c_map(bounded, n: int) -> NCore:
-    """The unique n-core whose rows carry the given sub-n hook counts.
+    """The unique n-core whose row i has bounded_i hooks shorter than n.
 
-    Built top row down; each row takes the smallest length that is
-    consistent with the rows above (right count, no hook equal to n).
+    Beads go in top row first, each at the lowest position b above the
+    previous bead with exactly bounded_i gaps among the n - 1 positions
+    under b.  Going up one step adds a gap to that count unless b - n
+    is a gap, and parts never shrink going down, so the lowest such b
+    has a bead at b - n, as an n-core needs.
     """
     bounded = normalize(bounded)
     if any(p >= n for p in bounded):
         raise ValueError(f"parts must be < {n}")
-    rows_above: list[int] = []  # lengths, top row first
+    floor = b = -len(bounded)
+    beads: set = set()
     for p in reversed(bounded):
-        placed = None
-        start = rows_above[-1] if rows_above else p
-        for length in range(max(start, p), start + p + 2 * n + 2):
-            good = True
-            count = 0
-            for j in range(1, length + 1):
-                h = length - j + 1 + sum(1 for q in rows_above if q >= j)
-                if h == n:
-                    good = False
-                    break
-                if h < n:
-                    count += 1
-            if good and count == p:
-                placed = length
-                break
-        if placed is None:
-            raise AssertionError("c_map row scan exhausted; bound too small")
-        rows_above.append(placed)
-    return NCore(n, tuple(reversed(rows_above)))
+        b = next(
+            c for c in range(b + 1, b + n + 1)
+            if sum(g not in beads for g in range(max(c - n, floor) + 1, c)) == p
+        )
+        beads.add(b)
+    return NCore(n, _parts_of_beads(beads))
 
 
 def rect(r: int, n: int) -> tuple:
@@ -346,15 +307,6 @@ def ribbon_components(cells_list):
     return sorted(comps, key=lambda comp: comp[-1][1] - comp[-1][0])
 
 
-def is_ribbon(comp) -> bool:
-    """Rookwise connected, no 2x2 block, contents consecutive."""
-    cs = set(comp)
-    if any((i + 1, j) in cs and (i, j + 1) in cs and (i + 1, j + 1) in cs for (i, j) in cs):
-        return False
-    contents = sorted(j - i for (i, j) in comp)
-    return contents == list(range(contents[0], contents[0] + len(comp)))
-
-
 def ribbon_head(comp):
     """Southeasternmost cell: the one of maximal content."""
     return max(comp, key=lambda c: c[1] - c[0])
@@ -362,10 +314,6 @@ def ribbon_head(comp):
 
 def ribbon_tail(comp):
     return min(comp, key=lambda c: c[1] - c[0])
-
-
-def ribbon_height(comp) -> int:
-    return len({i for (i, _) in comp})
 
 
 # -- strong covers ------------------------------------------------------

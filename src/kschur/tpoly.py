@@ -53,9 +53,6 @@ class TPoly:
     def is_zero(self) -> bool:
         return not self.c
 
-    def is_one(self) -> bool:
-        return self.c == {0: 1}
-
     def is_polynomial(self) -> bool:
         return all(e >= 0 for e in self.c)
 

@@ -1,7 +1,9 @@
 """Independent oracles used by the tests.
 
 These deliberately avoid the production code paths: reduced words by
-breadth-first search, Bruhat covers by brute force over subdiagrams,
+breadth-first search, the core test, degree and bounded-partition
+bijection by hook lengths instead of the abacus, Bruhat covers by brute
+force over subdiagrams,
 the deformed P-functions by exact symmetrization in finitely many
 variables, and monomial products by expanding in as many variables as
 the degree.
@@ -13,7 +15,7 @@ from functools import lru_cache
 from itertools import permutations
 
 from kschur.affine import AffinePermutation
-from kschur.cores import NCore, is_ncore, normalize
+from kschur.cores import NCore, normalize
 from kschur.tpoly import TPoly
 
 
@@ -79,15 +81,65 @@ def subpartitions(parts):
     return sorted(set(out), reverse=True)
 
 
+def hook(parts, i: int, j: int) -> int:
+    arm = parts[i - 1] - j
+    leg = sum(1 for p in parts[i:] if p >= j)
+    return arm + leg + 1
+
+
+def hooks_of_row(parts, i: int):
+    return [hook(parts, i, j) for j in range(1, parts[i - 1] + 1)]
+
+
+def hook_is_ncore(parts, n: int) -> bool:
+    """No cell has hook length exactly n (larger hooks are allowed)."""
+    parts = tuple(parts)
+    return all(n not in hooks_of_row(parts, i) for i in range(1, len(parts) + 1))
+
+
+def hook_c_inverse(parts, n: int) -> tuple:
+    """Row-wise count of cells of hook length < n."""
+    parts = tuple(parts)
+    return tuple(
+        sum(1 for h in hooks_of_row(parts, i) if h < n) for i in range(1, len(parts) + 1)
+    )
+
+
+def hook_degree(parts, n: int) -> int:
+    """Number of cells of hook length < n."""
+    return sum(hook_c_inverse(parts, n))
+
+
+def row_scan_c_map(bounded, n: int) -> tuple:
+    """Parts of the n-core whose rows carry the given sub-n hook counts.
+
+    Built top row down; each row takes the smallest length that is
+    consistent with the rows above (right count, no hook equal to n).
+    """
+    rows_above: list[int] = []  # lengths, top row first
+    for p in reversed(tuple(bounded)):
+        start = rows_above[-1] if rows_above else p
+        for length in range(max(start, p), start + p + 2 * n + 2):
+            hooks = [
+                length - j + 1 + sum(1 for q in rows_above if q >= j)
+                for j in range(1, length + 1)
+            ]
+            if n not in hooks and sum(1 for h in hooks if h < n) == p:
+                rows_above.append(length)
+                break
+        else:
+            raise AssertionError("c_map row scan exhausted; bound too small")
+    return tuple(reversed(rows_above))
+
+
 def brute_covers_down(core: NCore):
     """mu <_B core by the definition: containment plus degree drop one."""
-    out = []
-    for mu in subpartitions(core.parts):
-        if is_ncore(mu, core.n):
-            cand = NCore(core.n, mu)
-            if cand.degree() == core.degree() - 1:
-                out.append(cand)
-    return out
+    n, d = core.n, hook_degree(core.parts, core.n)
+    return [
+        NCore(n, mu)
+        for mu in subpartitions(core.parts)
+        if hook_is_ncore(mu, n) and hook_degree(mu, n) == d - 1
+    ]
 
 
 # -- exact multivariate polynomials over ZZ[t, t^-1] ------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from kschur.affine import from_word, transposition
+from kschur.affine import from_word, reduced_word, transposition
 from kschur.cores import (
     NCore,
     NonReducedWordError,
@@ -15,7 +15,6 @@ from kschur.cores import (
     core_of,
     core_to_word,
     cores_of_degree,
-    hook,
     is_ncore,
     rect,
     rect_translation,
@@ -27,7 +26,15 @@ from kschur.cores import (
     w_core,
 )
 
-from oracles import brute_covers_down
+from kschur.symfun import bounded_partitions_of, partitions_of
+
+from oracles import (
+    brute_covers_down,
+    hook_c_inverse,
+    hook_degree,
+    hook_is_ncore,
+    row_scan_c_map,
+)
 
 
 def test_is_ncore_examples():
@@ -35,6 +42,23 @@ def test_is_ncore_examples():
     assert is_ncore((4, 1, 1), 4)
     assert is_ncore((2, 2), 4)  # hooks are {3,2,2,1}
     assert not is_ncore((4,), 4)  # hook of (1,1) is 4
+
+
+def test_abacus_matches_hook_oracles():
+    for n in range(2, 7):
+        for size in range(16):
+            for parts in partitions_of(size):
+                assert is_ncore(parts, n) == hook_is_ncore(parts, n), (parts, n)
+        for d in range(10):
+            for core in cores_of_degree(n, d):
+                assert core.degree() == hook_degree(core.parts, n) == d
+                assert c_inverse(core) == hook_c_inverse(core.parts, n)
+                w = w_core(core)
+                assert core_of(w) == a_map(reduced_word(w), n)
+                assert w == from_word(core_to_word(core), n)
+        for d in range(11):
+            for bounded in bounded_partitions_of(d, n):
+                assert c_map(bounded, n).parts == row_scan_c_map(bounded, n), (bounded, n)
 
 
 def test_a_map_examples():

@@ -38,6 +38,7 @@ CASES = [
     ("abc-all", "abc --n 4 --core 3,1,1"),
     ("abc-all-json", "abc --n 4 --core 3,1,1 --json"),
     ("abc-bounded-json", "abc --n 5 --bounded 2,2,1 --json"),
+    ("abc-weight-composition", "abc --n 4 --core 3,1,1 --weight 1,2,1"),
     ("kf-table", "kf-table --n 4 --deg 4"),
     ("kf-table-json", "kf-table --n 4 --deg 4 --json"),
     ("kf-table-at-t", "kf-table --n 4 --deg 5 --at-t 1"),
