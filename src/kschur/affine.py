@@ -42,6 +42,13 @@ class AffinePermutation:
         self.window = window
         self._len = None
 
+    @classmethod
+    def _unchecked(cls, n: int, window) -> "AffinePermutation":
+        """An element from a window known to be valid; skips the checks."""
+        w = object.__new__(cls)
+        w.n, w.window, w._len = n, tuple(window), None
+        return w
+
     # -- constructors --------------------------------------------------
 
     @staticmethod
@@ -81,10 +88,10 @@ class AffinePermutation:
         """Composition: (self * other)(x) = self(other(x))."""
         if self.n != other.n:
             raise ValueError("mismatched moduli")
-        return AffinePermutation(self.n, [self.act(v) for v in other.window])
+        return AffinePermutation._unchecked(self.n, [self.act(v) for v in other.window])
 
     def inverse(self) -> "AffinePermutation":
-        return AffinePermutation(self.n, [self.position(j) for j in range(1, self.n + 1)])
+        return AffinePermutation._unchecked(self.n, [self.position(j) for j in range(1, self.n + 1)])
 
     def __eq__(self, other) -> bool:
         return (
@@ -150,7 +157,7 @@ def _simple_times(n: int, i: int, w: AffinePermutation) -> AffinePermutation:
             out.append(v - 1)
         else:
             out.append(v)
-    return AffinePermutation(n, out)
+    return AffinePermutation._unchecked(n, out)
 
 
 def reduced_word(w: AffinePermutation):
@@ -178,7 +185,7 @@ def transposition(i: int, j: int, n: int) -> AffinePermutation:
             window.append(p - (j - i))
         else:
             window.append(p)
-    return AffinePermutation(n, window)
+    return AffinePermutation._unchecked(n, window)
 
 
 def cyclic_anchor_key(anchor: int, n: int):

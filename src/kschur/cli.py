@@ -178,11 +178,13 @@ def cmd_strips(args) -> int:
 
 def cmd_abc(args) -> int:
     shape = _core_from_args(args)
-    weights = (
-        [parse_composition(args.weight)]
-        if args.weight is not None
-        else list(bounded_partitions_of(shape.degree(), args.n))
-    )
+    d = shape.degree()
+    if args.weight is None:
+        weights = bounded_partitions_of(d, args.n)
+    else:
+        weights = [parse_composition(args.weight)]
+        if sum(weights[0]) != d:
+            raise ValueError(f"--weight sums to {sum(weights[0])}, but the core has degree {d}")
     payload = []
     lines = []
     for weight in weights:

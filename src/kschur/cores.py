@@ -208,8 +208,8 @@ def core_to_word(core: NCore):
 
 
 def w_core(core: NCore) -> AffinePermutation:
-    """The affine Grassmannian element of the core."""
-    return AffinePermutation(core.n, core.window)
+    """The affine Grassmannian element of the core (NCore checked its window)."""
+    return AffinePermutation._unchecked(core.n, core.window)
 
 
 @lru_cache(maxsize=None)

@@ -1,10 +1,10 @@
 """Pieri rules, homology structure constants, and the quantum Monk side.
 
-The homology product xi_mu xi_lam is computed through the symmetric
-function realization: k-Schur functions at t=1 in the homogeneous
-basis multiply by concatenation, and the dual basis reads coefficients
-back off.  The weak (cyclically decreasing) and horizontal strong
-strip Pieri rules are implemented independently and must agree.
+The homology product is computed in the nilCoxeter model, where h_a
+acts by the weak Pieri rule: with s^(k)_mu(1) = sum_a c_a h_a for the
+lower-degree factor, xi_mu xi_lam = sum_a c_a h_{a_1}...h_{a_l} xi_lam.
+The weak (cyclically decreasing) and horizontal strong strip Pieri
+rules are implemented independently and must agree.
 
 On the finite side, sh maps a permutation of S_n to a partition with
 parts < n; the quantum Monk formula and the identification of
@@ -38,7 +38,7 @@ from .strips import (
     marked_tail_strips,
     ribbon_strong_strips,
 )
-from .symfun import bounded_partitions_of, kn1_matrix, kschur_to_h, _index
+from .symfun import bounded_partitions_of, kschur_to_h, _index
 
 
 # -- affine Pieri rules ---------------------------------------------------
@@ -46,20 +46,23 @@ from .symfun import bounded_partitions_of, kn1_matrix, kschur_to_h, _index
 
 def weak_pieri(m: int, lam: NCore) -> dict:
     """xi_{c_{0,m}} xi_lam via cyclically decreasing left factors."""
-    n = lam.n
-    if not 1 <= m < n:
+    if not 1 <= m < lam.n:
         raise ValueError(f"need 1 <= m < n, got m={m}")
+    return dict.fromkeys(_weak_pieri_terms(m, lam), 1)
+
+
+@lru_cache(maxsize=None)
+def _weak_pieri_terms(m: int, lam: NCore) -> tuple:
+    """The cores gamma with xi_gamma in h_m xi_lam, for 1 <= m < n."""
     w = w_core(lam)
-    target = w.length() + m
-    out = {}
-    for _word, v in cyclically_decreasing_of_length(n, m):
+    out = []
+    for _word, v in cyclically_decreasing_of_length(lam.n, m):
         u = v * w
-        if u.length() == target and u.is_grassmannian():
-            gamma = core_of(u)
-            if gamma in out:
-                raise AssertionError("weak Pieri term repeated")
-            out[gamma] = 1
-    return out
+        if u.is_grassmannian() and u.length() == w.length() + m:
+            out.append(core_of(u))
+    if len(set(out)) != len(out):
+        raise AssertionError("weak Pieri term repeated")
+    return tuple(out)
 
 
 def horizontal_pieri(m: int, lam: NCore) -> dict:
@@ -94,30 +97,33 @@ def strong_pieri_cohomology(m: int, lam: NCore) -> dict:
 
 @lru_cache(maxsize=None)
 def _kschur_h_row(n: int, bounded) -> dict:
-    d = sum(bounded)
-    Pn = bounded_partitions_of(d, n)
-    row = kschur_to_h(n, d)[_index(Pn)[bounded]]
-    return {mu: c for mu, c in zip(Pn, row) if not c.is_zero()}
+    Pn = bounded_partitions_of(sum(bounded), n)
+    row = kschur_to_h(n, sum(bounded))[_index(Pn)[bounded]]
+    return {mu: c(1) for mu, c in zip(Pn, row) if not c.is_zero()}
+
+
+@lru_cache(maxsize=None)
+def _h_times(a: tuple, core: NCore) -> dict:
+    """h_a xi_core = h_{a_1}(h_{a_2}(...)) by weak Pieri, as dict core -> coefficient."""
+    if not a:
+        return {core: 1}
+    out: dict = {}
+    for gamma, c in _h_times(a[1:], core).items():
+        for nu in _weak_pieri_terms(a[0], gamma):
+            out[nu] = out.get(nu, 0) + c
+    return out
 
 
 @lru_cache(maxsize=None)
 def _structure_constants(n: int, mu_b, lam_b) -> tuple:
-    D = sum(mu_b) + sum(lam_b)
+    """xi_mu xi_lam = sum_a [h_a]s^(k)_mu(1) h_a xi_lam, mu the lower degree."""
+    mu_b, lam_b = sorted((mu_b, lam_b), key=sum)
+    lam = c_map(lam_b, n)
     prod: dict = {}
     for a, ca in _kschur_h_row(n, mu_b).items():
-        for b, cb in _kschur_h_row(n, lam_b).items():
-            key = union(a, b)
-            prod[key] = prod.get(key, 0) + ca(1) * cb(1)
-    PnD = bounded_partitions_of(D, n)
-    idx = _index(PnD)
-    kn1 = kn1_matrix(n, D)
-    out = []
-    for nu in PnD:
-        row = kn1[idx[nu]]
-        c = sum(row[idx[alpha]](1) * v for alpha, v in prod.items())
-        if c:
-            out.append((nu, c))
-    return tuple(out)
+        for nu, c in _h_times(a, lam).items():
+            prod[nu] = prod.get(nu, 0) + ca * c
+    return tuple(sorted(((c_inverse(nu), c) for nu, c in prod.items() if c), reverse=True))
 
 
 def homology_structure_constants(mu: NCore, lam: NCore) -> dict:

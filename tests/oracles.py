@@ -5,8 +5,10 @@ breadth-first search, the core test, degree and bounded-partition
 bijection by hook lengths instead of the abacus, Bruhat covers by brute
 force over subdiagrams,
 the deformed P-functions by exact symmetrization in finitely many
-variables, and monomial products by expanding in as many variables as
-the degree.
+variables, monomial products by expanding in as many variables as
+the degree, and homology structure constants by multiplying k-Schur
+functions in the h basis and reading the product back through the
+dual basis at the product degree.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from functools import lru_cache
 from itertools import permutations
 
 from kschur.affine import AffinePermutation
-from kschur.cores import NCore, normalize
+from kschur.cores import NCore, normalize, union
+from kschur.symfun import _index, bounded_partitions_of, kn1_matrix, kschur_to_h
 from kschur.tpoly import TPoly
 
 
@@ -327,3 +330,39 @@ def expand_symf(f, nvars: int) -> MPoly:
         for alpha in set(permutations(padded)):
             out = out + MPoly.monomial(nvars, alpha, c)
     return out
+
+
+# -- homology structure constants through the degree-D k-Kostka matrix -------
+
+
+def _kschur_h_row(n: int, bounded) -> dict:
+    d = sum(bounded)
+    Pn = bounded_partitions_of(d, n)
+    row = kschur_to_h(n, d)[_index(Pn)[bounded]]
+    return {mu: c for mu, c in zip(Pn, row) if not c.is_zero()}
+
+
+def matrix_structure_constants(n: int, mu_b, lam_b) -> tuple:
+    """(nu, c^nu) of xi_mu xi_lam over bounded nu, lex descending.
+
+    Both factors are expanded in h at t=1 and multiplied by
+    concatenation; the coefficient of s^(k)_nu is the Hall pairing of
+    that product with the dual k-Schur function, row nu of Kn(1) at the
+    product degree D.
+    """
+    D = sum(mu_b) + sum(lam_b)
+    prod: dict = {}
+    for a, ca in _kschur_h_row(n, mu_b).items():
+        for b, cb in _kschur_h_row(n, lam_b).items():
+            key = union(a, b)
+            prod[key] = prod.get(key, 0) + ca(1) * cb(1)
+    PnD = bounded_partitions_of(D, n)
+    idx = _index(PnD)
+    kn1 = kn1_matrix(n, D)
+    out = []
+    for nu in PnD:
+        row = kn1[idx[nu]]
+        c = sum(row[idx[alpha]](1) * v for alpha, v in prod.items())
+        if c:
+            out.append((nu, c))
+    return tuple(out)

@@ -1,5 +1,7 @@
 """Affine symmetric group: words, lengths, transpositions, descents."""
 
+import random
+
 import pytest
 
 from kschur.affine import (
@@ -37,6 +39,22 @@ def test_window_invariants_enforced():
         AffinePermutation(3, (1, 2, 4))  # bad sum
     with pytest.raises(ValueError):
         AffinePermutation(3, (1, 4, 1))  # repeated residue
+
+
+def test_unchecked_constructions_give_valid_windows():
+    """Products, inverses, words and transpositions skip the window checks;
+    every window they build must still pass them."""
+    rng = random.Random(11)
+    for n in range(2, 7):
+        elems = [
+            from_word([rng.randrange(n) for _ in range(rng.randrange(15))], n)
+            for _ in range(40)
+        ]
+        for u, v in zip(elems, elems[1:]):
+            i = rng.randrange(-2 * n, 2 * n)
+            t = transposition(i, i + rng.choice([s for s in range(1, 3 * n) if s % n]), n)
+            for w in (u, u * v, u.inverse(), t, t * u, u * t.inverse()):
+                assert AffinePermutation(n, w.window) == w
 
 
 def test_length_examples():

@@ -6,6 +6,7 @@ import pytest
 
 from kschur.cores import NCore, c_inverse, c_map, cores_of_degree, rect, union
 from kschur.schubert import (
+    _structure_constants,
     affine_monk_check,
     box_shape,
     gw_invariant,
@@ -30,6 +31,8 @@ from kschur.symfun import (
     kn1_matrix,
     multiply,
 )
+
+from oracles import matrix_structure_constants
 
 
 def strong_pieri_oracle(m, lam):
@@ -56,6 +59,24 @@ def test_weak_pieri_examples():
             assert {c.parts for c in weak_pieri(m, NCore(n, ()))} == {(m,)}
     with pytest.raises(ValueError):
         weak_pieri(4, NCore(4, (1,)))
+
+
+def test_weak_pieri_returns_fresh_dict():
+    lam = NCore(4, (3, 1, 1))
+    got = weak_pieri(1, lam)
+    want = dict(got)
+    got.clear()
+    got[lam] = 7
+    assert weak_pieri(1, lam) == want
+
+
+def test_weak_pieri_validates_with_warm_cache():
+    lam = NCore(4, (2,))
+    for m in range(1, 4):
+        weak_pieri(m, lam)
+    for m in (0, 4, -1):
+        with pytest.raises(ValueError):
+            weak_pieri(m, lam)
 
 
 def test_horizontal_pieri_top():
@@ -112,6 +133,19 @@ def test_structure_constants_krec():
                     got = homology_structure_constants(c_map(rect(r, n), n), lam)
                     want = {c_map(union(c_inverse(lam), rect(r, n)), n): 1}
                     assert got == want
+
+
+def test_structure_constants_match_matrix_oracle():
+    """Weak Pieri products equal the degree-D matrix read-back on every pair."""
+    pairs = 0
+    for n, max_d in ((2, 5), (3, 5), (4, 5), (5, 5), (6, 4)):
+        P = [p for d in range(max_d + 1) for p in bounded_partitions_of(d, n)]
+        for mu_b in P:
+            for lam_b in P:
+                want = matrix_structure_constants(n, mu_b, lam_b)
+                assert _structure_constants(n, mu_b, lam_b) == want, (n, mu_b, lam_b)
+                pairs += 1
+    assert pairs == 904
 
 
 def test_structure_constants_commutative_nonnegative():
