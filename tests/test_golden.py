@@ -76,6 +76,7 @@ CASES = [
     ("verify-affine-monk-n5-json", "verify affine-monk --n 5 --max-size 4 --json"),
     ("verify-rect-pieri-n4", "verify rect-pieri --n 4 --max-size 4"),
     ("verify-rect-pieri-n5-json", "verify rect-pieri --n 5 --max-size 3 --json"),
+    ("verify-rect-pieri-n7-counterexample", "verify rect-pieri --n 7 --max-size 10"),
 ]
 
 
