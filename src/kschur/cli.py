@@ -163,6 +163,9 @@ def cmd_strips(args) -> int:
         if args.to is None:
             raise ValueError("--to is required for strong strips")
         gamma = NCore(args.n, parse_partition(args.to))
+        gap = gamma.degree() - lam.degree()
+        if args.m != gap:
+            raise ValueError(f"--m is {args.m}, but deg(--to) - deg(core) = {gap}")
         for s in strong_strips(lam, gamma, args.m):
             payload.append(_strip_json(s.chain, s.contents))
             lines.append(f"chain {[list(c.parts) for c in s.chain]} contents {list(s.contents)}")

@@ -21,19 +21,15 @@ other views are read off the beads:
     corner of its residue; core_to_word is a reduced word of w_core.
 
 Strong (Bruhat) covers on cores are containment plus degree difference
-one; they are computed through the transposition action and decomposed
-into the identical ribbon copies that make up the skew.
+one; tau_{i,i+s} w_core moves one window entry up by s and one down by s,
+so covers are read off the window, each split into its ribbon copies.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .affine import (
-    AffinePermutation,
-    reduced_word,
-    transposition,
-)
+from .affine import AffinePermutation, reduced_word
 
 
 class NonReducedWordError(ValueError):
@@ -143,9 +139,6 @@ class NCore:
             self._deg = w_core(self).length()
         return self._deg
 
-    def residue(self, i: int, j: int) -> int:
-        return (j - i) % self.n
-
     def __eq__(self, other):
         return (
             isinstance(other, NCore) and self.n == other.n and self.parts == other.parts
@@ -246,6 +239,11 @@ def c_map(bounded, n: int) -> NCore:
     bounded = normalize(bounded)
     if any(p >= n for p in bounded):
         raise ValueError(f"parts must be < {n}")
+    return _core_of_bounded(bounded, n)
+
+
+@lru_cache(maxsize=None)
+def _core_of_bounded(bounded, n: int) -> NCore:
     floor = b = -len(bounded)
     beads: set = set()
     for p in reversed(bounded):
@@ -319,24 +317,45 @@ def ribbon_tail(comp):
 # -- strong covers ------------------------------------------------------
 
 
-def _tau_bound(n: int, d: int) -> int:
-    # ell(tau_{i,i+s}) = 2(s - floor(s/n)) - 1 <= 2d + 1
-    return n * (d + 2) // (n - 1) + n
+def _tau_step(n: int, window, p: int, q: int, s: int):
+    """The window of tau_{i,i+s} w and its length change, or None if not Grassmannian.
+
+    w is Grassmannian with residues i, i+s at positions p, q, so window[p]
+    goes up by s and window[q] down by s.  Only the raised entry's upper
+    neighbour and the lowered entry's lower one can fall out of order: an
+    O(1) test.  The length changes only in the O(n) pairs that meet p or q.
+    """
+    up, down = window[p] + s, window[q] - s
+    above = down if q == p + 1 else window[p + 1] if p + 1 < n else up
+    below = up if q == p + 1 else window[q - 1] if q > 0 else down
+    if up > above or below > down:
+        return None
+    u = list(window)
+    u[p], u[q] = up, down
+
+    def terms(v):  # the length terms |x - y| // n of the pairs that meet p or q
+        return sum(abs(v[p] - x) // n + abs(v[q] - x) // n for x in v) - abs(v[p] - v[q]) // n
+
+    return tuple(u), terms(u) - terms(window)
 
 
 def _covers(n: int, parts, step: int):
-    """Strong covers one degree up (step 1) or down (step -1)."""
-    core = NCore(n, parts)
-    w = w_core(core)
-    d = core.degree()
+    """Strong covers one degree up (step 1) or down (step -1), in (i, s) order.
+
+    The scan stops at s < max(window spread, n): a raised entry stays below
+    its upper neighbour or a lowered one above its lower one, unless the top
+    entry goes up and the bottom one down, which adds >= 2s // n to the length.
+    """
+    window = NCore(n, parts).window
+    slot = {v % n: p for p, v in enumerate(window)}
     out = []
     for i in range(n):
-        for s in range(1, _tau_bound(n, d) + 1):
+        for s in range(1, max(window[-1] - window[0], n)):
             if s % n == 0:
                 continue
-            u = transposition(i, i + s, n) * w
-            if u.length() == d + step and u.is_grassmannian():
-                other = core_of(u)
+            moved = _tau_step(n, window, slot[i], slot[(i + s) % n], s)
+            if moved is not None and moved[1] == step:
+                other = _core_of_window(n, moved[0])
                 outer, inner = (other.parts, parts) if step > 0 else (parts, other.parts)
                 ribbons = tuple(ribbon_components(skew_cells(outer, inner)))
                 out.append((other, ribbons, (i, i + s)))

@@ -20,17 +20,14 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .affine import (
-    cyclic_anchor_key,
-    is_word_cyclically_decreasing,
-    transposition,
-)
+from .affine import cyclic_anchor_key, is_word_cyclically_decreasing
 from .cores import (
     NCore,
+    _core_of_window,
+    _tau_step,
     c_inverse,
     c_map,
     contains,
-    core_of,
     rect,
     rect_translation,
     ribbon_components,
@@ -40,7 +37,6 @@ from .cores import (
     strong_covers_down,
     strong_covers_up,
     union,
-    w_core,
 )
 
 
@@ -71,11 +67,8 @@ class RibbonStrongStrip(NamedTuple):
 
 def marked_strong_covers(rho: NCore):
     """All (gamma, c): rho <_B gamma, c the content of a ribbon head."""
-    out = []
-    for gamma, ribbons, _tau in strong_covers_up(rho):
-        for comp in ribbons:
-            i, j = ribbon_head(comp)
-            out.append((gamma, j - i))
+    out = [(gamma, j - i) for gamma, ribbons, _tau in strong_covers_up(rho)
+           for i, j in map(ribbon_head, ribbons)]
     return sorted(out, key=lambda gc: (gc[0].parts, gc[1]))
 
 
@@ -122,17 +115,12 @@ def strong_strips(nu: NCore, gamma: NCore, m: int):
     return sorted(strips, key=lambda s: s.contents)
 
 
-def _bottom_ribbon(outer: NCore, inner: NCore):
-    """The lowest ribbon copy of the cover skew outer/inner."""
-    comps = ribbon_components(skew_cells(outer.parts, inner.parts))
-    return min(comps, key=lambda comp: min(i for (i, _) in comp))
-
-
 def _chain_contents(desc) -> tuple:
     """Head contents of the lowest ribbon of each step of an ascending chain."""
     contents = []
     for lo, hi in zip(desc, desc[1:]):
-        i, j = ribbon_head(_bottom_ribbon(hi, lo))
+        comps = ribbon_components(skew_cells(hi.parts, lo.parts))
+        i, j = ribbon_head(min(comps, key=lambda comp: min(i for (i, _) in comp)))
         contents.append(j - i)
     return tuple(contents)
 
@@ -216,10 +204,11 @@ def phi(word, lam: NCore) -> HorizontalStrongStrip:
     prev = [x] + a_list
     for k, a in enumerate(a_list):
         size = (prev[k] - a) % n
-        u = transposition(a, a + size, n) * w_core(chain[-1])
-        if u.length() != chain[-1].degree() - 1 or not u.is_grassmannian():
+        slot = [v % n for v in chain[-1].window]
+        moved = _tau_step(n, chain[-1].window, slot.index(a), slot.index(prev[k]), size)
+        if moved is None or moved[1] != -1:
             raise AssertionError("phi: ribbon deletion is not a strong cover")
-        chain.append(core_of(u))
+        chain.append(_core_of_window(n, moved[0]))
     desc = tuple(reversed(chain))
     if not contains(desc[0].parts, lam.parts):
         raise AssertionError("phi: resulting shape does not contain lam")
@@ -245,22 +234,14 @@ def col_r(lam: NCore, r: int):
     return tuple(range(row_len - r + 1, row_len + 1))
 
 
-def _step_heads_ok(hi: NCore, lo: NCore, base_parts) -> bool:
-    """Each ribbon head of hi/lo in row 1 or directly above a base cell."""
-    for comp in ribbon_components(skew_cells(hi.parts, lo.parts)):
-        i, j = ribbon_head(comp)
-        if i == 1:
-            continue
-        if not (i - 1 <= len(base_parts) and base_parts[i - 2] >= j):
-            return False
-    return True
+def _step_heads_ok(ribbons, base_parts) -> bool:
+    """Each ribbon head of a cover in row 1 or directly above a base cell."""
+    heads = map(ribbon_head, ribbons)
+    return all(i == 1 or (i - 1 <= len(base_parts) and base_parts[i - 2] >= j) for i, j in heads)
 
 
-def _step_tail_ok(hi: NCore, lo: NCore, columns) -> bool:
-    for comp in ribbon_components(skew_cells(hi.parts, lo.parts)):
-        if ribbon_tail(comp)[1] in columns:
-            return True
-    return False
+def _step_tail_ok(ribbons, columns) -> bool:
+    return any(ribbon_tail(comp)[1] in columns for comp in ribbons)
 
 
 def ribbon_strong_strip_chains(lam: NCore, r: int, b: int):
@@ -280,21 +261,18 @@ def ribbon_strong_strip_chains(lam: NCore, r: int, b: int):
     columns = col_r(lam, r)
     found = {}
 
-    def walk(cur, chain):
+    def walk(cur, chain, steps):
+        # steps holds the ribbons of each cover taken so far
         if len(chain) == b + 1:
-            desc = tuple(reversed(chain))
-            if all(
-                _step_heads_ok(hi, lo, cur.parts)
-                for lo, hi in zip(desc, desc[1:])
-            ):
-                found.setdefault(cur.parts, []).append(desc)
+            if all(_step_heads_ok(ribbons, cur.parts) for ribbons in steps):
+                found.setdefault(cur.parts, []).append(tuple(reversed(chain)))
             return
-        for mu, _ribbons, _tau in strong_covers_down(cur):
+        for mu, ribbons, _tau in strong_covers_down(cur):
             # heads sit above nu subset mu, so the mu-test prunes safely
-            if _step_tail_ok(cur, mu, columns) and _step_heads_ok(cur, mu, mu.parts):
-                walk(mu, chain + [mu])
+            if _step_tail_ok(ribbons, columns) and _step_heads_ok(ribbons, mu.parts):
+                walk(mu, chain + [mu], steps + [ribbons])
 
-    walk(top, [top])
+    walk(top, [top], [])
     return found
 
 
@@ -326,9 +304,9 @@ def marked_tail_strips(lam: NCore, r: int, b: int):
             out.add(cur.parts)
             return
         for mu, ribbons, _tau in strong_covers_down(cur):
-            if not _step_tail_ok(cur, mu, columns):
+            if not _step_tail_ok(ribbons, columns):
                 continue
-            marks = {j - i for comp in ribbons for (i, j) in [ribbon_head(comp)]}
+            marks = {j - i for i, j in map(ribbon_head, ribbons)}
             for c in marks:
                 if floor_content is None or c < floor_content:
                     walk(mu, c, steps + 1)

@@ -3,7 +3,7 @@
 These deliberately avoid the production code paths: reduced words by
 breadth-first search, the core test, degree and bounded-partition
 bijection by hook lengths instead of the abacus, Bruhat covers by brute
-force over subdiagrams,
+force over subdiagrams and by the transposition action on w_core,
 the deformed P-functions by exact symmetrization in finitely many
 variables, monomial products by expanding in as many variables as
 the degree, and homology structure constants by multiplying k-Schur
@@ -16,8 +16,16 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import permutations
 
-from kschur.affine import AffinePermutation
-from kschur.cores import NCore, normalize, union
+from kschur.affine import AffinePermutation, transposition
+from kschur.cores import (
+    NCore,
+    core_of,
+    normalize,
+    ribbon_components,
+    skew_cells,
+    union,
+    w_core,
+)
 from kschur.symfun import _index, bounded_partitions_of, kn1_matrix, kschur_to_h
 from kschur.tpoly import TPoly
 
@@ -143,6 +151,34 @@ def brute_covers_down(core: NCore):
         for mu in subpartitions(core.parts)
         if hook_is_ncore(mu, n) and hook_degree(mu, n) == d - 1
     ]
+
+
+def _tau_bound(n: int, d: int) -> int:
+    # ell(tau_{i,i+s}) = 2(s - floor(s/n)) - 1 <= 2d + 1
+    return n * (d + 2) // (n - 1) + n
+
+
+def transposition_covers(n: int, parts, step: int):
+    """Strong covers one degree up (step 1) or down (step -1), by the group action.
+
+    Scans tau_{i,i+s} w_core in (i, s) order and keeps the products that
+    are Grassmannian with length one more (or less) than the core's.
+    """
+    core = NCore(n, parts)
+    w = w_core(core)
+    d = core.degree()
+    out = []
+    for i in range(n):
+        for s in range(1, _tau_bound(n, d) + 1):
+            if s % n == 0:
+                continue
+            u = transposition(i, i + s, n) * w
+            if u.length() == d + step and u.is_grassmannian():
+                other = core_of(u)
+                outer, inner = (other.parts, parts) if step > 0 else (parts, other.parts)
+                ribbons = tuple(ribbon_components(skew_cells(outer, inner)))
+                out.append((other, ribbons, (i, i + s)))
+    return tuple(out)
 
 
 # -- exact multivariate polynomials over ZZ[t, t^-1] ------------------------

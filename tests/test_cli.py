@@ -137,6 +137,9 @@ def test_usage_error_exit_code(capsys):
     assert usage_error(capsys, "strips", "--n", "4", "--core", "3,1,1", "--m", "-1") == 1
     assert usage_error(capsys, "strips", "--n", "4", "--core", "3,1,1", "--m", "7") == 1
     assert usage_error(capsys, "abc", "--n", "4", "--core", "3,1,1", "--weight", "1,1") == 1
+    assert usage_error(
+        capsys, "strips", "--n", "4", "--core", "3,1,1", "--kind", "strong", "--to", "2,1", "--m", "1"
+    ) == 1
     assert usage_error(capsys, "cores", "--n", "1") == 1
     assert usage_error(capsys, "expand", "--n", "0", "--basis", "k", "--core", "1") == 1
     assert usage_error(capsys, "verify", "theta-bijection", "--n", "1") == 1

@@ -7,6 +7,7 @@ from kschur.cores import (
     NCore,
     NonReducedWordError,
     NoActionError,
+    _tau_step,
     a_map,
     act_s,
     addable_corners,
@@ -34,6 +35,7 @@ from oracles import (
     hook_degree,
     hook_is_ncore,
     row_scan_c_map,
+    transposition_covers,
 )
 
 
@@ -142,13 +144,37 @@ def test_strong_covers_examples():
     assert [m.parts for m, _, _ in strong_covers_down(NCore(4, (1,)))] == [()]
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_strong_covers_match_brute_force(n):
     for d in range(0, 7):
         for core in cores_of_degree(n, d):
             got = sorted(m.parts for m, _, _ in strong_covers_down(core))
             want = sorted(m.parts for m in brute_covers_down(core))
             assert got == want
+
+
+def test_tau_step_is_the_transposition_action():
+    # None exactly when tau_{i,i+s} w_core is not Grassmannian
+    for n in range(2, 6):
+        for d in range(8):
+            for core in cores_of_degree(n, d):
+                slot = [v % n for v in core.window]
+                for i in range(n):
+                    for s in range(1, 3 * n):
+                        if s % n:
+                            u = transposition(i, i + s, n) * w_core(core)
+                            want = (u.window, u.length() - d) if u.is_grassmannian() else None
+                            got = _tau_step(n, core.window, slot.index(i), slot.index((i + s) % n), s)
+                            assert got == want, (core, i, s)
+
+
+def test_strong_covers_match_transposition_oracle():
+    # whole tuples: cores, ribbons, taus and their (i, s) order
+    for n in range(2, 8):
+        for d in range(13):
+            for core in cores_of_degree(n, d):
+                assert strong_covers_up(core) == transposition_covers(n, core.parts, 1), core
+                assert strong_covers_down(core) == transposition_covers(n, core.parts, -1), core
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

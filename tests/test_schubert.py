@@ -294,6 +294,14 @@ def test_rect_pieri_n5_42():
     assert sorted(rep["rhs"]) == sorted([[4, 4, 1, 1], [4, 3, 3], [4, 3, 2, 1]])
 
 
+def test_rect_pieri_n7_counterexample():
+    # the ribbon-strip side has one term that the homology side lacks
+    rep = rect_pieri_check(4, 3, (4, 4, 1, 1), 7)
+    assert not rep["match"]
+    lhs = [p for p, _c in rep["lhs"]]
+    assert [tuple(p) for p in rep["rhs"] if p not in lhs] == [(5, 5, 3, 3, 3)]
+
+
 def test_rect_pieri_parameter_validation():
     with pytest.raises(ValueError):
         rect_pieri_check(2, 2, (1,), 4)
