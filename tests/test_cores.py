@@ -158,11 +158,11 @@ def test_tau_step_is_the_transposition_action():
     for n in range(2, 6):
         for d in range(8):
             for core in cores_of_degree(n, d):
-                slot = [v % n for v in core.window]
+                w, slot = w_core(core), [v % n for v in core.window]
                 for i in range(n):
                     for s in range(1, 3 * n):
                         if s % n:
-                            u = transposition(i, i + s, n) * w_core(core)
+                            u = transposition(i, i + s, n) * w
                             want = (u.window, u.length() - d) if u.is_grassmannian() else None
                             got = _tau_step(n, core.window, slot.index(i), slot.index((i + s) % n), s)
                             assert got == want, (core, i, s)
