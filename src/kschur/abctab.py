@@ -11,9 +11,13 @@ of the countertableau picture are derived views: row i (counted from
 the top) freezes at length lam^(i-1)_1 + n - 1 and carries the letter i
 in the cells of R(n-1, lam^(i-1)) / lam^(i), plus ribbon copies above.
 
+An ABC is stored as its chain together with the horizontal strong
+strip of each step, ribbons included, exactly as the strip enumeration
+built it; every view below reads those strips.
+
 Theta sends an ABC to the affine factorization v^r ... v^1 of w_lam,
-where v^i is the canonical cyclically decreasing word of
-w_{lam^(i)} w_{lam^(i-1)}^{-1}.
+where v^i = psi of the i-th strip is the canonical cyclically
+decreasing word of w_{lam^(i)} w_{lam^(i-1)}^{-1}.
 
 The extension ext(A) appends a ribbon of length
 lam^(i)_1 - lam^(i-1)_1 + 1 to row i, keeps only the letter-i cells,
@@ -27,9 +31,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .affine import AffinePermutation, cyclic_anchor_key, is_cyclically_decreasing
-from .cores import NCore, contains, ribbon_components, skew_cells, w_core
-from .strips import horizontal_strong_strips_from, phi
+from .affine import AffinePermutation
+from .cores import NCore, contains
+from .strips import _hss_from, horizontal_strong_strips_from, psi
 
 
 class NonPartitionWeightError(ValueError):
@@ -37,9 +41,9 @@ class NonPartitionWeightError(ValueError):
 
 
 class ABC:
-    """An affine Bruhat countertableau, stored as its core chain."""
+    """An affine Bruhat countertableau: its core chain and the strip of each step."""
 
-    __slots__ = ("n", "chain", "weight", "_words", "_strip_chains")
+    __slots__ = ("n", "chain", "weight", "strips")
 
     def __init__(self, n: int, chain):
         chain = tuple(chain)
@@ -52,8 +56,7 @@ class ABC:
         )
         if any(not 0 <= a < n for a in self.weight):
             raise ValueError("weight parts must be smaller than n")
-        self._words = None
-        self._strip_chains = None
+        self.strips = tuple(map(_strip_of, chain, chain[1:], self.weight))
 
     @property
     def shape(self) -> NCore:
@@ -81,29 +84,11 @@ class ABC:
 
     def words(self):
         """The cyclically decreasing words v^1, ..., v^r of Theta."""
-        if self._words is None:
-            out = []
-            for lo, hi in zip(self.chain, self.chain[1:]):
-                q = w_core(hi) * w_core(lo).inverse()
-                word = is_cyclically_decreasing(q)
-                if word is None:
-                    raise AssertionError("strip quotient is not cyclically decreasing")
-                x = ((lo.parts[0] if lo.parts else 0) - 1) % self.n
-                word = tuple(
-                    sorted(word, key=cyclic_anchor_key(x, self.n), reverse=True)
-                )
-                out.append(word)
-            self._words = tuple(out)
-        return self._words
+        return tuple(map(psi, self.strips))
 
     def strip_chains(self):
         """Per letter i, the unique strong chain lam^(i) -> R(n-1, lam^(i-1))."""
-        if self._strip_chains is None:
-            self._strip_chains = tuple(
-                phi(word, lo).chain
-                for word, lo in zip(self.words(), self.chain)
-            )
-        return self._strip_chains
+        return tuple(s.chain for s in self.strips)
 
     # -- countertableau views --------------------------------------------
 
@@ -126,14 +111,11 @@ class ABC:
         Rows are counted from the top, so letter i sits in row i and its
         ribbon copies in rows above (smaller indices).
         """
-        cells = {}
-        for i, chain in enumerate(self.strip_chains(), start=1):
-            mine = []
-            for lo, hi in zip(chain, chain[1:]):
-                for (si, sj) in skew_cells(hi.parts, lo.parts):
-                    mine.append((i - si + 1, sj))
-            cells[i] = sorted(mine)
-        return cells
+        return {
+            i: sorted((i - si + 1, sj) for step in strip.ribbons
+                      for comp in step for si, sj in comp)
+            for i, strip in enumerate(self.strips, start=1)
+        }
 
     def pretty(self) -> str:
         """Text rendering of the countertableau (blank = the shape)."""
@@ -157,13 +139,9 @@ class ABC:
 
     def off(self) -> int:
         """Sum of (size - 1) over ribbon copies outside their home row."""
-        total = 0
-        for chain in self.strip_chains():
-            for lo, hi in zip(chain, chain[1:]):
-                for comp in ribbon_components(skew_cells(hi.parts, lo.parts)):
-                    if min(i for (i, _) in comp) > 1:
-                        total += len(comp) - 1
-        return total
+        # every copy but the last of each step sits above the bottom row
+        return sum(len(comp) - 1 for strip in self.strips
+                   for step in strip.ribbons for comp in step[:-1])
 
     def extension(self):
         """dict letter -> sorted columns of the letter's cells in ext(A)."""
@@ -248,6 +226,14 @@ def _counterclockwise_choice(res: int, options: set, n: int) -> int:
 
 
 # -- enumeration ---------------------------------------------------------
+
+
+def _strip_of(lo: NCore, hi: NCore, a: int):
+    """The horizontal strong (n-1-a)-strip (lo, hi), or ValueError if none."""
+    for strip in _hss_from(lo.n, lo.parts, lo.n - 1 - a):
+        if strip.nu == hi:
+            return strip
+    raise ValueError(f"{list(lo.parts)} -> {list(hi.parts)} is not a horizontal strong strip")
 
 
 def enumerate_abc(shape: NCore, weight):

@@ -14,17 +14,16 @@ import json
 import sys
 
 from .abctab import count_affine_factorizations, enumerate_abc
-from .affine import cyclically_decreasing_of_length
 from .cores import (
     NCore,
     c_inverse,
     c_map,
-    core_of,
     cores_of_degree,
     normalize,
     w_core,
 )
 from .schubert import (
+    _weak_pieri_terms,
     affine_monk_check,
     horizontal_pieri,
     rect_pieri_check,
@@ -315,15 +314,10 @@ def _verify_prop_main(args):
 
     def check(lam):
         n = lam.n
-        w = w_core(lam)
         for m in range(0, n):
             strips = horizontal_strong_strips_from(lam, m)
             hss = {s.nu.parts for s in strips}
-            weak = set()
-            for _word, v in cyclically_decreasing_of_length(n, n - 1 - m):
-                u = v * w
-                if u.length() == w.length() + n - 1 - m and u.is_grassmannian():
-                    weak.add(core_of(u).parts)
+            weak = {nu.parts for nu in _weak_pieri_terms(n - 1 - m, lam)}
             if hss != weak:
                 return ("mismatch", lam.parts, m, sorted(hss), sorted(weak))
             for s in strips:

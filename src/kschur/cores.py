@@ -150,10 +150,6 @@ class NCore:
     def __repr__(self):
         return f"NCore({self.n}, {list(self.parts)})"
 
-    def __contains__(self, cell):
-        i, j = cell
-        return 1 <= i <= len(self.parts) and 1 <= j <= self.parts[i - 1]
-
 
 def addable_corners(core: NCore, residue: int):
     """Addable corners of the given n-residue, as (row, col) cells."""

@@ -53,7 +53,7 @@ def weak_pieri(m: int, lam: NCore) -> dict:
 
 @lru_cache(maxsize=None)
 def _weak_pieri_terms(m: int, lam: NCore) -> tuple:
-    """The cores gamma with xi_gamma in h_m xi_lam, for 1 <= m < n."""
+    """The cores gamma with xi_gamma in h_m xi_lam, for 0 <= m < n."""
     w = w_core(lam)
     out = []
     for _word, v in cyclically_decreasing_of_length(lam.n, m):
@@ -350,12 +350,8 @@ def affine_monk_check(r: int, lam, n: int) -> dict:
     if not 1 <= r < n:
         raise ValueError(f"need 1 <= r < n, got r={r}")
     rp = normalize((r,) * (n - r - 1) + (r - 1,))
-    lhs = sorted(
-        ((c_inverse(nu), c) for nu, c in homology_structure_constants(
-            c_map(rp, n), c_map(lam, n)).items()),
-        reverse=True,
-    )
     rhs = monk_cover_terms(r, lam, n)
+    lhs = _structure_constants(n, rp, lam)
     match = [p for p, c in lhs if c == 1] == rhs and all(c == 1 for _, c in lhs)
     return {
         "conjecture": "affine-monk",
@@ -375,11 +371,7 @@ def rect_pieri_check(r: int, b: int, lam, n: int) -> dict:
         raise ValueError(f"need 1 <= b < r < n, got r={r}, b={b}")
     mu = normalize((r,) * (n - 1 - r) + (r - b,))
     core = c_map(lam, n)
-    lhs = sorted(
-        ((c_inverse(nu), c) for nu, c in homology_structure_constants(
-            c_map(mu, n), core).items()),
-        reverse=True,
-    )
+    lhs = _structure_constants(n, mu, lam)
     strips = ribbon_strong_strips(core, r, b)
     rhs = sorted((c_inverse(s.nu) for s in strips), reverse=True)
     tail_reading = sorted((c_inverse(c) for c in marked_tail_strips(core, r, b)), reverse=True)

@@ -7,8 +7,11 @@ m-strip is a saturated chain with a strictly increasing content vector.
 A horizontal strong m-strip (lam, nu) is a saturated chain from nu up
 to the translation R(n-1, lam) = (lam_1 + n - 1, lam) whose bottom rows
 grow strictly at every step, with m = n - 1 + deg(lam) - deg(nu); each
-such pair carries a unique chain, and psi/phi convert it to and from
-the cyclically decreasing reduced word of w_nu w_lam^{-1}.
+such pair carries a unique chain.  Each step keeps the ribbon copies of
+its strong cover as the cover table returned them, so contents, psi
+and the countertableau views read heads, tails and cells off them;
+psi/phi convert a strip to and from the cyclically decreasing reduced
+word of w_nu w_lam^{-1}.
 
 Ribbon strong strips generalize to the translation R(r, lam): chains
 whose per-step ribbon heads sit in the bottom row or directly above an
@@ -23,17 +26,13 @@ from typing import NamedTuple
 from .affine import cyclic_anchor_key, is_word_cyclically_decreasing
 from .cores import (
     NCore,
-    _core_of_window,
-    _tau_step,
     c_inverse,
     c_map,
     contains,
     rect,
     rect_translation,
-    ribbon_components,
     ribbon_head,
     ribbon_tail,
-    skew_cells,
     strong_covers_down,
     strong_covers_up,
     union,
@@ -48,12 +47,19 @@ class StrongStrip(NamedTuple):
 
 
 class HorizontalStrongStrip(NamedTuple):
-    """Pair (lam, nu) with the chain nu -> R(n-1, lam) and its contents."""
+    """Pair (lam, nu) with the chain nu -> R(n-1, lam), its contents and ribbons.
+
+    ribbons[k] is the ribbon tuple of the cover chain[k] <_B chain[k+1],
+    shared with the cover table; its last copy is the one in the bottom
+    row, because copies are translates along the diagonal and the
+    bottom one has the largest head content.
+    """
 
     lam: NCore
     nu: NCore
     chain: tuple
     contents: tuple
+    ribbons: tuple
 
 
 class RibbonStrongStrip(NamedTuple):
@@ -115,14 +121,10 @@ def strong_strips(nu: NCore, gamma: NCore, m: int):
     return sorted(strips, key=lambda s: s.contents)
 
 
-def _chain_contents(desc) -> tuple:
-    """Head contents of the lowest ribbon of each step of an ascending chain."""
-    contents = []
-    for lo, hi in zip(desc, desc[1:]):
-        comps = ribbon_components(skew_cells(hi.parts, lo.parts))
-        i, j = ribbon_head(min(comps, key=lambda comp: min(i for (i, _) in comp)))
-        contents.append(j - i)
-    return tuple(contents)
+def _strip(lam: NCore, desc, ribbons) -> HorizontalStrongStrip:
+    """The strip of an ascending chain; contents are its bottom-row head contents."""
+    contents = tuple(j - i for i, j in (ribbon_head(step[-1]) for step in ribbons))
+    return HorizontalStrongStrip(lam, desc[0], desc, contents, ribbons)
 
 
 @lru_cache(maxsize=None)
@@ -133,20 +135,19 @@ def _hss_from(n: int, lam_parts, m: int):
     top = rect_translation(lam, n - 1)
     strips = []
 
-    def walk(cur, chain):
+    def walk(cur, chain, steps):
         # chain is descending from R(n-1, lam); bottom rows shrink.
         if len(chain) == m + 1:
             if contains(cur.parts, lam_parts):
-                desc = tuple(reversed(chain))
-                strips.append(HorizontalStrongStrip(lam, cur, desc, _chain_contents(desc)))
+                strips.append(_strip(lam, tuple(reversed(chain)), tuple(reversed(steps))))
             return
         cur_bottom = cur.parts[0] if cur.parts else 0
-        for mu, _ribbons, _tau in strong_covers_down(cur):
+        for mu, ribbons, _tau in strong_covers_down(cur):
             mu_bottom = mu.parts[0] if mu.parts else 0
             if mu_bottom < cur_bottom and contains(mu.parts, lam_parts):
-                walk(mu, chain + [mu])
+                walk(mu, chain + [mu], steps + [ribbons])
 
-    walk(top, [top])
+    walk(top, [top], [])
     strips.sort(key=lambda s: s.nu.parts, reverse=True)
     return tuple(strips)
 
@@ -170,16 +171,13 @@ def psi(strip: HorizontalStrongStrip):
     """The cyclically decreasing word of w_nu w_lam^{-1} from the chain.
 
     The tail residues a_m < ... < a_1 of the bottom-row ribbons are read
-    off the chain; the word is the complement of {a_i} in the n-1
-    residues other than x = lam_1 - 1 mod n, sorted decreasingly in the
-    cyclic order anchored at x.
+    off the strip's ribbons; the word is the complement of {a_i} in the
+    n-1 residues other than x = lam_1 - 1 mod n, sorted decreasingly in
+    the cyclic order anchored at x.
     """
     n = strip.lam.n
     x = _anchor(strip.lam)
-    tails = set()
-    for lo, hi in zip(strip.chain, strip.chain[1:]):
-        bottoms = [j for (i, j) in skew_cells(hi.parts, lo.parts) if i == 1]
-        tails.add((min(bottoms) - 1) % n)
+    tails = {(ribbon_tail(step[-1])[1] - 1) % n for step in strip.ribbons}
     letters = set(range(n)) - {x} - tails
     return tuple(sorted(letters, key=cyclic_anchor_key(x, n), reverse=True))
 
@@ -201,18 +199,20 @@ def phi(word, lam: NCore) -> HorizontalStrongStrip:
     key = cyclic_anchor_key(x, n)
     a_list = sorted(set(range(n)) - {x} - set(word), key=key, reverse=True)
     chain = [rect_translation(lam, n - 1)]
+    steps = []
     prev = [x] + a_list
     for k, a in enumerate(a_list):
-        size = (prev[k] - a) % n
-        slot = [v % n for v in chain[-1].window]
-        moved = _tau_step(n, chain[-1].window, slot.index(a), slot.index(prev[k]), size)
-        if moved is None or moved[1] != -1:
+        tau = (a, a + (prev[k] - a) % n)
+        cover = next(((mu, ribbons) for mu, ribbons, t in strong_covers_down(chain[-1])
+                      if t == tau), None)
+        if cover is None:
             raise AssertionError("phi: ribbon deletion is not a strong cover")
-        chain.append(_core_of_window(n, moved[0]))
+        chain.append(cover[0])
+        steps.append(cover[1])
     desc = tuple(reversed(chain))
     if not contains(desc[0].parts, lam.parts):
         raise AssertionError("phi: resulting shape does not contain lam")
-    return HorizontalStrongStrip(lam, desc[0], desc, _chain_contents(desc))
+    return _strip(lam, desc, tuple(reversed(steps)))
 
 
 # -- ribbon strong strips ------------------------------------------------

@@ -4,7 +4,8 @@ These deliberately avoid the production code paths: reduced words by
 breadth-first search, the core test, degree and bounded-partition
 bijection by hook lengths instead of the abacus, Bruhat covers by brute
 force over subdiagrams and by the transposition action on w_core,
-the deformed P-functions by exact symmetrization in finitely many
+the words, strip chains and offsets of an ABC through the quotients
+w_core(hi) w_core(lo)^{-1} and skew shapes, the deformed P-functions by exact symmetrization in finitely many
 variables, monomial products by expanding in as many variables as
 the degree, and homology structure constants by multiplying k-Schur
 functions in the h basis and reading the product back through the
@@ -16,16 +17,23 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import permutations
 
-from kschur.affine import AffinePermutation, transposition
+from kschur.affine import (
+    AffinePermutation,
+    cyclic_anchor_key,
+    is_cyclically_decreasing,
+    transposition,
+)
 from kschur.cores import (
     NCore,
     core_of,
     normalize,
     ribbon_components,
+    ribbon_head,
     skew_cells,
     union,
     w_core,
 )
+from kschur.strips import phi
 from kschur.symfun import _index, bounded_partitions_of, kn1_matrix, kschur_to_h
 from kschur.tpoly import TPoly
 
@@ -179,6 +187,66 @@ def transposition_covers(n: int, parts, step: int):
                 ribbons = tuple(ribbon_components(skew_cells(outer, inner)))
                 out.append((other, ribbons, (i, i + s)))
     return tuple(out)
+
+
+# -- ABC views through the group and skew shapes -----------------------------
+
+
+def quotient_words(abc) -> tuple:
+    """Theta by the group: the CD word of w_core(hi) w_core(lo)^{-1}, anchored."""
+    out = []
+    for lo, hi in zip(abc.chain, abc.chain[1:]):
+        word = is_cyclically_decreasing(w_core(hi) * w_core(lo).inverse())
+        if word is None:
+            raise AssertionError("strip quotient is not cyclically decreasing")
+        x = ((lo.parts[0] if lo.parts else 0) - 1) % abc.n
+        out.append(tuple(sorted(word, key=cyclic_anchor_key(x, abc.n), reverse=True)))
+    return tuple(out)
+
+
+def phi_strip_chains(abc) -> tuple:
+    """The strip chain of each step, rebuilt by phi from its quotient word."""
+    return tuple(phi(word, lo).chain for word, lo in zip(quotient_words(abc), abc.chain))
+
+
+def step_ribbons(chain) -> tuple:
+    """The ribbon copies of each step of an ascending chain, from its skew shape."""
+    return tuple(
+        tuple(ribbon_components(skew_cells(hi.parts, lo.parts)))
+        for lo, hi in zip(chain, chain[1:])
+    )
+
+
+def skew_contents(chain) -> tuple:
+    """Head contents of the lowest ribbon of each step of an ascending chain."""
+    contents = []
+    for comps in step_ribbons(chain):
+        i, j = ribbon_head(min(comps, key=lambda comp: min(i for i, _ in comp)))
+        contents.append(j - i)
+    return tuple(contents)
+
+
+def skew_off(chains) -> int:
+    """off(A): (size - 1) summed over the ribbon copies above the bottom row."""
+    return sum(
+        len(comp) - 1
+        for chain in chains
+        for comps in step_ribbons(chain)
+        for comp in comps
+        if min(i for i, _ in comp) > 1
+    )
+
+
+def skew_letter_cells(chains) -> dict:
+    """letter -> sorted countertableau cells of its strip's skew shapes."""
+    return {
+        i: sorted(
+            (i - si + 1, sj)
+            for lo, hi in zip(chain, chain[1:])
+            for si, sj in skew_cells(hi.parts, lo.parts)
+        )
+        for i, chain in enumerate(chains, start=1)
+    }
 
 
 # -- exact multivariate polynomials over ZZ[t, t^-1] ------------------------

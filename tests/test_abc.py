@@ -21,6 +21,15 @@ from kschur.cores import (
 from kschur.symfun import bounded_partitions_of
 from kschur.tableaux import cocharge, semistandard_tableaux
 
+from oracles import (
+    phi_strip_chains,
+    quotient_words,
+    skew_contents,
+    skew_letter_cells,
+    skew_off,
+    step_ribbons,
+)
+
 
 def compositions(total, n):
     if total == 0:
@@ -41,6 +50,28 @@ def test_weight_validation():
     with pytest.raises(ValueError):
         enumerate_abc(NCore(4, (2, 1)), (4,))  # part >= n
     assert enumerate_abc(NCore(4, (2, 1)), (1,)) == []  # degree mismatch
+    with pytest.raises(ValueError):
+        ABC(4, [NCore(4, ()), NCore(4, (2, 1))])  # not a horizontal strong strip
+
+
+def test_stored_strips_match_the_group_and_skew_routes():
+    # every ABC of composition weight, n = 3, 4, 5 up to degree 7, 7, 6
+    checked = 0
+    for n, max_deg in ((3, 7), (4, 7), (5, 6)):
+        for d in range(0, max_deg + 1):
+            for lam in cores_of_degree(n, d):
+                for alpha in compositions(d, n):
+                    for abc in enumerate_abc(lam, alpha):
+                        chains = phi_strip_chains(abc)
+                        assert abc.words() == quotient_words(abc)
+                        assert abc.strip_chains() == chains
+                        assert abc.off() == skew_off(chains)
+                        assert abc.letter_cells() == skew_letter_cells(chains)
+                        for strip in abc.strips:
+                            assert strip.ribbons == step_ribbons(strip.chain)
+                            assert strip.contents == skew_contents(strip.chain)
+                        checked += 1
+    assert checked == 1137
 
 
 def test_unique_abc_of_own_weight():
