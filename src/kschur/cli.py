@@ -391,12 +391,17 @@ def _verify_rect_pieri(args):
 
 
 def cmd_verify(args) -> int:
-    runner = {
-        "prop-main": _verify_prop_main,
-        "theta-bijection": _verify_theta,
-        "affine-monk": _verify_affine_monk,
-        "rect-pieri": _verify_rect_pieri,
+    runner, bound, unused = {
+        "prop-main": (_verify_prop_main, "max_deg", "max_size"),
+        "theta-bijection": (_verify_theta, "max_deg", "max_size"),
+        "affine-monk": (_verify_affine_monk, "max_size", "max_deg"),
+        "rect-pieri": (_verify_rect_pieri, "max_size", "max_deg"),
     }[args.sweep]
+    if getattr(args, unused) is not None:
+        flag = "--" + unused.replace("_", "-")
+        raise ValueError(f"the {args.sweep} sweep does not read {flag}")
+    if getattr(args, bound) is None:
+        setattr(args, bound, 6)
     report = runner(args)
     print(json.dumps(report, sort_keys=True))
     return 0 if report["match"] else 2
@@ -415,6 +420,11 @@ def build_parser() -> Parser:
         p.add_argument("--n", type=modulus, required=True)
         p.add_argument("--json", action="store_true")
 
+    def core_or_bounded(p):
+        shape = p.add_mutually_exclusive_group()
+        shape.add_argument("--core", default=None)
+        shape.add_argument("--bounded", default=None)
+
     p = sub.add_parser("cores", help="list n-cores by degree")
     common(p)
     p.add_argument("--deg", type=count, default=None)
@@ -423,8 +433,7 @@ def build_parser() -> Parser:
 
     p = sub.add_parser("strips", help="enumerate strips")
     common(p)
-    p.add_argument("--core", default=None)
-    p.add_argument("--bounded", default=None)
+    core_or_bounded(p)
     p.add_argument("--kind", choices=("horizontal", "strong", "ribbon"), default="horizontal")
     p.add_argument("--m", type=count, default=1)
     p.add_argument("--to", default=None, help="target core for strong strips")
@@ -434,8 +443,7 @@ def build_parser() -> Parser:
 
     p = sub.add_parser("abc", help="enumerate affine Bruhat countertableaux")
     common(p)
-    p.add_argument("--core", default=None)
-    p.add_argument("--bounded", default=None)
+    core_or_bounded(p)
     p.add_argument("--weight", default=None, help="composition; default all partition weights")
     p.set_defaults(func=cmd_abc)
 
@@ -449,24 +457,22 @@ def build_parser() -> Parser:
     p = sub.add_parser("expand", help="basis expansions in m")
     common(p)
     p.add_argument("--basis", choices=("dualk", "k", "ptilde", "h0t"), required=True)
-    p.add_argument("--core", default=None)
-    p.add_argument("--bounded", default=None)
+    core_or_bounded(p)
     p.add_argument("--t1", action="store_true", help="specialize t = 1")
     p.add_argument("--at-t", type=int, default=None)
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("pieri", help="the three Pieri rules with agreement diff")
     common(p)
-    p.add_argument("--core", default=None)
-    p.add_argument("--bounded", default=None)
+    core_or_bounded(p)
     p.add_argument("--m", type=int, required=True)
     p.set_defaults(func=cmd_pieri)
 
     p = sub.add_parser("verify", help="conjecture verification sweeps")
     p.add_argument("sweep", choices=("affine-monk", "rect-pieri", "prop-main", "theta-bijection"))
     p.add_argument("--n", type=modulus, default=4)
-    p.add_argument("--max-deg", type=count, default=6)
-    p.add_argument("--max-size", type=count, default=6)
+    p.add_argument("--max-deg", type=count, default=None, help="prop-main, theta-bijection; default 6")
+    p.add_argument("--max-size", type=count, default=None, help="affine-monk, rect-pieri; default 6")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 

@@ -3,6 +3,9 @@
 The homology product is computed in the nilCoxeter model, where h_a
 acts by the weak Pieri rule: with s^(k)_mu(1) = sum_a c_a h_a for the
 lower-degree factor, xi_mu xi_lam = sum_a c_a h_{a_1}...h_{a_l} xi_lam.
+Every k-rectangle R_r = (r^{n-r}) is first peeled off both factors and
+put back on each term, by the k-rectangle property
+s^(k)_{R_r union mu} = s_{R_r} s^(k)_mu.
 The weak (cyclically decreasing) and horizontal strong strip Pieri
 rules are implemented independently and must agree.
 
@@ -10,12 +13,15 @@ On the finite side, sh maps a permutation of S_n to a partition with
 parts < n; the quantum Monk formula and the identification of
 Gromov-Witten invariants with structure constants c^eta give the
 cross-validation targets for the affine Monk and rectangle-Pieri
-conjecture checkers.
+conjecture checkers.  sh is computed once per permutation and eta
+once per (permutation, d); validation stays at the public boundary.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
+from itertools import groupby, permutations
 from math import comb
 
 from .affine import cyclically_decreasing_of_length
@@ -114,16 +120,41 @@ def _h_times(a: tuple, core: NCore) -> dict:
     return out
 
 
+def _peel(bounded, n: int):
+    """Split every k-rectangle R_r = (r^{n-r}) off a bounded partition.
+
+    Returns (peeled, removed): the parts left, which contain no R_r, and
+    the removed parts, a union of rectangles; both descending.
+    """
+    peeled, removed = [], []
+    for part, run in groupby(bounded):
+        count = len(list(run))
+        keep = count % (n - part)
+        peeled += [part] * keep
+        removed += [part] * (count - keep)
+    return tuple(peeled), tuple(removed)
+
+
 @lru_cache(maxsize=None)
 def _structure_constants(n: int, mu_b, lam_b) -> tuple:
-    """xi_mu xi_lam = sum_a [h_a]s^(k)_mu(1) h_a xi_lam, mu the lower degree."""
+    """xi_mu xi_lam = sum_a [h_a]s^(k)_mu(1) h_a xi_lam, mu the lower degree.
+
+    By the k-rectangle property s^(k)_{R_r union mu} = s_{R_r} s^(k)_mu,
+    c^{R union nu}_{R union mu, lam} = c^nu_{mu, lam}: the rectangles of
+    both factors are peeled off first and put back on every nu.
+    """
+    mu_b, mu_rects = _peel(mu_b, n)
+    lam_b, lam_rects = _peel(lam_b, n)
+    rects = mu_rects + lam_rects
     mu_b, lam_b = sorted((mu_b, lam_b), key=sum)
     lam = c_map(lam_b, n)
     prod: dict = {}
     for a, ca in _kschur_h_row(n, mu_b).items():
         for nu, c in _h_times(a, lam).items():
             prod[nu] = prod.get(nu, 0) + ca * c
-    return tuple(sorted(((c_inverse(nu), c) for nu, c in prod.items() if c), reverse=True))
+    return tuple(
+        sorted(((union(c_inverse(nu), rects), c) for nu, c in prod.items() if c), reverse=True)
+    )
 
 
 def homology_structure_constants(mu: NCore, lam: NCore) -> dict:
@@ -173,6 +204,11 @@ def inv_vector(u):
 def sh_map(w) -> tuple:
     """The partition of the Schubert index: columns C(n-i,2)+inv_i(w0 w)."""
     check_permutation(w)
+    return _sh(tuple(w))
+
+
+@lru_cache(maxsize=None)
+def _sh(w: tuple) -> tuple:
     n = len(w)
     u = perm_mult(w0(n), w)
     inv = inv_vector(u)
@@ -250,7 +286,7 @@ def gw_invariant(u, v, w, d) -> int:
     if eta is None:
         eta_invalid_count += 1
         return 0
-    sh_u, sh_v = sh_map(u), sh_map(v)
+    sh_u, sh_v = _sh(tuple(u)), _sh(tuple(v))
     if sum(eta) != sum(sh_u) + sum(sh_v):
         return 0
     constants = _structure_constants(n, sh_u, sh_v)
@@ -279,25 +315,21 @@ def monk_cover_terms(r: int, lam, n: int):
 
 
 @lru_cache(maxsize=None)
-def _all_perms(n: int):
-    from itertools import permutations
+def _sh_inverse(n: int) -> dict:
+    """sh is injective on S_n: the table lam -> w with sh(w) = lam."""
+    return {_sh(w): w for w in permutations(range(1, n + 1))}
 
-    return tuple(permutations(range(1, n + 1)))
+
+def sh_preimage(lam, n: int):
+    """The permutation with sh(w) = lam, or None outside the image."""
+    return _sh_inverse(n).get(lam)
 
 
 @lru_cache(maxsize=None)
-def sh_preimage(lam, n: int):
-    """The permutation with sh(w) = lam, or None outside the image."""
-    for w in _all_perms(n):
-        if sh_map(w) == lam:
-            return w
-    return None
-
-
 def _eta_of_monk_term(term_perm, d):
     """eta of the invariant attached to the quantum Monk term sigma_term q^d."""
     n = len(term_perm)
-    base = _pad(conjugate(sh_map(term_perm)), n - 1)
+    base = _pad(conjugate(_sh(term_perm)), n - 1)
     cols = []
     for i in range(1, n):
         di = d[i - 1]
@@ -322,25 +354,17 @@ def q_monomials_via_sh(r: int, lam, n: int):
     w = sh_preimage(lam, n)
     if w is None:
         return None
-    rects = [rect(rr, n) for rr in range(1, n) if rr != r]
+    others = Counter(p for p in box_shape(n) if p != r)  # each R_rr, rr != r, once
     out: dict = {}
     for term, d in quantum_monk(r, w):
         eta = _eta_of_monk_term(term, d)
         if eta is None:
             continue
-        peeled = list(eta)
-        ok = True
-        for rr in rects:
-            for part in rr:
-                if part in peeled:
-                    peeled.remove(part)
-                else:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.setdefault(normalize(peeled), []).append(d)
+        peeled, removed = _peel(eta, n)
+        rects = Counter(removed)
+        if rects >= others:
+            nu = union(peeled, tuple((rects - others).elements()))
+            out.setdefault(nu, []).append(d)
     return out
 
 

@@ -9,7 +9,8 @@ w_core(hi) w_core(lo)^{-1} and skew shapes, the deformed P-functions by exact sy
 variables, monomial products by expanding in as many variables as
 the degree, and homology structure constants by multiplying k-Schur
 functions in the h basis and reading the product back through the
-dual basis at the product degree.
+dual basis at the product degree, or by weak Pieri without peeling
+off the k-rectangles.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import permutations
 
+from kschur import schubert
 from kschur.affine import (
     AffinePermutation,
     cyclic_anchor_key,
@@ -25,6 +27,8 @@ from kschur.affine import (
 )
 from kschur.cores import (
     NCore,
+    c_inverse,
+    c_map,
     core_of,
     normalize,
     ribbon_components,
@@ -470,3 +474,14 @@ def matrix_structure_constants(n: int, mu_b, lam_b) -> tuple:
         if c:
             out.append((nu, c))
     return tuple(out)
+
+
+def unpeeled_structure_constants(n: int, mu_b, lam_b) -> tuple:
+    """xi_mu xi_lam = sum_a [h_a]s^(k)_mu(1) h_a xi_lam, mu the lower degree."""
+    mu_b, lam_b = sorted((mu_b, lam_b), key=sum)
+    lam = c_map(lam_b, n)
+    prod: dict = {}
+    for a, ca in schubert._kschur_h_row(n, mu_b).items():
+        for nu, c in schubert._h_times(a, lam).items():
+            prod[nu] = prod.get(nu, 0) + ca * c
+    return tuple(sorted(((c_inverse(nu), c) for nu, c in prod.items() if c), reverse=True))

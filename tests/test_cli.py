@@ -144,6 +144,9 @@ def test_usage_error_exit_code(capsys):
     assert usage_error(capsys, "expand", "--n", "0", "--basis", "k", "--core", "1") == 1
     assert usage_error(capsys, "verify", "theta-bijection", "--n", "1") == 1
     assert usage_error(capsys, "cores", "--n", "four") == 1
+    assert usage_error(capsys, "strips", "--n", "4", "--core", "2", "--bounded", "1") == 1
+    assert usage_error(capsys, "verify", "affine-monk", "--n", "4", "--max-deg", "2") == 1
+    assert usage_error(capsys, "verify", "prop-main", "--n", "4", "--max-size", "1") == 1
 
 
 def test_bad_partition_exit_code(capsys):

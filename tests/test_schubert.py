@@ -4,8 +4,10 @@ from itertools import permutations, product
 
 import pytest
 
+from kschur import schubert
 from kschur.cores import NCore, c_inverse, c_map, cores_of_degree, rect, union
 from kschur.schubert import (
+    _peel,
     _structure_constants,
     affine_monk_check,
     box_shape,
@@ -32,7 +34,7 @@ from kschur.symfun import (
     multiply,
 )
 
-from oracles import matrix_structure_constants
+from oracles import matrix_structure_constants, unpeeled_structure_constants
 
 
 def strong_pieri_oracle(m, lam):
@@ -148,6 +150,24 @@ def test_structure_constants_match_matrix_oracle():
     assert pairs == 904
 
 
+def test_structure_constants_match_unpeeled_oracle():
+    """Peeling k-rectangles off either factor gives the unpeeled constants.
+
+    At n=6 the smallest rectangle has 5 cells, so n=6 runs to degree 6.
+    """
+    pairs = 0
+    for n, max_d in ((2, 5), (3, 5), (4, 5), (5, 5), (6, 6)):
+        P = [p for d in range(max_d + 1) for p in bounded_partitions_of(d, n)]
+        for mu_b in P:
+            for lam_b in P:
+                if not (_peel(mu_b, n)[1] or _peel(lam_b, n)[1]):
+                    continue
+                want = unpeeled_structure_constants(n, mu_b, lam_b)
+                assert _structure_constants(n, mu_b, lam_b) == want, (n, mu_b, lam_b)
+                pairs += 1
+    assert pairs == 739
+
+
 def test_structure_constants_commutative_nonnegative():
     for n in (3, 4):
         cores = [c for d in range(0, 4) for c in cores_of_degree(n, d)]
@@ -169,6 +189,14 @@ def test_sh_examples():
     assert conjugate(sh_map(w0(n))) == tuple(
         c for c in ((n - i) * (n - i - 1) // 2 for i in range(1, n)) if c
     )
+
+
+def test_sh_map_validates_with_warm_cache():
+    for w in permutations(range(1, 5)):
+        assert sh_map(list(w)) == sh_map(w)
+    for bad in ((1, 1, 3, 4), (0, 1, 2, 3), (2, 3, 4, 5)):
+        with pytest.raises(ValueError):
+            sh_map(bad)
 
 
 def test_sh_image_in_box_family():
@@ -242,6 +270,14 @@ def test_gw_invariant_symmetry_observed():
                 if a == b:
                     swaps += 1
     assert swaps > 0  # report-style: symmetry held somewhere, not asserted
+
+
+def test_gw_invariant_counts_every_invalid_eta(monkeypatch):
+    monkeypatch.setattr(schubert, "eta_invalid_count", 0)
+    args = ((1, 2, 3), (1, 2, 3), (1, 2, 3), (0, 1))
+    assert gw_invariant(*args) == 0
+    assert gw_invariant(*args) == 0
+    assert schubert.eta_invalid_count == 2
 
 
 def test_gw_invariant_validation():
