@@ -19,7 +19,6 @@ from .cores import (
     NCore,
     a_map,
     act_s,
-    addable_corners,
     c_inverse,
     c_map,
     core_of,

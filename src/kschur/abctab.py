@@ -230,7 +230,7 @@ def _counterclockwise_choice(res: int, options: set, n: int) -> int:
 
 def _strip_of(lo: NCore, hi: NCore, a: int):
     """The horizontal strong (n-1-a)-strip (lo, hi), or ValueError if none."""
-    for strip in _hss_from(lo.n, lo.parts, lo.n - 1 - a):
+    for strip in _hss_from(lo, lo.n - 1 - a):
         if strip.nu == hi:
             return strip
     raise ValueError(f"{list(lo.parts)} -> {list(hi.parts)} is not a horizontal strong strip")
@@ -260,20 +260,19 @@ def enumerate_abc(shape: NCore, weight):
 
 @lru_cache(maxsize=None)
 def abc_counts(n: int, weight) -> dict:
-    """dict shape.parts -> |ABC(shape, weight)| for the full weight fiber."""
-    counts = {(): 1}
+    """dict shape -> |ABC(shape, weight)| for the full weight fiber."""
+    counts = {NCore(n, ()): 1}
     for a in weight:
         nxt: dict = {}
-        for parts, mult in counts.items():
-            for strip in horizontal_strong_strips_from(NCore(n, parts), n - 1 - a):
-                key = strip.nu.parts
-                nxt[key] = nxt.get(key, 0) + mult
+        for lam, mult in counts.items():
+            for strip in horizontal_strong_strips_from(lam, n - 1 - a):
+                nxt[strip.nu] = nxt.get(strip.nu, 0) + mult
         counts = nxt
     return counts
 
 
 def count_abc(shape: NCore, weight) -> int:
-    return abc_counts(shape.n, tuple(weight)).get(shape.parts, 0)
+    return abc_counts(shape.n, tuple(weight)).get(shape, 0)
 
 
 def theta(abc: ABC):

@@ -119,7 +119,8 @@ def _emit(args, payload, text_lines):
 
 
 def cmd_cores(args) -> int:
-    degs = [args.deg] if args.deg is not None else list(range(args.max_deg + 1))
+    max_deg = 6 if args.max_deg is None else args.max_deg
+    degs = [args.deg] if args.deg is not None else list(range(max_deg + 1))
     payload = []
     lines = []
     for d in degs:
@@ -247,6 +248,8 @@ def cmd_expand(args) -> int:
     else:
         bounded = parse_partition(args.bounded)
         f = ptilde_in_m(bounded) if args.basis == "ptilde" else h0t_in_m(bounded)
+        if args.t1:
+            f = f.at_t(1)
     if args.at_t is not None:
         f = f.at_t(args.at_t)
     terms = sorted(f.terms.items(), reverse=True)
@@ -427,8 +430,9 @@ def build_parser() -> Parser:
 
     p = sub.add_parser("cores", help="list n-cores by degree")
     common(p)
-    p.add_argument("--deg", type=count, default=None)
-    p.add_argument("--max-deg", type=count, default=6)
+    degree = p.add_mutually_exclusive_group()
+    degree.add_argument("--deg", type=count, default=None)
+    degree.add_argument("--max-deg", type=count, default=None, help="default 6")
     p.set_defaults(func=cmd_cores)
 
     p = sub.add_parser("strips", help="enumerate strips")

@@ -11,18 +11,25 @@ b_i = lam_i - i + 1, together with every position at or below the floor
 over the gaps g < b_i.  Wound onto n runners by residue, lam is an
 n-core (no hook of length exactly n) iff every bead b has a bead at
 b - n.  The top bead of each runner, plus n, sorted, is the core's
-`window`: the window of its affine Grassmannian element w_core.  The
-other views are read off the beads:
+`window`: the window of its affine Grassmannian element w_core.
+
+`NCore(n, parts)` checks its input; it is the constructor for callers.
+Every core the library builds itself comes from a window through the
+cached `_core_of_window`, which reads the parts off the beads and skips
+the checks, so each core is built once.  The other views are read off
+the beads:
   * degree is ell(w_core), the number of cells of hook length < n;
   * core_of winds a Grassmannian window back into beads and parts;
   * c_inverse / c_map: partitions with parts < n <-> n-cores, row i
     of the bounded partition counting the gaps in (b_i - n, b_i);
-  * a_map: reduced words -> n-cores, each letter adding every addable
-    corner of its residue; core_to_word is a reduced word of w_core.
+  * a_map: reduced words -> n-cores; core_to_word is a reduced word of
+    w_core.
 
 Strong (Bruhat) covers on cores are containment plus degree difference
 one; tau_{i,i+s} w_core moves one window entry up by s and one down by s,
 so covers are read off the window, each split into its ribbon copies.
+The weak cover s_i w_core is the s = 1 step tau_{i,i+1} w_core: act_s
+adds every addable corner of residue i.
 """
 
 from __future__ import annotations
@@ -93,9 +100,11 @@ def _beads(parts) -> list:
     return [p - i for i, p in enumerate(parts)]
 
 
-def _parts_of_beads(beads) -> tuple:
-    """The partition of a bead set read above a floor of beads."""
-    return normalize(b + i for i, b in enumerate(sorted(beads, reverse=True)))
+def _window(n: int, beads) -> tuple:
+    """Top bead of each runner, plus n, sorted; a floor at -len(beads) fills empty runners."""
+    floor = -len(beads)
+    top = {b % n: b + n for b in [*range(floor - n + 1, floor + 1), *sorted(beads)]}
+    return tuple(sorted(top.values()))
 
 
 def is_ncore(parts, n: int) -> bool:
@@ -105,33 +114,20 @@ def is_ncore(parts, n: int) -> bool:
     return all(b - n <= -len(beads) or b - n in have for b in beads)
 
 
-def addable_corner_rows(parts):
-    """Rows that can take one more box (1-based, bottom-to-top)."""
-    rows = [1]
-    for i in range(2, len(parts) + 1):
-        if parts[i - 2] > parts[i - 1]:
-            rows.append(i)
-    if parts:
-        rows.append(len(parts) + 1)
-    return rows
-
-
 class NCore:
-    """An n-core partition."""
+    """An n-core partition, checked here; `_core_of_window` builds the library's own."""
 
-    __slots__ = ("n", "parts", "window", "_deg")
+    __slots__ = ("n", "parts", "window", "_deg", "_hash")
 
     def __init__(self, n: int, parts):
         parts = normalize(parts)
         if not is_ncore(parts, n):
             raise ValueError(f"{parts} has a hook of length {n}")
-        self.n = n
-        self.parts = parts
-        # top bead of each runner, plus n; the floor fills empty runners
-        floor = -len(parts)
-        top = {b % n: b + n for b in [*range(floor - n + 1, floor + 1), *_beads(parts)[::-1]]}
-        self.window = tuple(sorted(top.values()))
-        self._deg = None
+        self._fill(n, parts, _window(n, _beads(parts)))
+
+    def _fill(self, n: int, parts: tuple, window: tuple):
+        self.n, self.parts, self.window = n, parts, window
+        self._deg, self._hash = None, hash((n, parts))
 
     def degree(self) -> int:
         """Number of cells of hook length < n; equals ell(w_core)."""
@@ -145,32 +141,31 @@ class NCore:
         )
 
     def __hash__(self):
-        return hash((self.n, self.parts))
+        return self._hash
 
     def __repr__(self):
         return f"NCore({self.n}, {list(self.parts)})"
 
 
-def addable_corners(core: NCore, residue: int):
-    """Addable corners of the given n-residue, as (row, col) cells."""
-    n, parts = core.n, core.parts
-    out = []
-    for i in addable_corner_rows(parts):
-        j = (parts[i - 1] + 1) if i <= len(parts) else 1
-        if (j - i) % n == residue % n:
-            out.append((i, j))
-    return out
+def _slots(window, n: int) -> dict:
+    """residue -> position of the window entry of that residue."""
+    return {v % n: p for p, v in enumerate(window)}
+
+
+def _weak_cover(core: NCore, i: int):
+    """The core of s_i w_core = tau_{i,i+1} w_core if it is one degree up, else None."""
+    n, window = core.n, core.window
+    slot = _slots(window, n)
+    moved = _tau_step(n, window, slot[i % n], slot[(i + 1) % n], 1)
+    return _core_of_window(n, moved[0]) if moved and moved[1] == 1 else None
 
 
 def act_s(core: NCore, residue: int) -> NCore:
     """Add every addable corner of the residue; degree goes up by one."""
-    adds = addable_corners(core, residue)
-    if not adds:
+    up = _weak_cover(core, residue)
+    if up is None:
         raise NoActionError(f"no addable corner of residue {residue}")
-    parts = list(core.parts) + [0]
-    for (i, _) in adds:
-        parts[i - 1] += 1
-    return NCore(core.n, parts)
+    return up
 
 
 def a_map(word, n: int) -> NCore:
@@ -202,10 +197,17 @@ def w_core(core: NCore) -> AffinePermutation:
 
 
 @lru_cache(maxsize=None)
-def _core_of_window(n: int, window) -> NCore:
-    # runner tops v - n and every position n, 2n, ... below them
+def _core_of_window(n: int, window: tuple) -> NCore:
+    """The core of a Grassmannian window, unchecked: the one internal constructor.
+
+    The beads are the runner tops v - n and every position n, 2n, ...
+    below them, down to a full row of n beads; row i is b_i + i.
+    """
     low = min(window)
-    return NCore(n, _parts_of_beads(v - n - k for v in window for k in range(0, v - low + 1, n)))
+    beads = sorted((v - n - k for v in window for k in range(0, v - low + 1, n)), reverse=True)
+    core = object.__new__(NCore)
+    core._fill(n, tuple(p for p in (b + i for i, b in enumerate(beads)) if p), window)
+    return core
 
 
 def core_of(w: AffinePermutation) -> NCore:
@@ -215,6 +217,7 @@ def core_of(w: AffinePermutation) -> NCore:
     return _core_of_window(w.n, w.window)
 
 
+@lru_cache(maxsize=None)
 def c_inverse(core: NCore) -> tuple:
     """Row i counts the gaps in (b_i - n, b_i): its hooks shorter than n."""
     n, beads = core.n, _beads(core.parts)
@@ -248,7 +251,7 @@ def _core_of_bounded(bounded, n: int) -> NCore:
             if sum(g not in beads for g in range(max(c - n, floor) + 1, c)) == p
         )
         beads.add(b)
-    return NCore(n, _parts_of_beads(beads))
+    return _core_of_window(n, _window(n, beads))
 
 
 def rect(r: int, n: int) -> tuple:
@@ -335,15 +338,15 @@ def _tau_step(n: int, window, p: int, q: int, s: int):
     return tuple(u), terms(u) - terms(window)
 
 
-def _covers(n: int, parts, step: int):
+def _covers(core: NCore, step: int):
     """Strong covers one degree up (step 1) or down (step -1), in (i, s) order.
 
     The scan stops at s < max(window spread, n): a raised entry stays below
     its upper neighbour or a lowered one above its lower one, unless the top
     entry goes up and the bottom one down, which adds >= 2s // n to the length.
     """
-    window = NCore(n, parts).window
-    slot = {v % n: p for p, v in enumerate(window)}
+    n, parts, window = core.n, core.parts, core.window
+    slot = _slots(window, n)
     out = []
     for i in range(n):
         for s in range(1, max(window[-1] - window[0], n)):
@@ -359,34 +362,30 @@ def _covers(n: int, parts, step: int):
 
 
 @lru_cache(maxsize=None)
-def _covers_up(n: int, parts):
-    return _covers(n, parts, 1)
+def _covers_up(core: NCore):
+    return _covers(core, 1)
 
 
 @lru_cache(maxsize=None)
-def _covers_down(n: int, parts):
-    return _covers(n, parts, -1)
+def _covers_down(core: NCore):
+    return _covers(core, -1)
 
 
 def strong_covers_up(core: NCore):
     """All (gamma, ribbons, tau) with core <_B gamma a strong cover."""
-    return _covers_up(core.n, core.parts)
+    return _covers_up(core)
 
 
 def strong_covers_down(core: NCore):
     """All (mu, ribbons, tau) with mu <_B core a strong cover."""
-    return _covers_down(core.n, core.parts)
+    return _covers_down(core)
 
 
 @lru_cache(maxsize=None)
 def cores_of_degree(n: int, d: int):
-    """All n-cores of the given degree."""
+    """All n-cores of the given degree: the weak covers of those one degree down."""
     if d == 0:
         return (NCore(n, ()),)
-    out = {}
-    for core in cores_of_degree(n, d - 1):
-        for i in range(n):
-            if addable_corners(core, i):
-                nxt = act_s(core, i)
-                out[nxt.parts] = nxt
-    return tuple(out[p] for p in sorted(out, reverse=True))
+    out = {_weak_cover(core, i) for core in cores_of_degree(n, d - 1) for i in range(n)}
+    out.discard(None)
+    return tuple(sorted(out, key=lambda c: c.parts, reverse=True))

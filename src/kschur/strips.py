@@ -128,23 +128,22 @@ def _strip(lam: NCore, desc, ribbons) -> HorizontalStrongStrip:
 
 
 @lru_cache(maxsize=None)
-def _hss_from(n: int, lam_parts, m: int):
-    lam = NCore(n, lam_parts)
-    if not 0 <= m <= n - 1:
+def _hss_from(lam: NCore, m: int):
+    if not 0 <= m <= lam.n - 1:
         return ()
-    top = rect_translation(lam, n - 1)
+    top = rect_translation(lam, lam.n - 1)
     strips = []
 
     def walk(cur, chain, steps):
         # chain is descending from R(n-1, lam); bottom rows shrink.
         if len(chain) == m + 1:
-            if contains(cur.parts, lam_parts):
+            if contains(cur.parts, lam.parts):
                 strips.append(_strip(lam, tuple(reversed(chain)), tuple(reversed(steps))))
             return
         cur_bottom = cur.parts[0] if cur.parts else 0
         for mu, ribbons, _tau in strong_covers_down(cur):
             mu_bottom = mu.parts[0] if mu.parts else 0
-            if mu_bottom < cur_bottom and contains(mu.parts, lam_parts):
+            if mu_bottom < cur_bottom and contains(mu.parts, lam.parts):
                 walk(mu, chain + [mu], steps + [ribbons])
 
     walk(top, [top], [])
@@ -154,7 +153,7 @@ def _hss_from(n: int, lam_parts, m: int):
 
 def horizontal_strong_strips_from(lam: NCore, m: int):
     """All horizontal strong m-strips (lam, nu); one chain per nu."""
-    return list(_hss_from(lam.n, lam.parts, m))
+    return list(_hss_from(lam, m))
 
 
 def is_horizontal_strong_strip(lam: NCore, nu: NCore) -> bool:
@@ -250,7 +249,7 @@ def ribbon_strong_strip_chains(lam: NCore, r: int, b: int):
     A chain qualifies when every step has a ribbon tail in col_r(lam)
     and every ribbon head lies in the bottom row or directly above a
     cell of nu, the smallest shape of the chain.  Returns a dict
-    mapping nu.parts to its list of ascending chains.
+    mapping nu to its list of ascending chains.
     """
     n = lam.n
     if not 1 <= r < n:
@@ -265,7 +264,7 @@ def ribbon_strong_strip_chains(lam: NCore, r: int, b: int):
         # steps holds the ribbons of each cover taken so far
         if len(chain) == b + 1:
             if all(_step_heads_ok(ribbons, cur.parts) for ribbons in steps):
-                found.setdefault(cur.parts, []).append(tuple(reversed(chain)))
+                found.setdefault(cur, []).append(tuple(reversed(chain)))
             return
         for mu, ribbons, _tau in strong_covers_down(cur):
             # heads sit above nu subset mu, so the mu-test prunes safely
@@ -278,12 +277,8 @@ def ribbon_strong_strip_chains(lam: NCore, r: int, b: int):
 
 def ribbon_strong_strips(lam: NCore, r: int, b: int):
     """All ribbon strong strips (lam, nu) of length b with respect to r."""
-    n = lam.n
     found = ribbon_strong_strip_chains(lam, r, b)
-    strips = [
-        RibbonStrongStrip(lam, NCore(n, parts), r, chains[0])
-        for parts, chains in found.items()
-    ]
+    strips = [RibbonStrongStrip(lam, nu, r, chains[0]) for nu, chains in found.items()]
     return sorted(strips, key=lambda s: s.nu.parts, reverse=True)
 
 
@@ -294,14 +289,13 @@ def marked_tail_strips(lam: NCore, r: int, b: int):
     carrying a strictly increasing content vector, every step with a
     ribbon tail in the marked columns (no head condition).
     """
-    n = lam.n
     top = rect_translation(lam, r)
     columns = col_r(lam, r)
     out = set()
 
     def walk(cur, floor_content, steps):
         if steps == b:
-            out.add(cur.parts)
+            out.add(cur)
             return
         for mu, ribbons, _tau in strong_covers_down(cur):
             if not _step_tail_ok(ribbons, columns):
@@ -312,4 +306,4 @@ def marked_tail_strips(lam: NCore, r: int, b: int):
                     walk(mu, c, steps + 1)
 
     walk(top, None, 0)
-    return sorted((NCore(n, parts) for parts in out), key=lambda c: c.parts, reverse=True)
+    return sorted(out, key=lambda c: c.parts, reverse=True)

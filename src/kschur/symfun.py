@@ -200,7 +200,7 @@ def kn1_matrix(n: int, d: int):
     P = bounded_partitions_of(d, n)
     M = []
     for lam in P:
-        shape = c_map(lam, n).parts
+        shape = c_map(lam, n)
         row = [TPoly.const(abc_counts(n, mu).get(shape, 0)) for mu in P]
         M.append(row)
     for i, lam in enumerate(P):

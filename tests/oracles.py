@@ -3,7 +3,8 @@
 These deliberately avoid the production code paths: reduced words by
 breadth-first search, the core test, degree and bounded-partition
 bijection by hook lengths instead of the abacus, Bruhat covers by brute
-force over subdiagrams and by the transposition action on w_core,
+force over subdiagrams and by the transposition action on w_core, act_s
+by scanning the rows for addable corners,
 the words, strip chains and offsets of an ABC through the quotients
 w_core(hi) w_core(lo)^{-1} and skew shapes, the deformed P-functions by exact symmetrization in finitely many
 variables, monomial products by expanding in as many variables as
@@ -27,6 +28,7 @@ from kschur.affine import (
 )
 from kschur.cores import (
     NCore,
+    NoActionError,
     c_inverse,
     c_map,
     core_of,
@@ -163,6 +165,31 @@ def brute_covers_down(core: NCore):
         for mu in subpartitions(core.parts)
         if hook_is_ncore(mu, n) and hook_degree(mu, n) == d - 1
     ]
+
+
+def addable_corners(core: NCore, residue: int):
+    """Addable corners of the given n-residue, as (row, col) cells."""
+    n, parts = core.n, core.parts
+    rows = [1] + [i for i in range(2, len(parts) + 1) if parts[i - 2] > parts[i - 1]]
+    if parts:
+        rows.append(len(parts) + 1)
+    out = []
+    for i in rows:
+        j = (parts[i - 1] + 1) if i <= len(parts) else 1
+        if (j - i) % n == residue % n:
+            out.append((i, j))
+    return out
+
+
+def corner_scan_act_s(core: NCore, residue: int) -> NCore:
+    """act_s on the diagram: add every addable corner of the residue."""
+    adds = addable_corners(core, residue)
+    if not adds:
+        raise NoActionError(f"no addable corner of residue {residue}")
+    parts = list(core.parts) + [0]
+    for (i, _) in adds:
+        parts[i - 1] += 1
+    return NCore(core.n, parts)
 
 
 def _tau_bound(n: int, d: int) -> int:

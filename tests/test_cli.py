@@ -53,6 +53,20 @@ def test_abc_roundtrip_schema(capsys):
         assert "cocharge" in entry
 
 
+def test_cores_default_max_deg(capsys):
+    code, out = run(capsys, "cores", "--n", "3", "--json")
+    assert code == 0
+    assert max(row["degree"] for row in json.loads(out)) == 6
+
+
+def test_expand_t1_is_at_t_one(capsys):
+    for basis, bounded in (("ptilde", "2,1"), ("ptilde", "2,1,1"), ("h0t", "3,1")):
+        for fmt in ((), ("--json",)):
+            argv = ("expand", "--n", "5", "--basis", basis, "--bounded", bounded, *fmt)
+            code, out = run(capsys, *argv, "--t1")
+            assert (code, out) == run(capsys, *argv, "--at-t", "1"), argv
+
+
 def test_kf_table_weak_at_one(capsys):
     code, out = run(
         capsys, "kf-table", "--n", "6", "--deg", "7", "--weak", "--at-t", "1", "--json"
@@ -131,6 +145,7 @@ def test_usage_error_exit_code(capsys):
     assert usage_error(capsys, "expand", "--n", "4", "--basis", "h0t") == 1
     assert usage_error(capsys, "cores", "--n", "4", "--deg", "-1") == 1
     assert usage_error(capsys, "cores", "--n", "4", "--max-deg", "-1") == 1
+    assert usage_error(capsys, "cores", "--n", "4", "--deg", "2", "--max-deg", "3") == 1
     assert usage_error(capsys, "verify", "prop-main", "--max-deg", "-1") == 1
     assert usage_error(capsys, "verify", "affine-monk", "--max-size", "-1") == 1
     assert usage_error(capsys, "kf-table", "--n", "4", "--deg", "-1") == 1

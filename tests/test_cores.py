@@ -10,7 +10,6 @@ from kschur.cores import (
     _tau_step,
     a_map,
     act_s,
-    addable_corners,
     c_inverse,
     c_map,
     core_of,
@@ -31,6 +30,7 @@ from kschur.symfun import bounded_partitions_of, partitions_of
 
 from oracles import (
     brute_covers_down,
+    corner_scan_act_s,
     hook_c_inverse,
     hook_degree,
     hook_is_ncore,
@@ -124,9 +124,16 @@ def test_c_roundtrip(n):
 def test_act_s_examples():
     assert act_s(NCore(4, (1,)), 3).parts == (1, 1)
     assert act_s(NCore(4, (2, 1)), 2).parts == (3, 1, 1)
-    assert addable_corners(NCore(4, ()), 0) == [(1, 1)]
+    assert act_s(NCore(4, ()), 0).parts == (1,)
     with pytest.raises(NoActionError):
         act_s(NCore(4, ()), 1)
+
+
+def _act_or_none(act, core, i):
+    try:
+        return act(core, i)
+    except NoActionError:
+        return None
 
 
 def test_act_s_degree_step():
@@ -134,8 +141,36 @@ def test_act_s_degree_step():
         for d in range(0, 6):
             for core in cores_of_degree(n, d):
                 for i in range(n):
-                    if addable_corners(core, i):
-                        assert act_s(core, i).degree() == d + 1
+                    up = _act_or_none(act_s, core, i)
+                    if up is not None:
+                        assert up.degree() == hook_degree(up.parts, n) == d + 1
+
+
+def test_act_s_matches_corner_scan_oracle():
+    # the s = 1 window step adds exactly the addable corners of residue i
+    pairs = 0
+    for n in range(2, 8):
+        for d in range(11):
+            for core in cores_of_degree(n, d):
+                for i in range(n):
+                    assert _act_or_none(act_s, core, i) == _act_or_none(corner_scan_act_s, core, i), (core, i)
+                    pairs += 1
+    assert pairs == 2421  # n times the bounded partitions of d with parts < n
+
+
+def test_library_cores_are_checked_cores():
+    # every core built from a window equals the checked NCore: parts, window and hash
+    def same(core):
+        checked = NCore(core.n, core.parts)
+        return core == checked and core.window == checked.window and hash(core) == hash(checked)
+
+    for n in range(2, 8):
+        for d in range(11):
+            for core in cores_of_degree(n, d):
+                built = [core, core_of(w_core(core)), c_map(c_inverse(core), n)]
+                built += [c for c, _, _ in strong_covers_up(core) + strong_covers_down(core)]
+                built += [up for i in range(n) if (up := _act_or_none(act_s, core, i)) is not None]
+                assert all(map(same, built)), core
 
 
 def test_strong_covers_examples():

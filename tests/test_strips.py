@@ -23,6 +23,7 @@ from kschur.strips import (
     marked_tail_strips,
     phi,
     psi,
+    ribbon_strong_strip_chains,
     ribbon_strong_strips,
     saturated_chains,
     strong_strips,
@@ -202,14 +203,16 @@ def test_ribbon_strip_b0():
     assert [s.nu for s in strips] == [rect_translation(lam, 3)]
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_rss_with_r_equal_nminus1_is_hss(n):
-    for d in range(0, 6):
+    # at r = n-1 the ribbon strips are the horizontal ones: the same nu,
+    # each with the one chain of its horizontal strip; a corrected head
+    # rule for the rect-Pieri failure at n=7 must keep this
+    for d in range(0, 11):
         for lam in cores_of_degree(n, d):
             for b in range(0, n):
-                A = {s.nu.parts for s in ribbon_strong_strips(lam, n - 1, b)}
-                B = {s.nu.parts for s in horizontal_strong_strips_from(lam, b)}
-                assert A == B
+                chains = ribbon_strong_strip_chains(lam, n - 1, b)
+                assert chains == {s.nu: [s.chain] for s in horizontal_strong_strips_from(lam, b)}
 
 
 def test_closing_conjecture_comparison_reported():
