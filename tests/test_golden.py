@@ -77,6 +77,9 @@ CASES = [
     ("verify-rect-pieri-n4", "verify rect-pieri --n 4 --max-size 4"),
     ("verify-rect-pieri-n5-json", "verify rect-pieri --n 5 --max-size 3 --json"),
     ("verify-rect-pieri-n7-counterexample", "verify rect-pieri --n 7 --max-size 10"),
+    ("kf-table-deg7-json", "kf-table --n 4 --deg 7 --json"),
+    ("kf-table-weak-n5-deg7-json", "kf-table --n 5 --deg 7 --weak --json"),
+    ("expand-dualk-n5-deg8-json", "expand --n 5 --basis dualk --core 3,3,1,1,1,1 --json"),
 ]
 
 
