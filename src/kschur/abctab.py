@@ -58,6 +58,13 @@ class ABC:
             raise ValueError("weight parts must be smaller than n")
         self.strips = tuple(map(_strip_of, chain, chain[1:], self.weight))
 
+    @classmethod
+    def _unchecked(cls, n: int, chain: tuple, weight: tuple, strips: tuple) -> "ABC":
+        """The ABC of a strip walk, which already holds the strip of each step."""
+        abc = object.__new__(cls)
+        abc.n, abc.chain, abc.weight, abc.strips = n, chain, weight, strips
+        return abc
+
     @property
     def shape(self) -> NCore:
         return self.chain[-1]
@@ -236,24 +243,35 @@ def _strip_of(lo: NCore, hi: NCore, a: int):
     raise ValueError(f"{list(lo.parts)} -> {list(hi.parts)} is not a horizontal strong strip")
 
 
-def enumerate_abc(shape: NCore, weight):
-    """All ABCs of the given shape and weight composition."""
-    n = shape.n
+def _walk_abcs(n: int, weight, fits=None):
+    """Each ABC of the weight composition, depth first, whose cores all pass `fits`.
+
+    Every step hands the strip it came from to the ABC, so no strip is
+    looked up twice.
+    """
     weight = tuple(weight)
     if any(not 0 <= a < n for a in weight):
         raise ValueError(f"weight parts must be in 0..{n - 1}")
+
+    def walk(chain, strips):
+        if len(strips) == len(weight):
+            yield ABC._unchecked(n, chain, weight, strips)
+            return
+        for strip in horizontal_strong_strips_from(chain[-1], n - 1 - weight[len(strips)]):
+            if fits is None or fits(strip.nu):
+                yield from walk(chain + (strip.nu,), strips + (strip,))
+
+    return walk((NCore(n, ()),), ())
+
+
+def enumerate_abc(shape: NCore, weight):
+    """All ABCs of the given shape and weight composition."""
+    weight = tuple(weight)
+    abcs = _walk_abcs(shape.n, weight, lambda nu: contains(shape.parts, nu.parts))
     if sum(weight) != shape.degree():
         return []
-    partial = [(NCore(n, ()),)]
-    for a in weight:
-        nxt = []
-        for chain in partial:
-            for strip in horizontal_strong_strips_from(chain[-1], n - 1 - a):
-                if contains(shape.parts, strip.nu.parts):
-                    nxt.append(chain + (strip.nu,))
-        partial = nxt
     return sorted(
-        (ABC(n, chain) for chain in partial if chain[-1] == shape),
+        (abc for abc in abcs if abc.shape == shape),
         key=lambda a: tuple(c.parts for c in a.chain),
     )
 

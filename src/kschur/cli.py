@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .abctab import count_affine_factorizations, enumerate_abc
 from .cores import (
@@ -146,14 +147,22 @@ def _strip_json(chain, contents=None):
     return out
 
 
+#: the options each strip kind reads, besides --n and the core
+_STRIP_OPTIONS = {"horizontal": ("m",), "strong": ("m", "to"), "ribbon": ("r", "b")}
+
+
 def cmd_strips(args) -> int:
+    for opt in ("m", "to", "r", "b"):
+        if getattr(args, opt) is not None and opt not in _STRIP_OPTIONS[args.kind]:
+            raise ValueError(f"--kind {args.kind} does not read --{opt}")
+    m = 1 if args.m is None else args.m
     lam = _core_from_args(args)
     payload = []
     lines = []
     if args.kind == "horizontal":
-        if args.m > args.n - 1:
-            raise ValueError(f"--m must be at most n-1 = {args.n - 1}, got {args.m}")
-        for s in horizontal_strong_strips_from(lam, args.m):
+        if m > args.n - 1:
+            raise ValueError(f"--m must be at most n-1 = {args.n - 1}, got {m}")
+        for s in horizontal_strong_strips_from(lam, m):
             payload.append(
                 {"nu": core_json(s.nu), **_strip_json(s.chain, s.contents),
                  "word": list(psi(s))}
@@ -164,9 +173,9 @@ def cmd_strips(args) -> int:
             raise ValueError("--to is required for strong strips")
         gamma = NCore(args.n, parse_partition(args.to))
         gap = gamma.degree() - lam.degree()
-        if args.m != gap:
-            raise ValueError(f"--m is {args.m}, but deg(--to) - deg(core) = {gap}")
-        for s in strong_strips(lam, gamma, args.m):
+        if m != gap:
+            raise ValueError(f"--m is {m}, but deg(--to) - deg(core) = {gap}")
+        for s in strong_strips(lam, gamma, m):
             payload.append(_strip_json(s.chain, s.contents))
             lines.append(f"chain {[list(c.parts) for c in s.chain]} contents {list(s.contents)}")
     elif args.kind == "ribbon":
@@ -439,10 +448,10 @@ def build_parser() -> Parser:
     common(p)
     core_or_bounded(p)
     p.add_argument("--kind", choices=("horizontal", "strong", "ribbon"), default="horizontal")
-    p.add_argument("--m", type=count, default=1)
+    p.add_argument("--m", type=count, default=None, help="horizontal, strong; default 1")
     p.add_argument("--to", default=None, help="target core for strong strips")
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--b", type=int, default=None)
+    p.add_argument("--r", type=int, default=None, help="ribbon")
+    p.add_argument("--b", type=int, default=None, help="ribbon")
     p.set_defaults(func=cmd_strips)
 
     p = sub.add_parser("abc", help="enumerate affine Bruhat countertableaux")
@@ -483,10 +492,15 @@ def build_parser() -> Parser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> Parser:
+    """The one parser of the process, built on the first call to main."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         code = exc.code

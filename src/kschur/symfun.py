@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .abctab import enumerate_abc, abc_counts
+from .abctab import _walk_abcs, abc_counts
 from .cores import NCore, c_inverse, c_map, dominance_leq, normalize
-from .tableaux import kostka_foulkes, kostka_number
+from .tableaux import _kf_fiber, _kostka_fiber, _tally
 from .tpoly import TPoly
 
 ZERO = TPoly.zero()
@@ -115,7 +115,8 @@ def _transpose(M):
 @lru_cache(maxsize=None)
 def s_to_m(d: int):
     P = partitions_of(d)
-    return [[TPoly.const(kostka_number(lam, mu)) for mu in P] for lam in P]
+    cols = [_kostka_fiber(mu) for mu in P]
+    return [[TPoly.const(col.get(lam, 0)) for col in cols] for lam in P]
 
 
 @lru_cache(maxsize=None)
@@ -127,7 +128,8 @@ def m_to_s(d: int):
 def kf_matrix(d: int):
     """K(t): rows lam, columns mu; upper triangular, diagonal t^{n(lam)}."""
     P = partitions_of(d)
-    return [[kostka_foulkes(lam, mu) for mu in P] for lam in P]
+    cols = [_kf_fiber(mu) for mu in P]
+    return [[col.get(lam, ZERO) for col in cols] for lam in P]
 
 
 @lru_cache(maxsize=None)
@@ -163,6 +165,12 @@ def m_to_h(d: int):
 
 
 @lru_cache(maxsize=None)
+def _weak_kf_fiber(n: int, mu) -> dict:
+    """core -> Kn_{c^-1(core),mu}(t) over every core, from one walk of the ABCs of weight mu."""
+    return _tally((abc.shape, abc.n_cocharge()) for abc in _walk_abcs(n, mu))
+
+
+@lru_cache(maxsize=None)
 def weak_kostka_foulkes(lam, mu, n: int) -> TPoly:
     """Kn_{lam,mu}(t) = sum over ABC(c(lam), mu) of t^{n-cocharge}."""
     lam, mu = normalize(lam), normalize(mu)
@@ -170,26 +178,23 @@ def weak_kostka_foulkes(lam, mu, n: int) -> TPoly:
         raise ValueError(f"parts must be < {n}")
     if sum(lam) != sum(mu):
         return ZERO
-    out = ZERO
-    for abc in enumerate_abc(c_map(lam, n), mu):
-        out = out + TPoly.t(abc.n_cocharge())
-    return out
+    return _weak_kf_fiber(n, mu).get(c_map(lam, n), ZERO)
 
 
 @lru_cache(maxsize=None)
 def kn_matrix(n: int, d: int):
     """Kn(t) over bounded partitions of d; checked dominance-triangular."""
     P = bounded_partitions_of(d, n)
+    cols = [_weak_kf_fiber(n, mu) for mu in P]
     M = []
     for lam in P:
-        row = []
-        for mu in P:
-            entry = weak_kostka_foulkes(lam, mu, n)
+        core = c_map(lam, n)
+        row = [col.get(core, ZERO) for col in cols]
+        for mu, entry in zip(P, row):
             if not entry.is_zero() and not dominance_leq(mu, lam):
                 raise AssertionError(
                     f"K^{n}_{lam},{mu}(t) nonzero off the dominance ideal"
                 )
-            row.append(entry)
         M.append(row)
     return M
 

@@ -9,7 +9,9 @@ exactly when the content increases.
 
 K_{lam,mu}(t) = sum over SSYT(lam, mu) of t^cocharge; at t = 1 it is
 the Kostka number.  Note K_{lam,lam}(t) = t^{n(lam)} in this cocharge
-normalization.
+normalization.  Both are read off one walk of the weight's fiber: the
+horizontal-strip chains of weight mu are grown once over all shapes,
+and each (lam, mu) entry is looked up in the result.
 """
 
 from __future__ import annotations
@@ -127,37 +129,71 @@ def cocharge(tab: Tableau) -> int:
 
 
 def cocharge_index_vectors(tab: Tableau):
-    """The index vectors of the successive standard-subword extractions."""
+    """The index vectors of the successive standard-subword extractions.
+
+    Each letter keeps its remaining cells sorted by (row, -col), so the
+    next pick is the first cell in a row above the current one, else
+    the first cell; the rightmost 1 is the first cell of letter 1.
+    """
     weight = tab.weight
     if not is_partition(weight):
         raise ValueError(f"weight {weight} is not a partition")
-    remaining = set()
-    letter_of = {}
+    cells = [[] for _ in weight]
     for (i, j, x) in tab.cells_with_letters():
-        remaining.add((i, j))
-        letter_of[(i, j)] = x
+        cells[x - 1].append((i, j))
+    for letter in cells:
+        letter.sort(key=lambda c: (c[0], -c[1]))
     vectors = []
-    while remaining:
-        ones = [c for c in remaining if letter_of[c] == 1]
-        cur = max(ones, key=lambda c: c[1])
-        remaining.remove(cur)
+    while cells and cells[0]:
+        cur = cells[0].pop(0)
         seq = [cur]
-        x = 1
-        while True:
-            options = [c for c in remaining if letter_of[c] == x + 1]
-            if not options:
+        for letter in cells[1:]:
+            if not letter:
                 break
-            above = [c for c in options if c[0] > cur[0]]
-            pool = above if above else options
-            cur = min(pool, key=lambda c: (c[0], -c[1]))
-            remaining.remove(cur)
+            k = next((k for k, c in enumerate(letter) if c[0] > cur[0]), 0)
+            cur = letter.pop(k)
             seq.append(cur)
-            x += 1
         index = [0]
         for (pi, pj), (ci, cj) in zip(seq, seq[1:]):
             index.append(index[-1] if cj - ci > pj - pi else index[-1] + 1)
         vectors.append(index)
     return vectors
+
+
+def _tally(pairs) -> dict:
+    """dict key -> sum of t^e over the (key, e) pairs."""
+    exps: dict = {}
+    for key, e in pairs:
+        by = exps.setdefault(key, {})
+        by[e] = by.get(e, 0) + 1
+    return {key: TPoly(c) for key, c in exps.items()}
+
+
+@lru_cache(maxsize=None)
+def _kf_fiber(mu) -> dict:
+    """shape -> K_{shape,mu}(t) over every shape, from one walk of the SSYT of weight mu."""
+
+    def walk(chain):
+        if len(chain) > len(mu):
+            yield chain[-1], cocharge(Tableau(chain))
+            return
+        for p in horizontal_strip_additions(chain[-1], mu[len(chain) - 1]):
+            yield from walk(chain + (p,))
+
+    return _tally(walk(((),)))
+
+
+@lru_cache(maxsize=None)
+def _kostka_fiber(mu) -> dict:
+    """shape -> K_{shape,mu} over every shape, by counting horizontal-strip chains."""
+    counts = {(): 1}
+    for m in mu:
+        nxt: dict = {}
+        for shape, mult in counts.items():
+            for p in horizontal_strip_additions(shape, m):
+                nxt[p] = nxt.get(p, 0) + mult
+        counts = nxt
+    return counts
 
 
 @lru_cache(maxsize=None)
@@ -166,55 +202,13 @@ def kostka_foulkes(lam, mu) -> TPoly:
     lam, mu = normalize(lam), normalize(mu)
     if sum(lam) != sum(mu):
         return TPoly.zero()
-    out = TPoly.zero()
-    for tab in semistandard_tableaux(lam, mu):
-        out = out + TPoly.t(cocharge(tab))
-    return out
+    return _kf_fiber(mu).get(lam, TPoly.zero())
 
 
 @lru_cache(maxsize=None)
 def kostka_number(lam, mu) -> int:
-    """|SSYT(lam, mu)| by horizontal-strip counting."""
+    """|SSYT(lam, mu)|, read off the weight's horizontal-strip count."""
     lam, mu = normalize(lam), normalize(mu)
     if sum(lam) != sum(mu):
         return 0
-
-    @lru_cache(maxsize=None)
-    def count(shape, k):
-        if k == 0:
-            return 1 if shape == () else 0
-        return sum(
-            count(lo, k - 1)
-            for lo in horizontal_strip_removals(shape, mu[k - 1])
-        )
-
-    return count(lam, len(mu))
-
-
-def horizontal_strip_removals(parts, m: int):
-    """All partitions obtained by removing a horizontal m-strip."""
-    parts = tuple(parts)
-    out = []
-
-    def place(i, remaining, cur):
-        if i > len(parts):
-            if remaining == 0:
-                out.append(normalize(tuple(cur)))
-            return
-        hi = parts[i - 1]
-        lo = parts[i] if i < len(parts) else 0
-        for new in range(lo, hi + 1):
-            drop = hi - new
-            if drop <= remaining:
-                cur[i - 1] = new
-                place(i + 1, remaining - drop, cur)
-
-    # removal strip condition: inner_i >= outer_{i+1} (cells above gaps)
-    def valid(inner):
-        for i in range(len(parts) - 1):
-            if (inner[i] if i < len(inner) else 0) < parts[i + 1]:
-                return False
-        return True
-
-    place(1, m, [0] * len(parts))
-    return [p for p in out if valid(p)]
+    return _kostka_fiber(mu).get(lam, 0)

@@ -11,7 +11,11 @@ variables, monomial products by expanding in as many variables as
 the degree, and homology structure constants by multiplying k-Schur
 functions in the h basis and reading the product back through the
 dual basis at the product degree, or by weak Pieri without peeling
-off the k-rectangles.
+off the k-rectangles.  Kostka numbers, Kostka-Foulkes and weak
+Kostka-Foulkes polynomials are computed one (lam, mu) pair at a time, by
+counting horizontal-strip removals down from lam or by enumerating the
+tableaux or ABCs of that one shape, with cocharge picking each letter's
+cell by scanning the set of remaining cells.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from functools import lru_cache
 from itertools import permutations
 
 from kschur import schubert
+from kschur.abctab import enumerate_abc
 from kschur.affine import (
     AffinePermutation,
     cyclic_anchor_key,
@@ -32,6 +37,7 @@ from kschur.cores import (
     c_inverse,
     c_map,
     core_of,
+    is_partition,
     normalize,
     ribbon_components,
     ribbon_head,
@@ -41,6 +47,7 @@ from kschur.cores import (
 )
 from kschur.strips import phi
 from kschur.symfun import _index, bounded_partitions_of, kn1_matrix, kschur_to_h
+from kschur.tableaux import Tableau, semistandard_tableaux
 from kschur.tpoly import TPoly
 
 
@@ -512,3 +519,114 @@ def unpeeled_structure_constants(n: int, mu_b, lam_b) -> tuple:
         for nu, c in schubert._h_times(a, lam).items():
             prod[nu] = prod.get(nu, 0) + ca * c
     return tuple(sorted(((c_inverse(nu), c) for nu, c in prod.items() if c), reverse=True))
+
+
+# -- Kostka, Kostka-Foulkes and weak Kostka-Foulkes, one (lam, mu) at a time --
+
+
+def set_scan_cocharge_index_vectors(tab: Tableau):
+    """The index vectors of the successive standard-subword extractions."""
+    weight = tab.weight
+    if not is_partition(weight):
+        raise ValueError(f"weight {weight} is not a partition")
+    remaining = set()
+    letter_of = {}
+    for (i, j, x) in tab.cells_with_letters():
+        remaining.add((i, j))
+        letter_of[(i, j)] = x
+    vectors = []
+    while remaining:
+        ones = [c for c in remaining if letter_of[c] == 1]
+        cur = max(ones, key=lambda c: c[1])
+        remaining.remove(cur)
+        seq = [cur]
+        x = 1
+        while True:
+            options = [c for c in remaining if letter_of[c] == x + 1]
+            if not options:
+                break
+            above = [c for c in options if c[0] > cur[0]]
+            pool = above if above else options
+            cur = min(pool, key=lambda c: (c[0], -c[1]))
+            remaining.remove(cur)
+            seq.append(cur)
+            x += 1
+        index = [0]
+        for (pi, pj), (ci, cj) in zip(seq, seq[1:]):
+            index.append(index[-1] if cj - ci > pj - pi else index[-1] + 1)
+        vectors.append(index)
+    return vectors
+
+
+@lru_cache(maxsize=None)
+def pair_kostka_foulkes(lam, mu) -> TPoly:
+    """K_{lam,mu}(t), the cocharge generating function over SSYT(lam, mu)."""
+    lam, mu = normalize(lam), normalize(mu)
+    if sum(lam) != sum(mu):
+        return TPoly.zero()
+    out = TPoly.zero()
+    for tab in semistandard_tableaux(lam, mu):
+        out = out + TPoly.t(sum(map(sum, set_scan_cocharge_index_vectors(tab))))
+    return out
+
+
+@lru_cache(maxsize=None)
+def pair_kostka_number(lam, mu) -> int:
+    """|SSYT(lam, mu)| by horizontal-strip counting."""
+    lam, mu = normalize(lam), normalize(mu)
+    if sum(lam) != sum(mu):
+        return 0
+
+    @lru_cache(maxsize=None)
+    def count(shape, k):
+        if k == 0:
+            return 1 if shape == () else 0
+        return sum(
+            count(lo, k - 1)
+            for lo in horizontal_strip_removals(shape, mu[k - 1])
+        )
+
+    return count(lam, len(mu))
+
+
+def horizontal_strip_removals(parts, m: int):
+    """All partitions obtained by removing a horizontal m-strip."""
+    parts = tuple(parts)
+    out = []
+
+    def place(i, remaining, cur):
+        if i > len(parts):
+            if remaining == 0:
+                out.append(normalize(tuple(cur)))
+            return
+        hi = parts[i - 1]
+        lo = parts[i] if i < len(parts) else 0
+        for new in range(lo, hi + 1):
+            drop = hi - new
+            if drop <= remaining:
+                cur[i - 1] = new
+                place(i + 1, remaining - drop, cur)
+
+    # removal strip condition: inner_i >= outer_{i+1} (cells above gaps)
+    def valid(inner):
+        for i in range(len(parts) - 1):
+            if (inner[i] if i < len(inner) else 0) < parts[i + 1]:
+                return False
+        return True
+
+    place(1, m, [0] * len(parts))
+    return [p for p in out if valid(p)]
+
+
+@lru_cache(maxsize=None)
+def pair_weak_kostka_foulkes(lam, mu, n: int) -> TPoly:
+    """Kn_{lam,mu}(t) = sum over ABC(c(lam), mu) of t^{n-cocharge}."""
+    lam, mu = normalize(lam), normalize(mu)
+    if (lam and lam[0] >= n) or (mu and mu[0] >= n):
+        raise ValueError(f"parts must be < {n}")
+    if sum(lam) != sum(mu):
+        return TPoly.zero()
+    out = TPoly.zero()
+    for abc in enumerate_abc(c_map(lam, n), mu):
+        out = out + TPoly.t(abc.n_cocharge())
+    return out

@@ -1,5 +1,7 @@
 """Affine Bruhat countertableaux: enumeration, Theta, extension, cocharge."""
 
+import operator
+
 import pytest
 
 from kschur.abctab import (
@@ -70,6 +72,23 @@ def test_stored_strips_match_the_group_and_skew_routes():
                         for strip in abc.strips:
                             assert strip.ribbons == step_ribbons(strip.chain)
                             assert strip.contents == skew_contents(strip.chain)
+                        checked += 1
+    assert checked == 1137
+
+
+def test_enumerated_abcs_equal_checked_abcs():
+    # the walk hands each step's strip to the ABC; the checked constructor finds the same
+    checked = 0
+    for n, max_deg in ((3, 7), (4, 7), (5, 6)):
+        for d in range(0, max_deg + 1):
+            for lam in cores_of_degree(n, d):
+                for alpha in compositions(d, n):
+                    for abc in enumerate_abc(lam, alpha):
+                        again = ABC(n, abc.chain)
+                        assert abc == again
+                        assert abc.weight == again.weight == alpha
+                        assert abc.strips == again.strips
+                        assert all(map(operator.is_, abc.strips, again.strips))
                         checked += 1
     assert checked == 1137
 

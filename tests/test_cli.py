@@ -1,7 +1,11 @@
 """Command line interface: schemas, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
+import kschur
 from kschur.cli import main
 
 
@@ -162,6 +166,22 @@ def test_usage_error_exit_code(capsys):
     assert usage_error(capsys, "strips", "--n", "4", "--core", "2", "--bounded", "1") == 1
     assert usage_error(capsys, "verify", "affine-monk", "--n", "4", "--max-deg", "2") == 1
     assert usage_error(capsys, "verify", "prop-main", "--n", "4", "--max-size", "1") == 1
+    # strips options that the chosen --kind does not read
+    assert usage_error(capsys, "strips", "--n", "4", "--core", "3,1,1", "--r", "2") == 1
+    assert usage_error(capsys, "strips", "--n", "4", "--core", "3,1,1", "--b", "1") == 1
+    assert usage_error(capsys, "strips", "--n", "4", "--core", "3,1,1", "--to", "4,1,1") == 1
+    assert usage_error(
+        capsys, "strips", "--n", "4", "--core", "3", "--kind", "strong", "--to", "4,1,1",
+        "--m", "2", "--r", "2",
+    ) == 1
+    assert usage_error(
+        capsys, "strips", "--n", "5", "--bounded", "4,2", "--kind", "ribbon", "--r", "3",
+        "--b", "2", "--m", "1",
+    ) == 1
+    assert usage_error(
+        capsys, "strips", "--n", "5", "--bounded", "4,2", "--kind", "ribbon", "--r", "3",
+        "--b", "2", "--to", "4,2",
+    ) == 1
 
 
 def test_bad_partition_exit_code(capsys):
@@ -206,3 +226,26 @@ def test_verify_mismatch_exits_two(capsys, monkeypatch):
     report = json.loads(out)
     assert report["match"] is False
     assert report["failures"]  # witnesses carried through
+
+
+def test_shared_parser_keeps_no_state(capsys):
+    # one interpreter, one parser: each call prints what a fresh process prints
+    calls = [
+        "cores --n 4 --deg 2 --max-deg 3",
+        "verify affine-monk --n 4",
+        "verify prop-main --n 4",
+        "strips --n 4 --core 3,1,1 --m 2",
+        "strips --n 5 --bounded 4,2 --kind ribbon --r 3 --b 2",
+        "abc --n 4 --core 3,1,1",
+    ]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(kschur.__file__)))
+    for argv in calls:
+        code = main(argv.split())
+        captured = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "kschur.cli", *argv.split()],
+            capture_output=True, text=True, env=env,
+        )
+        assert (code, captured.out, captured.err) == (
+            fresh.returncode, fresh.stdout, fresh.stderr
+        ), argv

@@ -24,7 +24,7 @@ from kschur.symfun import (
 from kschur.tableaux import kostka_foulkes
 from kschur.tpoly import TPoly
 
-from oracles import expand_symf, ptilde_oracle
+from oracles import expand_symf, pair_weak_kostka_foulkes, ptilde_oracle
 
 
 def test_schur_reconstruction_from_ptilde():
@@ -104,6 +104,20 @@ def test_weak_kostka_reduces_to_classical():
 
 def test_weak_kostka_size_mismatch_zero():
     assert weak_kostka_foulkes((2,), (1,), 4).is_zero()
+
+
+def test_kn_matrix_matches_per_pair_oracle():
+    # whole matrices from the ABC weight fibers against one (lam, mu) at a time
+    for n, max_deg in ((3, 8), (4, 7), (5, 7), (6, 6)):
+        for d in range(0, max_deg + 1):
+            P = bounded_partitions_of(d, n)
+            want = [[pair_weak_kostka_foulkes(lam, mu, n) for mu in P] for lam in P]
+            assert kn_matrix(n, d) == want
+            assert [[weak_kostka_foulkes(lam, mu, n) for mu in P] for lam in P] == want
+    with pytest.raises(ValueError):
+        weak_kostka_foulkes((4,), (3, 1), 4)
+    with pytest.raises(ValueError):
+        weak_kostka_foulkes((3, 1), (4,), 4)
 
 
 def test_dual_kschur_reduction():

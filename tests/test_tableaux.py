@@ -11,7 +11,13 @@ from kschur.tableaux import (
     semistandard_tableaux,
 )
 from kschur.tpoly import TPoly
-from kschur.symfun import n_stat, partitions_of
+from kschur.symfun import kf_matrix, n_stat, partitions_of, s_to_m
+
+from oracles import (
+    pair_kostka_foulkes,
+    pair_kostka_number,
+    set_scan_cocharge_index_vectors,
+)
 
 
 def test_cocharge_25_example():
@@ -70,3 +76,31 @@ def test_kostka_triangularity():
 def test_tableau_from_rows_validates():
     with pytest.raises(ValueError):
         Tableau.from_rows([[1, 2], [1]])  # column not strict
+
+
+def test_kf_and_kostka_matrices_match_per_pair_oracles():
+    # whole matrices from the weight fibers against one (lam, mu) at a time
+    for d in range(0, 9):
+        P = partitions_of(d)
+        assert kf_matrix(d) == [[pair_kostka_foulkes(lam, mu) for mu in P] for lam in P]
+        assert s_to_m(d) == [
+            [TPoly.const(pair_kostka_number(lam, mu)) for mu in P] for lam in P
+        ]
+        for lam in P:
+            for mu in P:
+                assert kostka_foulkes(lam, mu) == pair_kostka_foulkes(lam, mu)
+                assert kostka_number(lam, mu) == pair_kostka_number(lam, mu)
+    assert kostka_foulkes((3,), (1, 1)).is_zero()
+    assert kostka_number((3,), (1, 1)) == 0
+
+
+def test_cocharge_matches_set_scan_oracle():
+    # every SSYT of partition weight and size 1..9
+    checked = 0
+    for d in range(1, 10):
+        for lam in partitions_of(d):
+            for mu in partitions_of(d):
+                for tab in semistandard_tableaux(lam, mu):
+                    assert cocharge_index_vectors(tab) == set_scan_cocharge_index_vectors(tab)
+                    checked += 1
+    assert checked == 9437
