@@ -243,15 +243,12 @@ def _strip_of(lo: NCore, hi: NCore, a: int):
     raise ValueError(f"{list(lo.parts)} -> {list(hi.parts)} is not a horizontal strong strip")
 
 
-def _walk_abcs(n: int, weight, fits=None):
+def _walk_abcs(n: int, weight: tuple, fits=None):
     """Each ABC of the weight composition, depth first, whose cores all pass `fits`.
 
     Every step hands the strip it came from to the ABC, so no strip is
     looked up twice.
     """
-    weight = tuple(weight)
-    if any(not 0 <= a < n for a in weight):
-        raise ValueError(f"weight parts must be in 0..{n - 1}")
 
     def walk(chain, strips):
         if len(strips) == len(weight):
@@ -266,10 +263,13 @@ def _walk_abcs(n: int, weight, fits=None):
 
 def enumerate_abc(shape: NCore, weight):
     """All ABCs of the given shape and weight composition."""
+    n = shape.n
     weight = tuple(weight)
-    abcs = _walk_abcs(shape.n, weight, lambda nu: contains(shape.parts, nu.parts))
+    if any(not 0 <= a < n for a in weight):
+        raise ValueError(f"weight parts must be in 0..{n - 1}")
     if sum(weight) != shape.degree():
         return []
+    abcs = _walk_abcs(n, weight, lambda nu: contains(shape.parts, nu.parts))
     return sorted(
         (abc for abc in abcs if abc.shape == shape),
         key=lambda a: tuple(c.parts for c in a.chain),
