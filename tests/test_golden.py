@@ -80,6 +80,9 @@ CASES = [
     ("kf-table-deg7-json", "kf-table --n 4 --deg 7 --json"),
     ("kf-table-weak-n5-deg7-json", "kf-table --n 5 --deg 7 --weak --json"),
     ("expand-dualk-n5-deg8-json", "expand --n 5 --basis dualk --core 3,3,1,1,1,1 --json"),
+    ("kf-table-deg9-json", "kf-table --n 4 --deg 9 --json"),
+    ("kf-table-weak-n6-deg9-json", "kf-table --n 6 --deg 9 --weak --json"),
+    ("expand-dualk-n4-deg9-json", "expand --n 4 --basis dualk --core 5,2,2,2,1,1,1 --json"),
 ]
 
 
