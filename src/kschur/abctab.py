@@ -34,6 +34,7 @@ from functools import lru_cache
 from .affine import AffinePermutation
 from .cores import NCore, contains
 from .strips import _hss_from, horizontal_strong_strips_from, psi
+from .tableaux import _index_vectors
 
 
 class NonPartitionWeightError(ValueError):
@@ -93,10 +94,6 @@ class ABC:
         """The cyclically decreasing words v^1, ..., v^r of Theta."""
         return tuple(map(psi, self.strips))
 
-    def strip_chains(self):
-        """Per letter i, the unique strong chain lam^(i) -> R(n-1, lam^(i-1))."""
-        return tuple(s.chain for s in self.strips)
-
     # -- countertableau views --------------------------------------------
 
     def mu_chain(self):
@@ -146,28 +143,11 @@ class ABC:
 
     def off(self) -> int:
         """Sum of (size - 1) over ribbon copies outside their home row."""
-        # every copy but the last of each step sits above the bottom row
-        return sum(len(comp) - 1 for strip in self.strips
-                   for step in strip.ribbons for comp in step[:-1])
+        return sum(map(_strip_off, self.strips))
 
     def extension(self):
         """dict letter -> sorted columns of the letter's cells in ext(A)."""
-        n = self.n
-        ext = {}
-        for i, word in enumerate(self.words(), start=1):
-            lo = self.chain[i - 1].parts
-            hi = self.chain[i].parts
-            lo1 = lo[0] if lo else 0
-            hi1 = hi[0] if hi else 0
-            letters = set(word)
-            cols = [
-                c
-                for c in range(hi1 + 1, lo1 + n)
-                if (c - 1) % n in letters
-            ]
-            cols.extend(range(lo1 + n + 1, hi1 + n + 1))
-            ext[i] = sorted(cols)
-        return ext
+        return {i: _ext_columns(strip) for i, strip in enumerate(self.strips, start=1)}
 
     def n_cocharge(self) -> int:
         """off(A) plus the index sums over standard-sequence extractions."""
@@ -181,40 +161,55 @@ class ABC:
 
     def index_vectors(self):
         """Index vectors of the successive standard sequences of ext(A)."""
-        n = self.n
-        remaining = {
-            letter: {(c - 1) % n: c for c in cols}
-            for letter, cols in self.extension().items()
-            if cols
-        }
-        vectors = []
-        while remaining.get(1):
-            col = max(remaining[1].values())
-            res = (col - 1) % n
-            del remaining[1][res]
-            seq_cols = [col]
-            letter = 1
-            while remaining.get(letter + 1):
-                options = remaining[letter + 1]
-                res = _counterclockwise_choice(res, set(options), n)
-                col = options.pop(res)
-                seq_cols.append(col)
-                letter += 1
-            index = [0]
-            for prev, cur in zip(seq_cols, seq_cols[1:]):
-                index.append(index[-1] if cur > prev else index[-1] + 1)
-            vectors.append(index)
-        if any(v for v in remaining.values()):
-            raise AssertionError("extraction left non-empty rows without 1s")
-        return vectors
+        letters = ((self.n, cols) for cols in self.extension().values())
+        return _index_vectors(letters, _subword_picks)
+
+
+def _strip_off(strip) -> int:
+    """The step's share of off(A): every ribbon copy but the last sits above the bottom row."""
+    return sum(len(comp) - 1 for step in strip.ribbons for comp in step[:-1])
+
+
+def _ext_columns(strip):
+    """Sorted columns of the step's letter in ext(A); they read only this strip."""
+    n = strip.lam.n
+    lo1 = strip.lam.parts[0] if strip.lam.parts else 0
+    hi1 = strip.nu.parts[0] if strip.nu.parts else 0
+    letters = set(psi(strip))
+    cols = [c for c in range(hi1 + 1, lo1 + n) if (c - 1) % n in letters]
+    cols.extend(range(lo1 + n + 1, hi1 + n + 1))
+    return cols
+
+
+def _subword_picks(letter, last):
+    """(residue, column) of the cell that each open subword takes from letter = (n, its columns).
+
+    Letter 1 (`last` is None) opens one subword per cell, rightmost
+    first; each open subword then takes the counter-clockwise choice
+    from its last residue.  A cell that no open subword reaches would
+    be left over, since only letter 1 opens subwords.
+    """
+    n, cols = letter
+    options = {(c - 1) % n: c for c in cols}
+    if last is None:
+        return sorted(options.items(), key=lambda rc: rc[1], reverse=True)
+    if len(options) > len(last):
+        raise AssertionError("extraction left non-empty rows without 1s")
+    picks = []
+    for res, _col in last[:len(options)]:
+        res = _counterclockwise_choice(res, options.keys(), n)
+        picks.append((res, options.pop(res)))
+    return picks
 
 
 #: incremented whenever the counter-clockwise choice had to skip the
-#: current residue itself while other residues were available
+#: current residue itself while other residues were available; the
+#: weak Kostka-Foulkes DP makes one choice per merged prefix state, so
+#: there it counts states, not ABCs
 distance_zero_skips = 0
 
 
-def _counterclockwise_choice(res: int, options: set, n: int) -> int:
+def _counterclockwise_choice(res: int, options, n: int) -> int:
     """Closest residue counter-clockwise from res on the clockwise circle.
 
     The current residue itself only qualifies when it is the sole
@@ -243,37 +238,29 @@ def _strip_of(lo: NCore, hi: NCore, a: int):
     raise ValueError(f"{list(lo.parts)} -> {list(hi.parts)} is not a horizontal strong strip")
 
 
-def _walk_abcs(n: int, weight: tuple, fits=None):
-    """Each ABC of the weight composition, depth first, whose cores all pass `fits`.
+def enumerate_abc(shape: NCore, weight):
+    """All ABCs of the given shape and weight composition.
 
     Every step hands the strip it came from to the ABC, so no strip is
     looked up twice.
     """
-
-    def walk(chain, strips):
-        if len(strips) == len(weight):
-            yield ABC._unchecked(n, chain, weight, strips)
-            return
-        for strip in horizontal_strong_strips_from(chain[-1], n - 1 - weight[len(strips)]):
-            if fits is None or fits(strip.nu):
-                yield from walk(chain + (strip.nu,), strips + (strip,))
-
-    return walk((NCore(n, ()),), ())
-
-
-def enumerate_abc(shape: NCore, weight):
-    """All ABCs of the given shape and weight composition."""
     n = shape.n
     weight = tuple(weight)
     if any(not 0 <= a < n for a in weight):
         raise ValueError(f"weight parts must be in 0..{n - 1}")
     if sum(weight) != shape.degree():
         return []
-    abcs = _walk_abcs(n, weight, lambda nu: contains(shape.parts, nu.parts))
-    return sorted(
-        (abc for abc in abcs if abc.shape == shape),
-        key=lambda a: tuple(c.parts for c in a.chain),
-    )
+
+    def walk(chain, strips):
+        if len(strips) == len(weight):
+            if chain[-1] == shape:
+                yield ABC._unchecked(n, chain, weight, strips)
+            return
+        for strip in horizontal_strong_strips_from(chain[-1], n - 1 - weight[len(strips)]):
+            if contains(shape.parts, strip.nu.parts):
+                yield from walk(chain + (strip.nu,), strips + (strip,))
+
+    return sorted(walk((NCore(n, ()),), ()), key=lambda a: tuple(c.parts for c in a.chain))
 
 
 @lru_cache(maxsize=None)

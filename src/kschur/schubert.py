@@ -44,7 +44,7 @@ from .strips import (
     marked_tail_strips,
     ribbon_strong_strips,
 )
-from .symfun import bounded_partitions_of, kschur_to_h, _index
+from .symfun import _index, _unitriangular_column, bounded_partitions_of, kn1_matrix
 
 
 # -- affine Pieri rules ---------------------------------------------------
@@ -103,9 +103,10 @@ def strong_pieri_cohomology(m: int, lam: NCore) -> dict:
 
 @lru_cache(maxsize=None)
 def _kschur_h_row(n: int, bounded) -> dict:
+    # row `bounded` of kschur_to_h(n, d) is one column of Kn(1)^{-1}
     Pn = bounded_partitions_of(sum(bounded), n)
-    row = kschur_to_h(n, sum(bounded))[_index(Pn)[bounded]]
-    return {mu: c(1) for mu, c in zip(Pn, row) if not c.is_zero()}
+    col = _unitriangular_column(kn1_matrix(n, sum(bounded)), _index(Pn)[bounded])
+    return {mu: c(1) for mu, c in zip(Pn, col) if not c.is_zero()}
 
 
 @lru_cache(maxsize=None)

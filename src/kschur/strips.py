@@ -78,26 +78,6 @@ def marked_strong_covers(rho: NCore):
     return sorted(out, key=lambda gc: (gc[0].parts, gc[1]))
 
 
-def saturated_chains(nu: NCore, gamma: NCore):
-    """All saturated strong chains from nu up to gamma (no marking)."""
-    if nu.n != gamma.n:
-        raise ValueError("mismatched moduli")
-    chains = []
-
-    def walk(cur, chain):
-        if cur == gamma:
-            chains.append(tuple(chain))
-            return
-        if cur.degree() >= gamma.degree():
-            return
-        for nxt, _ribbons, _tau in strong_covers_up(cur):
-            if contains(gamma.parts, nxt.parts):
-                walk(nxt, chain + [nxt])
-
-    walk(nu, [nu])
-    return chains
-
-
 def strong_strips(nu: NCore, gamma: NCore, m: int):
     """All strong m-strips from nu to gamma (degree mismatch: none)."""
     if nu.n != gamma.n:
@@ -154,11 +134,6 @@ def _hss_from(lam: NCore, m: int):
 def horizontal_strong_strips_from(lam: NCore, m: int):
     """All horizontal strong m-strips (lam, nu); one chain per nu."""
     return list(_hss_from(lam, m))
-
-
-def is_horizontal_strong_strip(lam: NCore, nu: NCore) -> bool:
-    m = lam.n - 1 + lam.degree() - nu.degree()
-    return any(s.nu == nu for s in horizontal_strong_strips_from(lam, m))
 
 
 def _anchor(lam: NCore) -> int:

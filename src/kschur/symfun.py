@@ -22,9 +22,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .abctab import _walk_abcs, abc_counts
+from .abctab import _ext_columns, _strip_off, _subword_picks, abc_counts
 from .cores import NCore, c_inverse, c_map, dominance_leq, normalize
-from .tableaux import _kf_fiber, _kostka_fiber, _tally
+from .strips import horizontal_strong_strips_from
+from .tableaux import _cocharge_fiber, _kf_fiber, _kostka_fiber
 from .tpoly import TPoly
 
 ZERO = TPoly.zero()
@@ -81,17 +82,20 @@ def _matmul(A, B):
 
 def _unitriangular_inverse(M):
     """Inverse of an upper-triangular matrix with unit diagonal entries."""
-    size = len(M)
-    X = [[ZERO for _ in range(size)] for _ in range(size)]
-    for j in range(size):
-        X[j][j] = ONE.divide_unit(M[j][j])
-        for i in range(j - 1, -1, -1):
-            acc = ZERO
-            for k in range(i + 1, j + 1):
-                if not M[i][k].is_zero():
-                    acc = acc + M[i][k] * X[k][j]
-            X[i][j] = (-acc).divide_unit(M[i][i])
-    return X
+    return _transpose([_unitriangular_column(M, j) for j in range(len(M))])
+
+
+def _unitriangular_column(M, j: int):
+    """Column j of that inverse, by back substitution; it reads M[:j+1][:j+1] only."""
+    x = [ZERO] * len(M)
+    x[j] = ONE.divide_unit(M[j][j])
+    for i in range(j - 1, -1, -1):
+        acc = ZERO
+        for k in range(i + 1, j + 1):
+            if not M[i][k].is_zero():
+                acc = acc + M[i][k] * x[k]
+        x[i] = (-acc).divide_unit(M[i][i])
+    return x
 
 
 def _expand(terms, M, idx, cols) -> dict:
@@ -166,8 +170,19 @@ def m_to_h(d: int):
 
 @lru_cache(maxsize=None)
 def _weak_kf_fiber(n: int, mu) -> dict:
-    """core -> Kn_{c^-1(core),mu}(t) over every core, from one walk of the ABCs of weight mu."""
-    return _tally((abc.shape, abc.n_cocharge()) for abc in _walk_abcs(n, mu))
+    """core -> Kn_{c^-1(core),mu}(t) over every core, by the DP over the ABCs of weight mu.
+
+    Letter i of ext(A) and step i's share of off(A) read only the i-th
+    strip, so the ABCs are grown strip by strip, as `abc_counts` does,
+    through the cocharge DP of `tableaux._cocharge_fiber` with the core
+    as the shape.
+    """
+
+    def grow(lam, a):
+        for strip in horizontal_strong_strips_from(lam, n - 1 - a):
+            yield strip.nu, (n, _ext_columns(strip)), _strip_off(strip)
+
+    return _cocharge_fiber(mu, NCore(n, ()), grow, _subword_picks)
 
 
 @lru_cache(maxsize=None)

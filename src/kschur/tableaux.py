@@ -9,9 +9,11 @@ exactly when the content increases.
 
 K_{lam,mu}(t) = sum over SSYT(lam, mu) of t^cocharge; at t = 1 it is
 the Kostka number.  Note K_{lam,lam}(t) = t^{n(lam)} in this cocharge
-normalization.  Both are read off one walk of the weight's fiber: the
-horizontal-strip chains of weight mu are grown once over all shapes,
-and each (lam, mu) entry is looked up in the result.
+normalization.  Both are read off the weight's fiber, grown once over
+all shapes: Kostka numbers count its horizontal-strip chains, and the
+KF polynomials come from a DP over the chain prefixes that runs the
+extraction letter by letter, merging prefixes that agree on the shape
+and on each open subword's last cell.
 """
 
 from __future__ import annotations
@@ -36,17 +38,12 @@ class Tableau:
                 raise ValueError(f"{hi}/{lo} is not a horizontal strip")
         self.chain = tuple(chain)
 
-    @staticmethod
-    def from_rows(rows):
-        """Build from a row filling, e.g. [[1,1,2],[2]] (bottom row first)."""
-        rows = [list(r) for r in rows]
-        letters = sorted({v for r in rows for v in r})
-        if letters != list(range(1, len(letters) + 1)):
-            raise ValueError("letters must be 1..r")
-        chain = [()]
-        for x in range(1, len(letters) + 1):
-            chain.append(tuple(sum(1 for v in r if v <= x) for r in rows))
-        return Tableau(chain)
+    @classmethod
+    def _unchecked(cls, chain: tuple) -> "Tableau":
+        """The tableau of a chain grown by `horizontal_strip_additions`."""
+        tab = object.__new__(cls)
+        tab.chain = chain
+        return tab
 
     @property
     def shape(self):
@@ -57,14 +54,6 @@ class Tableau:
         return tuple(
             sum(hi) - sum(lo) for lo, hi in zip(self.chain, self.chain[1:])
         )
-
-    def cells_with_letters(self):
-        out = []
-        for x, (lo, hi) in enumerate(zip(self.chain, self.chain[1:]), start=1):
-            for i, p in enumerate(hi, start=1):
-                q = lo[i - 1] if i <= len(lo) else 0
-                out.extend((i, j, x) for j in range(q + 1, p + 1))
-        return out
 
     def __repr__(self):
         return f"Tableau(chain={list(self.chain)})"
@@ -89,10 +78,11 @@ def horizontal_strip_additions(parts, m: int):
     out = []
 
     def place(i, remaining, cur):
-        # fill top row down so the strip condition is row-local
+        # fill top row down so the strip condition is row-local; only
+        # the new top row can stay empty
         if i == 0:
             if remaining == 0:
-                out.append(normalize(tuple(cur)))
+                out.append(tuple(cur) if cur[-1] else tuple(cur[:-1]))
             return
         lo = parts[i - 1] if i <= len(parts) else 0
         hi = parts[i - 2] if i >= 2 else lo + remaining
@@ -120,7 +110,7 @@ def semistandard_tableaux(shape, weight):
                 if contains(shape, p):
                     nxt.append(chain + (p,))
         chains = nxt
-    return [Tableau(chain) for chain in chains if chain[-1] == shape]
+    return [Tableau._unchecked(chain) for chain in chains if chain[-1] == shape]
 
 
 def cocharge(tab: Tableau) -> int:
@@ -131,56 +121,96 @@ def cocharge(tab: Tableau) -> int:
 def cocharge_index_vectors(tab: Tableau):
     """The index vectors of the successive standard-subword extractions.
 
-    Each letter keeps its remaining cells sorted by (row, -col), so the
-    next pick is the first cell in a row above the current one, else
-    the first cell; the rightmost 1 is the first cell of letter 1.
+    The extraction runs letter by letter (`_letter_picks`), and a
+    subword's index stays flat exactly when the content increases.
     """
     weight = tab.weight
     if not is_partition(weight):
         raise ValueError(f"weight {weight} is not a partition")
-    cells = [[] for _ in weight]
-    for (i, j, x) in tab.cells_with_letters():
-        cells[x - 1].append((i, j))
-    for letter in cells:
-        letter.sort(key=lambda c: (c[0], -c[1]))
-    vectors = []
-    while cells and cells[0]:
-        cur = cells[0].pop(0)
-        seq = [cur]
-        for letter in cells[1:]:
-            if not letter:
-                break
-            k = next((k for k, c in enumerate(letter) if c[0] > cur[0]), 0)
-            cur = letter.pop(k)
-            seq.append(cur)
-        index = [0]
-        for (pi, pj), (ci, cj) in zip(seq, seq[1:]):
-            index.append(index[-1] if cj - ci > pj - pi else index[-1] + 1)
-        vectors.append(index)
+    return _index_vectors(zip(tab.chain, tab.chain[1:]), _letter_picks)
+
+
+def _index_vectors(letters, pick):
+    """Index vectors of the subwords that `pick` extracts letter by letter."""
+    vectors, last = [], None
+    for cells in letters:
+        picks = pick(cells, last)
+        if last is None:
+            vectors = [[0] for _ in picks]
+        for vec, flat in zip(vectors, _flat_steps(picks, last)):
+            vec.append(vec[-1] if flat else vec[-1] + 1)
+        last = picks
     return vectors
 
 
-def _tally(pairs) -> dict:
-    """dict key -> sum of t^e over the (key, e) pairs."""
-    exps: dict = {}
-    for key, e in pairs:
-        by = exps.setdefault(key, {})
-        by[e] = by.get(e, 0) + 1
-    return {key: TPoly(c) for key, c in exps.items()}
+def _flat_steps(picks, last):
+    """Per open subword, whether its index stays flat: its order key rose."""
+    return [] if last is None else [cur[1] > prev[1] for cur, prev in zip(picks, last)]
+
+
+def _letter_picks(step, last):
+    """(row, content) of the cell of letter hi/lo, step = (lo, hi), that each open subword takes.
+
+    Rows count from 0 at the bottom; `last` holds each open subword's
+    previous pick, or is None for letter 1.  A subword takes the
+    rightmost cell left in the lowest row above its previous cell that
+    has one, else in the lowest row that has one; so the cells left in
+    a row are always its leftmost ones.
+    """
+    lo, hi = step
+    free = [p - (lo[i] if i < len(lo) else 0) for i, p in enumerate(hi)]
+    picks = []
+    for k in range(sum(free)):
+        row = None
+        if last is not None:
+            row = next((i for i in range(last[k][0] + 1, len(free)) if free[i]), None)
+        if row is None:
+            row = next(i for i, f in enumerate(free) if f)
+        picks.append((row, (lo[row] if row < len(lo) else 0) + free[row] - row))
+        free[row] -= 1
+    return picks
+
+
+def _cocharge_fiber(mu, start, grow, pick) -> dict:
+    """shape -> sum of t^cocharge over the chains of weight mu from start.
+
+    A DP over the letters: `grow(shape, m)` yields (next shape, the
+    letter's cells, an extra exponent) per step, and `pick` hands each
+    open subword its cell, as in `_index_vectors`.  Subword s spans the
+    letters x with mu_x > s, so a rise of its index at letter x + 1 adds
+    span_s - x to the cocharge at once.  Prefixes that agree on the
+    shape and on each open subword's last pick are then merged, with an
+    exponent -> count tally each; one letter's layer is kept at a time.
+    """
+    span = [sum(1 for m in mu if m > s) for s in range(mu[0] if mu else 0)]
+    layer = {start: {None: {0: 1}}}
+    for x, m in enumerate(mu):
+        final = x + 1 == len(mu)
+        nxt: dict = {}
+        for shape, states in layer.items():
+            for new, cells, extra in grow(shape, m):
+                into = nxt.setdefault(new, {})
+                for last, exps in states.items():
+                    picks = pick(cells, last)
+                    if len(picks) != m:
+                        raise AssertionError(f"letter {x + 1} has {len(picks)} cells, not {m}")
+                    rises = enumerate(_flat_steps(picks, last))
+                    shift = extra + sum(span[s] - x for s, flat in rises if not flat)
+                    tally = into.setdefault(None if final else tuple(picks), {})
+                    for e, c in exps.items():
+                        tally[e + shift] = tally.get(e + shift, 0) + c
+        layer = nxt
+    return {shape: TPoly(states[None]) for shape, states in layer.items()}
 
 
 @lru_cache(maxsize=None)
 def _kf_fiber(mu) -> dict:
-    """shape -> K_{shape,mu}(t) over every shape, from one walk of the SSYT of weight mu."""
+    """shape -> K_{shape,mu}(t) over every shape, by the cocharge DP over the SSYT of weight mu."""
 
-    def walk(chain):
-        if len(chain) > len(mu):
-            yield chain[-1], cocharge(Tableau(chain))
-            return
-        for p in horizontal_strip_additions(chain[-1], mu[len(chain) - 1]):
-            yield from walk(chain + (p,))
+    def grow(lo, m):
+        return ((hi, (lo, hi), 0) for hi in horizontal_strip_additions(lo, m))
 
-    return _tally(walk(((),)))
+    return _cocharge_fiber(mu, (), grow, _letter_picks)
 
 
 @lru_cache(maxsize=None)

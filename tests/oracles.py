@@ -15,7 +15,8 @@ off the k-rectangles.  Kostka numbers, Kostka-Foulkes and weak
 Kostka-Foulkes polynomials are computed one (lam, mu) pair at a time, by
 counting horizontal-strip removals down from lam or by enumerating the
 tableaux or ABCs of that one shape, with cocharge picking each letter's
-cell by scanning the set of remaining cells.
+cell by scanning the set of remaining cells and n-cocharge extracting
+one whole standard subword of ext(A) at a time.
 """
 
 from __future__ import annotations
@@ -36,16 +37,18 @@ from kschur.cores import (
     NoActionError,
     c_inverse,
     c_map,
+    contains,
     core_of,
     is_partition,
     normalize,
     ribbon_components,
     ribbon_head,
     skew_cells,
+    strong_covers_up,
     union,
     w_core,
 )
-from kschur.strips import phi
+from kschur.strips import horizontal_strong_strips_from, phi
 from kschur.symfun import _index, bounded_partitions_of, kn1_matrix, kschur_to_h
 from kschur.tableaux import Tableau, semistandard_tableaux
 from kschur.tpoly import TPoly
@@ -230,6 +233,31 @@ def transposition_covers(n: int, parts, step: int):
 # -- ABC views through the group and skew shapes -----------------------------
 
 
+def saturated_chains(nu: NCore, gamma: NCore):
+    """All saturated strong chains from nu up to gamma (no marking)."""
+    if nu.n != gamma.n:
+        raise ValueError("mismatched moduli")
+    chains = []
+
+    def walk(cur, chain):
+        if cur == gamma:
+            chains.append(tuple(chain))
+            return
+        if cur.degree() >= gamma.degree():
+            return
+        for nxt, _ribbons, _tau in strong_covers_up(cur):
+            if contains(gamma.parts, nxt.parts):
+                walk(nxt, chain + [nxt])
+
+    walk(nu, [nu])
+    return chains
+
+
+def is_horizontal_strong_strip(lam: NCore, nu: NCore) -> bool:
+    m = lam.n - 1 + lam.degree() - nu.degree()
+    return any(s.nu == nu for s in horizontal_strong_strips_from(lam, m))
+
+
 def quotient_words(abc) -> tuple:
     """Theta by the group: the CD word of w_core(hi) w_core(lo)^{-1}, anchored."""
     out = []
@@ -376,7 +404,9 @@ class MPoly:
         return out
 
     def subs_t_inverse(self):
-        return MPoly(self.nvars, {e: v.subs_t_inverse() for e, v in self.c.items()})
+        # t -> 1/t
+        return MPoly(self.nvars, {e: TPoly({-k: c for k, c in v.c.items()})
+                                  for e, v in self.c.items()})
 
     def __eq__(self, other):
         return isinstance(other, MPoly) and self.nvars == other.nvars and self.c == other.c
@@ -404,11 +434,16 @@ def tpoly_exact_div(a: TPoly, b: TPoly) -> TPoly:
     return quot
 
 
+def tpoly_from_list(coeffs) -> TPoly:
+    """Ascending coefficient list [a0, a1, ...] -> a0 + a1 t + ..."""
+    return TPoly(dict(enumerate(coeffs)))
+
+
 def t_factorial(m: int) -> TPoly:
     """[m]_t! = prod_{i<=m} (1 + t + ... + t^{i-1})."""
     out = TPoly.one()
     for i in range(1, m + 1):
-        out = out * TPoly.from_list([1] * i)
+        out = out * tpoly_from_list([1] * i)
     return out
 
 
@@ -524,31 +559,47 @@ def unpeeled_structure_constants(n: int, mu_b, lam_b) -> tuple:
 # -- Kostka, Kostka-Foulkes and weak Kostka-Foulkes, one (lam, mu) at a time --
 
 
+def tableau_from_rows(rows) -> Tableau:
+    """Build from a row filling, e.g. [[1,1,2],[2]] (bottom row first)."""
+    rows = [list(r) for r in rows]
+    letters = sorted({v for r in rows for v in r})
+    if letters != list(range(1, len(letters) + 1)):
+        raise ValueError("letters must be 1..r")
+    chain = [()]
+    for x in range(1, len(letters) + 1):
+        chain.append(tuple(sum(1 for v in r if v <= x) for r in rows))
+    return Tableau(chain)
+
+
+def tableau_cells(tab: Tableau):
+    """(row, column, letter) of every cell, rows and columns from 1."""
+    out = []
+    for x, (lo, hi) in enumerate(zip(tab.chain, tab.chain[1:]), start=1):
+        for i, p in enumerate(hi, start=1):
+            q = lo[i - 1] if i <= len(lo) else 0
+            out.extend((i, j, x) for j in range(q + 1, p + 1))
+    return out
+
+
 def set_scan_cocharge_index_vectors(tab: Tableau):
     """The index vectors of the successive standard-subword extractions."""
     weight = tab.weight
     if not is_partition(weight):
         raise ValueError(f"weight {weight} is not a partition")
-    remaining = set()
-    letter_of = {}
-    for (i, j, x) in tab.cells_with_letters():
-        remaining.add((i, j))
-        letter_of[(i, j)] = x
+    remaining = {}
+    for (i, j, x) in tableau_cells(tab):
+        remaining.setdefault(x, set()).add((i, j))
     vectors = []
-    while remaining:
-        ones = [c for c in remaining if letter_of[c] == 1]
-        cur = max(ones, key=lambda c: c[1])
-        remaining.remove(cur)
+    while remaining.get(1):
+        cur = max(remaining[1], key=lambda c: c[1])
+        remaining[1].remove(cur)
         seq = [cur]
         x = 1
-        while True:
-            options = [c for c in remaining if letter_of[c] == x + 1]
-            if not options:
-                break
+        while remaining.get(x + 1):
+            options = remaining[x + 1]
             above = [c for c in options if c[0] > cur[0]]
-            pool = above if above else options
-            cur = min(pool, key=lambda c: (c[0], -c[1]))
-            remaining.remove(cur)
+            cur = min(above or options, key=lambda c: (c[0], -c[1]))
+            options.remove(cur)
             seq.append(cur)
             x += 1
         index = [0]
@@ -628,5 +679,35 @@ def pair_weak_kostka_foulkes(lam, mu, n: int) -> TPoly:
         return TPoly.zero()
     out = TPoly.zero()
     for abc in enumerate_abc(c_map(lam, n), mu):
-        out = out + TPoly.t(abc.n_cocharge())
+        out = out + TPoly.t(abc.off() + sum(map(sum, subword_scan_index_vectors(abc))))
     return out
+
+
+def subword_scan_index_vectors(abc):
+    """Index vectors of ext(A), extracting one whole standard subword at a time."""
+    n = abc.n
+    remaining = {
+        letter: {(c - 1) % n: c for c in cols}
+        for letter, cols in abc.extension().items()
+        if cols
+    }
+    vectors = []
+    while remaining.get(1):
+        col = max(remaining[1].values())
+        res = (col - 1) % n
+        del remaining[1][res]
+        seq_cols = [col]
+        letter = 1
+        while remaining.get(letter + 1):
+            options = remaining[letter + 1]
+            # counter-clockwise from res; res itself only as the sole option
+            res = min(options.keys() - {res} or options, key=lambda opt: (res - opt) % n)
+            seq_cols.append(options.pop(res))
+            letter += 1
+        index = [0]
+        for prev, cur in zip(seq_cols, seq_cols[1:]):
+            index.append(index[-1] if cur > prev else index[-1] + 1)
+        vectors.append(index)
+    if any(v for v in remaining.values()):
+        raise AssertionError("extraction left non-empty rows without 1s")
+    return vectors

@@ -30,6 +30,7 @@ from oracles import (
     skew_letter_cells,
     skew_off,
     step_ribbons,
+    subword_scan_index_vectors,
 )
 
 
@@ -66,7 +67,7 @@ def test_stored_strips_match_the_group_and_skew_routes():
                     for abc in enumerate_abc(lam, alpha):
                         chains = phi_strip_chains(abc)
                         assert abc.words() == quotient_words(abc)
-                        assert abc.strip_chains() == chains
+                        assert tuple(s.chain for s in abc.strips) == chains
                         assert abc.off() == skew_off(chains)
                         assert abc.letter_cells() == skew_letter_cells(chains)
                         for strip in abc.strips:
@@ -91,6 +92,31 @@ def test_enumerated_abcs_equal_checked_abcs():
                         assert all(map(operator.is_, abc.strips, again.strips))
                         checked += 1
     assert checked == 1137
+
+
+def _index_vectors_or_leftover(extract, abc):
+    try:
+        return extract(abc)
+    except AssertionError as err:
+        return str(err)
+
+
+def test_index_vectors_match_subword_scan_oracle():
+    # letter by letter against one whole subword at a time, on the same
+    # 1137 ABCs of composition weight; most of these weights leave cells
+    # that no subword reaches
+    leftovers = checked = 0
+    for n, max_deg in ((3, 7), (4, 7), (5, 6)):
+        for d in range(0, max_deg + 1):
+            for lam in cores_of_degree(n, d):
+                for alpha in compositions(d, n):
+                    for abc in enumerate_abc(lam, alpha):
+                        got = _index_vectors_or_leftover(ABC.index_vectors, abc)
+                        assert got == _index_vectors_or_leftover(subword_scan_index_vectors, abc)
+                        leftovers += isinstance(got, str)
+                        checked += 1
+    assert checked == 1137
+    assert 0 < leftovers < checked
 
 
 def test_unique_abc_of_own_weight():

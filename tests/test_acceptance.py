@@ -27,11 +27,9 @@ from kschur.schubert import (
 )
 from kschur.strips import (
     horizontal_strong_strips_from,
-    is_horizontal_strong_strip,
     phi,
     psi,
     ribbon_strong_strips,
-    saturated_chains,
     strong_strips,
 )
 from kschur.symfun import (
@@ -45,10 +43,16 @@ from kschur.symfun import (
     schur,
     weak_kostka_foulkes,
 )
-from kschur.tableaux import Tableau, cocharge, cocharge_index_vectors, kostka_foulkes
+from kschur.tableaux import cocharge, cocharge_index_vectors, kostka_foulkes
 from kschur.tpoly import TPoly
 
-from oracles import expand_symf, ptilde_oracle
+from oracles import (
+    expand_symf,
+    is_horizontal_strong_strip,
+    ptilde_oracle,
+    saturated_chains,
+    tableau_from_rows,
+)
 from test_schubert import strong_pieri_oracle
 
 
@@ -130,7 +134,7 @@ def test_criterion_05_countertableau_chain():
 
 def test_criterion_06_cocharge_examples():
     t0 = time.time()
-    tab = Tableau.from_rows([[1, 1, 1, 2, 3, 7], [2, 2, 3, 5], [3, 4], [4, 5], [6]])
+    tab = tableau_from_rows([[1, 1, 1, 2, 3, 7], [2, 2, 3, 5], [3, 4], [4, 5], [6]])
     assert cocharge(tab) == 25
     assert cocharge_index_vectors(tab) == [
         [0, 1, 2, 3, 3, 4, 4],

@@ -330,12 +330,46 @@ def test_rect_pieri_n5_42():
     assert sorted(rep["rhs"]) == sorted([[4, 4, 1, 1], [4, 3, 3], [4, 3, 2, 1]])
 
 
+# Every rect-Pieri failure of the sweeps n = 7, 8, 9 up to size 14, as
+# (n, lam, r, b, the nu that only the ribbon-strip side has).  Each lam
+# has lam_1 = lam_2 = r, each b is at least 3, and the homology side has
+# only coefficients 1 and no term the ribbon side lacks.
+RECT_PIERI_FAILURES = [
+    (7, (4, 4, 1, 1), 4, 3, [(5, 5, 3, 3, 3)]),
+    (7, (4, 4, 2, 2, 1), 4, 3, [(5, 5, 3, 3, 3, 1, 1, 1)]),
+    (7, (4, 4, 2, 2, 1, 1), 4, 3, [(5, 5, 3, 3, 3, 1, 1, 1, 1)]),
+    (8, (4, 4, 1, 1, 1), 4, 3, [(5, 5, 4, 3, 3, 3, 1)]),
+    (8, (5, 5, 1, 1), 5, 3, [(6, 6, 4, 4, 4)]),
+    (8, (5, 5, 1, 1), 5, 4, [(6, 6, 4, 4, 3)]),
+    (8, (4, 4, 2, 1, 1), 4, 3, [(5, 5, 4, 3, 3, 3, 2)]),
+    (8, (5, 5, 2, 1), 5, 4, [(6, 6, 4, 4, 4)]),
+    (8, (4, 4, 3, 1, 1), 4, 3, [(5, 5, 4, 3, 3, 3, 3)]),
+    (8, (5, 5, 2, 2), 5, 4, [(6, 6, 4, 4, 4, 1)]),
+    (8, (4, 4, 4, 1, 1), 4, 3, [(5, 5, 5, 3, 3, 3, 3)]),
+    (9, (4, 4, 1, 1, 1, 1), 4, 3, [(5, 5, 4, 4, 3, 3, 3, 1, 1)]),
+    (9, (5, 5, 1, 1, 1), 5, 3, [(6, 6, 5, 4, 4, 4, 1)]),
+    (9, (5, 5, 1, 1, 1), 5, 4, [(6, 6, 5, 4, 4, 3, 1)]),
+    (9, (4, 4, 2, 1, 1, 1), 4, 3, [(5, 5, 4, 4, 3, 3, 3, 2, 1)]),
+    (9, (6, 6, 1, 1), 6, 3, [(7, 7, 5, 5, 5)]),
+    (9, (6, 6, 1, 1), 6, 4, [(7, 7, 5, 5, 4)]),
+    (9, (6, 6, 1, 1), 6, 5, [(7, 7, 5, 5, 3)]),
+    (9, (5, 5, 2, 1, 1), 5, 3, [(6, 6, 5, 4, 4, 4, 2)]),
+    (9, (5, 5, 2, 1, 1), 5, 4, [(6, 6, 5, 4, 4, 4, 1), (6, 6, 5, 4, 4, 3, 2)]),
+    (9, (4, 4, 3, 1, 1, 1), 4, 3, [(5, 5, 4, 4, 3, 3, 3, 3, 1)]),
+    (9, (4, 4, 2, 2, 1, 1), 4, 3, [(5, 5, 4, 4, 3, 3, 3, 2, 2)]),
+]
+
+
 def test_rect_pieri_n7_counterexample():
-    # the ribbon-strip side has one term that the homology side lacks
-    rep = rect_pieri_check(4, 3, (4, 4, 1, 1), 7)
-    assert not rep["match"]
-    lhs = [p for p, _c in rep["lhs"]]
-    assert [tuple(p) for p in rep["rhs"] if p not in lhs] == [(5, 5, 3, 3, 3)]
+    # the ribbon-strip side has exactly the listed terms beyond the homology side
+    assert len(RECT_PIERI_FAILURES) == 22
+    for n, lam, r, b, extra in RECT_PIERI_FAILURES:
+        rep = rect_pieri_check(r, b, lam, n)
+        assert not rep["match"]
+        lhs = [p for p, c in rep["lhs"]]
+        assert all(c == 1 for _p, c in rep["lhs"])
+        assert all(p in rep["rhs"] for p in lhs)
+        assert [tuple(p) for p in rep["rhs"] if p not in lhs] == extra, (n, lam, r, b)
 
 
 def test_rect_pieri_parameter_validation():

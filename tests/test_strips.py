@@ -18,16 +18,16 @@ from kschur.cores import (
 from kschur.strips import (
     col_r,
     horizontal_strong_strips_from,
-    is_horizontal_strong_strip,
     marked_strong_covers,
     marked_tail_strips,
     phi,
     psi,
     ribbon_strong_strip_chains,
     ribbon_strong_strips,
-    saturated_chains,
     strong_strips,
 )
+
+from oracles import is_horizontal_strong_strip, saturated_chains
 
 
 def test_chains_from_3_to_411():

@@ -2,9 +2,11 @@
 
 import pytest
 
+from kschur.abctab import abc_counts
 from kschur.cores import c_map, dominance_leq
 from kschur.symfun import (
     SymF,
+    _weak_kf_fiber,
     bounded_partitions_of,
     dual_kschur,
     hall_pairing,
@@ -21,7 +23,7 @@ from kschur.symfun import (
     hom,
     weak_kostka_foulkes,
 )
-from kschur.tableaux import kostka_foulkes
+from kschur.tableaux import _kf_fiber, _kostka_fiber, kostka_foulkes
 from kschur.tpoly import TPoly
 
 from oracles import expand_symf, pair_weak_kostka_foulkes, ptilde_oracle
@@ -108,7 +110,7 @@ def test_weak_kostka_size_mismatch_zero():
 
 def test_kn_matrix_matches_per_pair_oracle():
     # whole matrices from the ABC weight fibers against one (lam, mu) at a time
-    for n, max_deg in ((3, 8), (4, 7), (5, 7), (6, 6)):
+    for n, max_deg in ((3, 8), (4, 7), (5, 7), (6, 6), (7, 8)):
         for d in range(0, max_deg + 1):
             P = bounded_partitions_of(d, n)
             want = [[pair_weak_kostka_foulkes(lam, mu, n) for mu in P] for lam in P]
@@ -118,6 +120,18 @@ def test_kn_matrix_matches_per_pair_oracle():
         weak_kostka_foulkes((4,), (3, 1), 4)
     with pytest.raises(ValueError):
         weak_kostka_foulkes((3, 1), (4,), 4)
+
+
+def test_fibers_at_t1_count_tableaux_and_abcs():
+    # the cocharge DPs keep every chain: at t = 1 they are the plain counts
+    for d in range(0, 12):
+        for mu in partitions_of(d):
+            assert {lam: kf(1) for lam, kf in _kf_fiber(mu).items()} == _kostka_fiber(mu)
+    for n in range(3, 8):
+        for d in range(0, 11):
+            for mu in bounded_partitions_of(d, n):
+                fiber = _weak_kf_fiber(n, mu)
+                assert {core: kn(1) for core, kn in fiber.items()} == abc_counts(n, mu)
 
 
 def test_dual_kschur_reduction():

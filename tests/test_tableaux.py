@@ -3,7 +3,6 @@
 import pytest
 
 from kschur.tableaux import (
-    Tableau,
     cocharge,
     cocharge_index_vectors,
     kostka_foulkes,
@@ -17,11 +16,13 @@ from oracles import (
     pair_kostka_foulkes,
     pair_kostka_number,
     set_scan_cocharge_index_vectors,
+    tableau_from_rows,
+    tpoly_from_list,
 )
 
 
 def test_cocharge_25_example():
-    tab = Tableau.from_rows([[1, 1, 1, 2, 3, 7], [2, 2, 3, 5], [3, 4], [4, 5], [6]])
+    tab = tableau_from_rows([[1, 1, 1, 2, 3, 7], [2, 2, 3, 5], [3, 4], [4, 5], [6]])
     assert tab.shape == (6, 4, 2, 2, 1)
     assert cocharge_index_vectors(tab) == [
         [0, 1, 2, 3, 3, 4, 4],
@@ -32,17 +33,17 @@ def test_cocharge_25_example():
 
 
 def test_single_row_cocharge_zero():
-    assert cocharge(Tableau.from_rows([[1, 1, 2, 3]])) == 0
+    assert cocharge(tableau_from_rows([[1, 1, 2, 3]])) == 0
 
 
 def test_cocharge_rejects_non_partition_weight():
     with pytest.raises(ValueError):
-        cocharge(Tableau.from_rows([[1, 2, 2]]))
+        cocharge(tableau_from_rows([[1, 2, 2]]))
 
 
 def test_kostka_foulkes_examples():
     assert kostka_foulkes((1, 1), (1, 1)) == TPoly.t(1)
-    assert kostka_foulkes((2, 1), (1, 1, 1)) == TPoly.from_list([0, 1, 1])
+    assert kostka_foulkes((2, 1), (1, 1, 1)) == tpoly_from_list([0, 1, 1])
     assert kostka_foulkes((2,), (2,)) == TPoly.one()
     assert kostka_foulkes((2,), (3,)).is_zero()
 
@@ -75,12 +76,12 @@ def test_kostka_triangularity():
 
 def test_tableau_from_rows_validates():
     with pytest.raises(ValueError):
-        Tableau.from_rows([[1, 2], [1]])  # column not strict
+        tableau_from_rows([[1, 2], [1]])  # column not strict
 
 
 def test_kf_and_kostka_matrices_match_per_pair_oracles():
     # whole matrices from the weight fibers against one (lam, mu) at a time
-    for d in range(0, 9):
+    for d in range(0, 10):
         P = partitions_of(d)
         assert kf_matrix(d) == [[pair_kostka_foulkes(lam, mu) for mu in P] for lam in P]
         assert s_to_m(d) == [
