@@ -54,11 +54,6 @@ def bounded_partitions_of(d: int, n: int):
     return tuple(p for p in partitions_of(d) if not p or p[0] < n)
 
 
-def n_stat(lam) -> int:
-    """n(lam) = sum (i-1) lam_i."""
-    return sum(i * p for i, p in enumerate(lam))
-
-
 def _index(parts):
     return {p: i for i, p in enumerate(parts)}
 
@@ -215,9 +210,9 @@ def kn_matrix(n: int, d: int):
 
 
 @lru_cache(maxsize=None)
-def kn1_matrix(n: int, d: int):
-    """Kn(1), the ABC counts, by the fast chain DP."""
-    P = bounded_partitions_of(d, n)
+def kn1_matrix(n: int, d: int, size=None):
+    """Kn(1), the ABC counts, by the fast chain DP; its leading size x size block if given."""
+    P = bounded_partitions_of(d, n)[:size]
     M = []
     for lam in P:
         shape = c_map(lam, n)

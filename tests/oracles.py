@@ -434,6 +434,11 @@ def tpoly_exact_div(a: TPoly, b: TPoly) -> TPoly:
     return quot
 
 
+def n_stat(lam) -> int:
+    """n(lam) = sum (i-1) lam_i."""
+    return sum(i * p for i, p in enumerate(lam))
+
+
 def tpoly_from_list(coeffs) -> TPoly:
     """Ascending coefficient list [a0, a1, ...] -> a0 + a1 t + ..."""
     return TPoly(dict(enumerate(coeffs)))

@@ -57,9 +57,18 @@ def test_weight_validation():
         ABC(4, [NCore(4, ()), NCore(4, (2, 1))])  # not a horizontal strong strip
 
 
+def _index_vectors_or_leftover(extract, abc):
+    try:
+        return extract(abc)
+    except AssertionError as err:
+        return str(err)
+
+
 def test_stored_strips_match_the_group_and_skew_routes():
-    # every ABC of composition weight, n = 3, 4, 5 up to degree 7, 7, 6
-    checked = 0
+    # every ABC of composition weight, n = 3, 4, 5 up to degree 7, 7, 6;
+    # the index vectors, letter by letter, against one whole subword at a
+    # time, where most of these weights leave cells that no subword reaches
+    checked = leftovers = 0
     for n, max_deg in ((3, 7), (4, 7), (5, 6)):
         for d in range(0, max_deg + 1):
             for lam in cores_of_degree(n, d):
@@ -73,8 +82,12 @@ def test_stored_strips_match_the_group_and_skew_routes():
                         for strip in abc.strips:
                             assert strip.ribbons == step_ribbons(strip.chain)
                             assert strip.contents == skew_contents(strip.chain)
+                        got = _index_vectors_or_leftover(ABC.index_vectors, abc)
+                        assert got == _index_vectors_or_leftover(subword_scan_index_vectors, abc)
+                        leftovers += isinstance(got, str)
                         checked += 1
     assert checked == 1137
+    assert 0 < leftovers < checked
 
 
 def test_enumerated_abcs_equal_checked_abcs():
@@ -92,31 +105,6 @@ def test_enumerated_abcs_equal_checked_abcs():
                         assert all(map(operator.is_, abc.strips, again.strips))
                         checked += 1
     assert checked == 1137
-
-
-def _index_vectors_or_leftover(extract, abc):
-    try:
-        return extract(abc)
-    except AssertionError as err:
-        return str(err)
-
-
-def test_index_vectors_match_subword_scan_oracle():
-    # letter by letter against one whole subword at a time, on the same
-    # 1137 ABCs of composition weight; most of these weights leave cells
-    # that no subword reaches
-    leftovers = checked = 0
-    for n, max_deg in ((3, 7), (4, 7), (5, 6)):
-        for d in range(0, max_deg + 1):
-            for lam in cores_of_degree(n, d):
-                for alpha in compositions(d, n):
-                    for abc in enumerate_abc(lam, alpha):
-                        got = _index_vectors_or_leftover(ABC.index_vectors, abc)
-                        assert got == _index_vectors_or_leftover(subword_scan_index_vectors, abc)
-                        leftovers += isinstance(got, str)
-                        checked += 1
-    assert checked == 1137
-    assert 0 < leftovers < checked
 
 
 def test_unique_abc_of_own_weight():

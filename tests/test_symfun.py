@@ -16,7 +16,6 @@ from kschur.symfun import (
     kschur,
     m_sym,
     multiply,
-    n_stat,
     partitions_of,
     ptilde_in_m,
     schur,
@@ -26,7 +25,7 @@ from kschur.symfun import (
 from kschur.tableaux import _kf_fiber, _kostka_fiber, kostka_foulkes
 from kschur.tpoly import TPoly
 
-from oracles import expand_symf, pair_weak_kostka_foulkes, ptilde_oracle
+from oracles import expand_symf, n_stat, pair_weak_kostka_foulkes, ptilde_oracle
 
 
 def test_schur_reconstruction_from_ptilde():

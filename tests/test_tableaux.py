@@ -10,9 +10,10 @@ from kschur.tableaux import (
     semistandard_tableaux,
 )
 from kschur.tpoly import TPoly
-from kschur.symfun import kf_matrix, n_stat, partitions_of, s_to_m
+from kschur.symfun import kf_matrix, partitions_of, s_to_m
 
 from oracles import (
+    n_stat,
     pair_kostka_foulkes,
     pair_kostka_number,
     set_scan_cocharge_index_vectors,
