@@ -94,6 +94,10 @@ class ABC:
         """The cyclically decreasing words v^1, ..., v^r of Theta."""
         return tuple(map(psi, self.strips))
 
+    def strip_chains(self):
+        """Per letter i, the unique strong chain lam^(i) -> R(n-1, lam^(i-1))."""
+        return tuple(s.chain for s in self.strips)
+
     # -- countertableau views --------------------------------------------
 
     def mu_chain(self):

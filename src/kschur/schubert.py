@@ -103,10 +103,9 @@ def strong_pieri_cohomology(m: int, lam: NCore) -> dict:
 
 @lru_cache(maxsize=None)
 def _kschur_h_row(n: int, bounded) -> dict:
-    # row `bounded` of kschur_to_h(n, d): column j of Kn(1)^{-1}, from its leading block
+    # row `bounded` of kschur_to_h(n, d) is one column of Kn(1)^{-1}
     Pn = bounded_partitions_of(sum(bounded), n)
-    j = _index(Pn)[bounded]
-    col = _unitriangular_column(kn1_matrix(n, sum(bounded), j + 1), j)
+    col = _unitriangular_column(kn1_matrix(n, sum(bounded)), _index(Pn)[bounded])
     return {mu: c(1) for mu, c in zip(Pn, col) if not c.is_zero()}
 
 

@@ -404,9 +404,7 @@ class MPoly:
         return out
 
     def subs_t_inverse(self):
-        # t -> 1/t
-        return MPoly(self.nvars, {e: TPoly({-k: c for k, c in v.c.items()})
-                                  for e, v in self.c.items()})
+        return MPoly(self.nvars, {e: v.subs_t_inverse() for e, v in self.c.items()})
 
     def __eq__(self, other):
         return isinstance(other, MPoly) and self.nvars == other.nvars and self.c == other.c
@@ -439,16 +437,11 @@ def n_stat(lam) -> int:
     return sum(i * p for i, p in enumerate(lam))
 
 
-def tpoly_from_list(coeffs) -> TPoly:
-    """Ascending coefficient list [a0, a1, ...] -> a0 + a1 t + ..."""
-    return TPoly(dict(enumerate(coeffs)))
-
-
 def t_factorial(m: int) -> TPoly:
     """[m]_t! = prod_{i<=m} (1 + t + ... + t^{i-1})."""
     out = TPoly.one()
     for i in range(1, m + 1):
-        out = out * tpoly_from_list([1] * i)
+        out = out * TPoly.from_list([1] * i)
     return out
 
 
@@ -576,23 +569,13 @@ def tableau_from_rows(rows) -> Tableau:
     return Tableau(chain)
 
 
-def tableau_cells(tab: Tableau):
-    """(row, column, letter) of every cell, rows and columns from 1."""
-    out = []
-    for x, (lo, hi) in enumerate(zip(tab.chain, tab.chain[1:]), start=1):
-        for i, p in enumerate(hi, start=1):
-            q = lo[i - 1] if i <= len(lo) else 0
-            out.extend((i, j, x) for j in range(q + 1, p + 1))
-    return out
-
-
 def set_scan_cocharge_index_vectors(tab: Tableau):
     """The index vectors of the successive standard-subword extractions."""
     weight = tab.weight
     if not is_partition(weight):
         raise ValueError(f"weight {weight} is not a partition")
     remaining = {}
-    for (i, j, x) in tableau_cells(tab):
+    for (i, j, x) in tab.cells_with_letters():
         remaining.setdefault(x, set()).add((i, j))
     vectors = []
     while remaining.get(1):

@@ -7,6 +7,7 @@ import pytest
 from kschur.abctab import (
     ABC,
     NonPartitionWeightError,
+    _ext_columns,
     count_abc,
     count_affine_factorizations,
     enumerate_abc,
@@ -20,6 +21,7 @@ from kschur.cores import (
     dominance_leq,
     w_core,
 )
+from kschur.strips import horizontal_strong_strips_from, psi
 from kschur.symfun import bounded_partitions_of
 from kschur.tableaux import cocharge, semistandard_tableaux
 
@@ -76,7 +78,7 @@ def test_stored_strips_match_the_group_and_skew_routes():
                     for abc in enumerate_abc(lam, alpha):
                         chains = phi_strip_chains(abc)
                         assert abc.words() == quotient_words(abc)
-                        assert tuple(s.chain for s in abc.strips) == chains
+                        assert abc.strip_chains() == chains
                         assert abc.off() == skew_off(chains)
                         assert abc.letter_cells() == skew_letter_cells(chains)
                         for strip in abc.strips:
@@ -203,6 +205,19 @@ def test_abcres_extension_residues_match_words():
                             got = {(c - 1) % n for c in ext[i]}
                             assert got == set(word)
                             assert len(ext[i]) == len(word)
+
+
+def test_ext_letter_has_one_cell_per_letter_of_its_strip():
+    # the weak KF DP reads each subword's cocharge span off the weight:
+    # a step of weight a puts exactly a cells, one per letter of psi, in ext(A)
+    for n in (8, 9):
+        for d in range(8):
+            for lam in cores_of_degree(n, d):
+                for a in range(1, n):
+                    for strip in horizontal_strong_strips_from(lam, n - 1 - a):
+                        cols = _ext_columns(strip)
+                        assert len(cols) == a
+                        assert sorted((c - 1) % n for c in cols) == sorted(psi(strip))
 
 
 def test_standard_abc_cocharge_example():

@@ -18,7 +18,6 @@ from oracles import (
     pair_kostka_number,
     set_scan_cocharge_index_vectors,
     tableau_from_rows,
-    tpoly_from_list,
 )
 
 
@@ -44,7 +43,7 @@ def test_cocharge_rejects_non_partition_weight():
 
 def test_kostka_foulkes_examples():
     assert kostka_foulkes((1, 1), (1, 1)) == TPoly.t(1)
-    assert kostka_foulkes((2, 1), (1, 1, 1)) == tpoly_from_list([0, 1, 1])
+    assert kostka_foulkes((2, 1), (1, 1, 1)) == TPoly.from_list([0, 1, 1])
     assert kostka_foulkes((2,), (2,)) == TPoly.one()
     assert kostka_foulkes((2,), (3,)).is_zero()
 
