@@ -83,14 +83,12 @@ def test_kf_and_kostka_matrices_match_per_pair_oracles():
     # whole matrices from the weight fibers against one (lam, mu) at a time
     for d in range(0, 10):
         P = partitions_of(d)
-        assert kf_matrix(d) == [[pair_kostka_foulkes(lam, mu) for mu in P] for lam in P]
-        assert s_to_m(d) == [
-            [TPoly.const(pair_kostka_number(lam, mu)) for mu in P] for lam in P
-        ]
-        for lam in P:
-            for mu in P:
-                assert kostka_foulkes(lam, mu) == pair_kostka_foulkes(lam, mu)
-                assert kostka_number(lam, mu) == pair_kostka_number(lam, mu)
+        want = [[pair_kostka_foulkes(lam, mu) for mu in P] for lam in P]
+        assert kf_matrix(d) == want
+        assert [[kostka_foulkes(lam, mu) for mu in P] for lam in P] == want
+        want = [[pair_kostka_number(lam, mu) for mu in P] for lam in P]
+        assert s_to_m(d) == [[TPoly.const(k) for k in row] for row in want]
+        assert [[kostka_number(lam, mu) for mu in P] for lam in P] == want
     assert kostka_foulkes((3,), (1, 1)).is_zero()
     assert kostka_number((3,), (1, 1)) == 0
 
