@@ -83,6 +83,8 @@ CASES = [
     ("kf-table-deg9-json", "kf-table --n 4 --deg 9 --json"),
     ("kf-table-weak-n6-deg9-json", "kf-table --n 6 --deg 9 --weak --json"),
     ("expand-dualk-n4-deg9-json", "expand --n 4 --basis dualk --core 5,2,2,2,1,1,1 --json"),
+    ("expand-dualk-n4-deg11-json", "expand --n 4 --basis dualk --bounded 3,3,3,2 --json"),
+    ("expand-k-n5-deg9-json", "expand --n 5 --basis k --bounded 4,3,2 --json"),
 ]
 
 
