@@ -41,13 +41,13 @@ from .strips import (
 from .symfun import (
     bounded_partitions_of,
     dual_kschur,
+    h0t_in_m,
+    kf_matrix,
+    kn_matrix,
     kschur,
     partitions_of,
     ptilde_in_m,
-    h0t_in_m,
-    weak_kostka_foulkes,
 )
-from .tableaux import kostka_foulkes
 from .tpoly import TPoly
 
 
@@ -223,22 +223,16 @@ def cmd_abc(args) -> int:
 
 
 def cmd_kf_table(args) -> int:
-    parts = list(
-        bounded_partitions_of(args.deg, args.n)
-        if args.weak
-        else partitions_of(args.deg)
-    )
+    if args.weak:
+        parts, matrix = bounded_partitions_of(args.deg, args.n), kn_matrix(args.n, args.deg)
+    else:
+        parts, matrix = partitions_of(args.deg), kf_matrix(args.deg)
     payload = {"n": args.n if args.weak else None, "degree": args.deg, "rows": []}
     lines = []
-    for lam in parts:
+    for lam, entries in zip(parts, matrix):
         row = {"lambda": list(lam), "entries": []}
         cells = []
-        for mu in parts:
-            p = (
-                weak_kostka_foulkes(lam, mu, args.n)
-                if args.weak
-                else kostka_foulkes(lam, mu)
-            )
+        for mu, p in zip(parts, entries):
             row["entries"].append({"mu": list(mu), "coeff": tpoly_json(p, args.at_t)})
             cells.append(str(p(args.at_t)) if args.at_t is not None else repr(p))
         payload["rows"].append(row)

@@ -316,13 +316,19 @@ def ribbon_tail(comp):
 # -- strong covers ------------------------------------------------------
 
 
-def _tau_step(n: int, window, p: int, q: int, s: int):
+def _entry_terms(v, n: int, p: int) -> int:
+    """The length terms |v[p] - x| // n of the pairs that meet position p."""
+    return sum(abs(v[p] - x) // n for x in v)
+
+
+def _tau_step(n: int, window, p: int, q: int, s: int, base=None):
     """The window of tau_{i,i+s} w and its length change, or None if not Grassmannian.
 
     w is Grassmannian with residues i, i+s at positions p, q, so window[p]
     goes up by s and window[q] down by s.  Only the raised entry's upper
     neighbour and the lowered entry's lower one can fall out of order: an
-    O(1) test.  The length changes only in the O(n) pairs that meet p or q.
+    O(1) test.  The length changes only in the O(n) pairs that meet p or q;
+    `base`, when given, holds `_entry_terms` of every position of the window.
     """
     up, down = window[p] + s, window[q] - s
     above = down if q == p + 1 else window[p + 1] if p + 1 < n else up
@@ -331,11 +337,11 @@ def _tau_step(n: int, window, p: int, q: int, s: int):
         return None
     u = list(window)
     u[p], u[q] = up, down
-
-    def terms(v):  # the length terms |x - y| // n of the pairs that meet p or q
-        return sum(abs(v[p] - x) // n + abs(v[q] - x) // n for x in v) - abs(v[p] - v[q]) // n
-
-    return tuple(u), terms(u) - terms(window)
+    if base is None:
+        base = {r: _entry_terms(window, n, r) for r in (p, q)}
+    before = base[p] + base[q] - abs(window[p] - window[q]) // n
+    after = _entry_terms(u, n, p) + _entry_terms(u, n, q) - abs(up - down) // n
+    return tuple(u), after - before
 
 
 def _covers(core: NCore, step: int):
@@ -344,15 +350,20 @@ def _covers(core: NCore, step: int):
     The scan stops at s < max(window spread, n): a raised entry stays below
     its upper neighbour or a lowered one above its lower one, unless the top
     entry goes up and the bottom one down, which adds >= 2s // n to the length.
+    Below the top entry it stops sooner, at the upper neighbour: a raised
+    entry that reaches it stays out of order for every larger s.
     """
     n, parts, window = core.n, core.parts, core.window
     slot = _slots(window, n)
+    base = [_entry_terms(window, n, p) for p in range(n)]
     out = []
     for i in range(n):
-        for s in range(1, max(window[-1] - window[0], n)):
+        p = slot[i]
+        stop = window[p + 1] - window[p] if p < n - 1 else max(window[-1] - window[0], n)
+        for s in range(1, stop):
             if s % n == 0:
                 continue
-            moved = _tau_step(n, window, slot[i], slot[(i + s) % n], s)
+            moved = _tau_step(n, window, p, slot[(i + s) % n], s, base)
             if moved is not None and moved[1] == step:
                 other = _core_of_window(n, moved[0])
                 outer, inner = (other.parts, parts) if step > 0 else (parts, other.parts)

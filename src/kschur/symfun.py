@@ -58,20 +58,22 @@ def _index(parts):
     return {p: i for i, p in enumerate(parts)}
 
 
+def _dot(pairs) -> TPoly:
+    """sum of a * b over the (a, b) pairs, summed in one exponent -> coefficient dict."""
+    acc: dict = {}
+    for a, b in pairs:
+        for e1, v1 in a.c.items():
+            for e2, v2 in b.c.items():
+                acc[e1 + e2] = acc.get(e1 + e2, 0) + v1 * v2
+    return TPoly(acc)
+
+
 def _matmul(A, B):
-    rows, mid, cols = len(A), len(B), len(B[0]) if B else 0
-    out = [[ZERO for _ in range(cols)] for _ in range(rows)]
-    for i in range(rows):
-        Ai = A[i]
-        for k in range(mid):
-            a = Ai[k]
-            if a.is_zero():
-                continue
-            Bk = B[k]
-            row = out[i]
-            for j in range(cols):
-                if not Bk[j].is_zero():
-                    row[j] = row[j] + a * Bk[j]
+    cols = range(len(B[0]) if B else 0)
+    out = []
+    for Ai in A:
+        nz = [(a, Bk) for a, Bk in zip(Ai, B) if a.c]
+        out.append([_dot((a, Bk[j]) for a, Bk in nz) for j in cols])
     return out
 
 
@@ -85,23 +87,15 @@ def _unitriangular_column(M, j: int):
     x = [ZERO] * len(M)
     x[j] = ONE.divide_unit(M[j][j])
     for i in range(j - 1, -1, -1):
-        acc = ZERO
-        for k in range(i + 1, j + 1):
-            if not M[i][k].is_zero():
-                acc = acc + M[i][k] * x[k]
-        x[i] = (-acc).divide_unit(M[i][i])
+        Mi = M[i]
+        x[i] = _dot(zip(Mi[i + 1 : j + 1], x[i + 1 : j + 1])).divide_unit(-Mi[i])
     return x
 
 
 def _expand(terms, M, idx, cols) -> dict:
-    """sum_p c_p * (row idx[p] of M), as a dict over the column labels."""
-    out: dict = {}
-    for p, c in terms.items():
-        row = M[idx[p]]
-        for j, mu in enumerate(cols):
-            if not row[j].is_zero():
-                out[mu] = out.get(mu, ZERO) + c * row[j]
-    return out
+    """sum_p c_p * (row idx[p] of M), as a dict over the column labels (zeros included)."""
+    rows = [(c, M[idx[p]]) for p, c in terms.items()]
+    return {mu: _dot((c, row[j]) for c, row in rows) for j, mu in enumerate(cols)}
 
 
 def _transpose(M):
@@ -111,11 +105,21 @@ def _transpose(M):
 # -- full-degree transition matrices (coefficients of m) -----------------
 
 
-@lru_cache(maxsize=None)
-def s_to_m(d: int):
-    P = partitions_of(d)
+def _kostka_block(P):
+    """K over the partitions P, a dominance ideal, read off their own fibers."""
     cols = [_kostka_fiber(mu) for mu in P]
     return [[TPoly.const(col.get(lam, 0)) for col in cols] for lam in P]
+
+
+def _kf_block(P):
+    """K(t) over the partitions P, a dominance ideal, read off their own fibers."""
+    cols = [_kf_fiber(mu) for mu in P]
+    return [[col.get(lam, ZERO) for col in cols] for lam in P]
+
+
+@lru_cache(maxsize=None)
+def s_to_m(d: int):
+    return _kostka_block(partitions_of(d))
 
 
 @lru_cache(maxsize=None)
@@ -126,9 +130,7 @@ def m_to_s(d: int):
 @lru_cache(maxsize=None)
 def kf_matrix(d: int):
     """K(t): rows lam, columns mu; upper triangular, diagonal t^{n(lam)}."""
-    P = partitions_of(d)
-    cols = [_kf_fiber(mu) for mu in P]
-    return [[col.get(lam, ZERO) for col in cols] for lam in P]
+    return _kf_block(partitions_of(d))
 
 
 @lru_cache(maxsize=None)
@@ -232,12 +234,14 @@ def kn1_matrix(n: int, d: int):
 
 @lru_cache(maxsize=None)
 def ptilde_to_m_bounded(n: int, d: int):
-    """Rows/columns of ptilde_to_m restricted to bounded partitions."""
-    P = partitions_of(d)
-    idx = _index(P)
+    """Rows/columns of ptilde_to_m restricted to bounded partitions: K_B(t)^{-1} K_B.
+
+    The bounded partitions B form a dominance ideal, and K(t), K are
+    dominance-triangular, so a bounded row of either (and of K(t)^{-1})
+    vanishes off B and the B-block of K(t)^{-1} K is that of the blocks.
+    """
     Pn = bounded_partitions_of(d, n)
-    full = ptilde_to_m(d)
-    return [[full[idx[lam]][idx[mu]] for mu in Pn] for lam in Pn]
+    return _matmul(_unitriangular_inverse(_kf_block(Pn)), _kostka_block(Pn))
 
 
 @lru_cache(maxsize=None)
@@ -249,15 +253,23 @@ def dualk_to_m(n: int, d: int, t_on: bool = True):
 
 
 @lru_cache(maxsize=None)
+def _kschur_row(n: int, nu, t_on: bool = True):
+    """Row nu of the k-Schur functions in H(x;0,t), or in h at t=1: column nu of Kn^{-1}."""
+    d = sum(nu)
+    M = kn_matrix(n, d) if t_on else kn1_matrix(n, d)
+    return _unitriangular_column(M, _index(bounded_partitions_of(d, n))[nu])
+
+
+@lru_cache(maxsize=None)
 def kschur_to_h0t(n: int, d: int):
     """k-Schur rows in the H(x;0,t) basis: transpose inverse of Kn(t)."""
-    return _transpose(_unitriangular_inverse(kn_matrix(n, d)))
+    return [_kschur_row(n, nu, True) for nu in bounded_partitions_of(d, n)]
 
 
 @lru_cache(maxsize=None)
 def kschur_to_h(n: int, d: int):
     """k-Schur rows at t=1 in the homogeneous basis (bounded indices)."""
-    return _transpose(_unitriangular_inverse(kn1_matrix(n, d)))
+    return [_kschur_row(n, nu, False) for nu in bounded_partitions_of(d, n)]
 
 
 @lru_cache(maxsize=None)
@@ -310,7 +322,11 @@ class SymF:
         return SymF(self.basis, self.degree, {p: f(c) for p, c in self.terms.items()}, self.n)
 
     def at_t(self, value: int) -> "SymF":
-        return self.map_coeffs(lambda c: TPoly.const(c(value)))
+        """Coefficients at t = value; H_mu(x;0,1) = h_mu, so H0t becomes h at t = 1."""
+        f = self.map_coeffs(lambda c: TPoly.const(c(value)))
+        if value == 1 and f.basis == "H0t":
+            f.basis = "h"
+        return f
 
     def __add__(self, other: "SymF") -> "SymF":
         if self.basis != other.basis or self.degree != other.degree:
@@ -404,14 +420,8 @@ def kschur(core: NCore, t_on: bool = True) -> SymF:
     """
     nu = c_inverse(core)
     d = sum(nu)
-    n = core.n
-    Pn = bounded_partitions_of(d, n)
-    i = _index(Pn)[nu]
-    if t_on:
-        row = kschur_to_h0t(n, d)[i]
-        return SymF("H0t", d, {mu: row[j] for j, mu in enumerate(Pn)})
-    row = kschur_to_h(n, d)[i]
-    return SymF("h", d, {mu: row[j] for j, mu in enumerate(Pn)})
+    row = _kschur_row(core.n, nu, t_on)
+    return SymF("H0t" if t_on else "h", d, dict(zip(bounded_partitions_of(d, core.n), row)))
 
 
 def hall_pairing(f: SymF, g: SymF) -> TPoly:

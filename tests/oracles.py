@@ -49,7 +49,16 @@ from kschur.cores import (
     w_core,
 )
 from kschur.strips import horizontal_strong_strips_from, phi
-from kschur.symfun import _index, bounded_partitions_of, kn1_matrix, kschur_to_h
+from kschur.symfun import (
+    _index,
+    _transpose,
+    _unitriangular_inverse,
+    bounded_partitions_of,
+    kn1_matrix,
+    kn_matrix,
+    partitions_of,
+    ptilde_to_m,
+)
 from kschur.tableaux import Tableau, semistandard_tableaux
 from kschur.tpoly import TPoly
 
@@ -507,13 +516,29 @@ def expand_symf(f, nvars: int) -> MPoly:
     return out
 
 
+# -- whole-degree matrix routes -----------------------------------------------
+
+
+def ptilde_to_m_bounded_by_slice(n: int, d: int):
+    """The bounded rows and columns of ptilde_to_m(d), the whole K(t)^{-1} K."""
+    idx = _index(partitions_of(d))
+    full = ptilde_to_m(d)
+    Pn = bounded_partitions_of(d, n)
+    return [[full[idx[lam]][idx[mu]] for mu in Pn] for lam in Pn]
+
+
+def kschur_rows_by_inverse(n: int, d: int, t_on: bool = True):
+    """k-Schur rows in H(x;0,t), or in h at t=1: the transposed whole inverse of Kn."""
+    return _transpose(_unitriangular_inverse(kn_matrix(n, d) if t_on else kn1_matrix(n, d)))
+
+
 # -- homology structure constants through the degree-D k-Kostka matrix -------
 
 
 def _kschur_h_row(n: int, bounded) -> dict:
     d = sum(bounded)
     Pn = bounded_partitions_of(d, n)
-    row = kschur_to_h(n, d)[_index(Pn)[bounded]]
+    row = kschur_rows_by_inverse(n, d, False)[_index(Pn)[bounded]]
     return {mu: c for mu, c in zip(Pn, row) if not c.is_zero()}
 
 

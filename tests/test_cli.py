@@ -64,7 +64,8 @@ def test_cores_default_max_deg(capsys):
 
 
 def test_expand_t1_is_at_t_one(capsys):
-    for basis, bounded in (("ptilde", "2,1"), ("ptilde", "2,1,1"), ("h0t", "3,1")):
+    # H_mu(x;0,1) = h_mu: the k-Schur function at t = 1 is labelled h either way
+    for basis, bounded in (("ptilde", "2,1"), ("ptilde", "2,1,1"), ("h0t", "3,1"), ("k", "3,1"), ("k", "2,2,1")):
         for fmt in ((), ("--json",)):
             argv = ("expand", "--n", "5", "--basis", basis, "--bounded", bounded, *fmt)
             code, out = run(capsys, *argv, "--t1")

@@ -212,6 +212,15 @@ def test_strong_covers_match_transposition_oracle():
                 assert strong_covers_down(core) == transposition_covers(n, core.parts, -1), core
 
 
+def test_strong_covers_match_transposition_oracle_at_n8_n9():
+    # the scan's stops at the upper neighbour, at the top entry and for q = p + 1
+    for n in (8, 9):
+        for d in range(9):
+            for core in cores_of_degree(n, d):
+                assert strong_covers_up(core) == transposition_covers(n, core.parts, 1), core
+                assert strong_covers_down(core) == transposition_covers(n, core.parts, -1), core
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_cover_ribbons_are_congruent_copies(n):
     # Lemma: the skew of a strong cover is made of copies of one ribbon,

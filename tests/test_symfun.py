@@ -5,7 +5,10 @@ import pytest
 from kschur.abctab import abc_counts
 from kschur.cores import c_map, dominance_leq
 from kschur.symfun import (
+    ONE,
+    ZERO,
     SymF,
+    _matmul,
     _weak_kf_fiber,
     bounded_partitions_of,
     dual_kschur,
@@ -14,10 +17,14 @@ from kschur.symfun import (
     kf_matrix,
     kn_matrix,
     kschur,
+    kschur_to_h,
+    kschur_to_h0t,
     m_sym,
     multiply,
     partitions_of,
     ptilde_in_m,
+    ptilde_to_m_bounded,
+    ptilde_to_s,
     schur,
     hom,
     weak_kostka_foulkes,
@@ -25,7 +32,14 @@ from kschur.symfun import (
 from kschur.tableaux import _kf_fiber, _kostka_fiber, kostka_foulkes
 from kschur.tpoly import TPoly
 
-from oracles import expand_symf, n_stat, pair_weak_kostka_foulkes, ptilde_oracle
+from oracles import (
+    expand_symf,
+    kschur_rows_by_inverse,
+    n_stat,
+    pair_weak_kostka_foulkes,
+    ptilde_oracle,
+    ptilde_to_m_bounded_by_slice,
+)
 
 
 def test_schur_reconstruction_from_ptilde():
@@ -131,6 +145,35 @@ def test_fibers_at_t1_count_tableaux_and_abcs():
             for mu in bounded_partitions_of(d, n):
                 fiber = _weak_kf_fiber(n, mu)
                 assert {core: kn(1) for core, kn in fiber.items()} == abc_counts(n, mu)
+
+
+def test_ptilde_to_m_bounded_matches_whole_degree_slice():
+    # the bounded block from the bounded weights' fibers alone
+    for d in range(0, 12):
+        for n in range(2, 8):
+            assert ptilde_to_m_bounded(n, d) == ptilde_to_m_bounded_by_slice(n, d), (n, d)
+
+
+def test_kschur_rows_match_whole_inverse():
+    # one back-substituted column of Kn^{-1} per k-Schur function
+    for n in range(3, 7):
+        for d in range(0, 9):
+            Pn = bounded_partitions_of(d, n)
+            for t_on, basis, rows in ((True, "H0t", kschur_to_h0t), (False, "h", kschur_to_h)):
+                want = kschur_rows_by_inverse(n, d, t_on)
+                assert rows(n, d) == want
+                for nu, row in zip(Pn, want):
+                    f = kschur(c_map(nu, n), t_on)
+                    assert f.basis == basis
+                    assert f.terms == {mu: c for mu, c in zip(Pn, row) if not c.is_zero()}
+
+
+def test_kf_matrix_times_its_inverse_is_identity():
+    for d in range(0, 10):
+        size = len(partitions_of(d))
+        want = [[ONE if i == j else ZERO for j in range(size)] for i in range(size)]
+        assert _matmul(kf_matrix(d), ptilde_to_s(d)) == want
+        assert _matmul(ptilde_to_s(d), kf_matrix(d)) == want
 
 
 def test_dual_kschur_reduction():
