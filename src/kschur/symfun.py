@@ -10,7 +10,7 @@ triangular with unit diagonal and invert exactly):
   * H_mu(x;0,t) = sum_lam K_{lam,mu}(t) s_lam
   * dual k-Schur: S_{c(lam)}(x;t) = sum_mu Kn_{lam,mu}(t) Ptilde_mu,
     with Kn the weak Kostka-Foulkes polynomials from ABCs
-  * k-Schur: the Hall-dual basis, via transposed inverses.
+  * k-Schur: the Hall-dual basis, one column of Kn^{-1} each.
 
 Ptilde is the deformation t^{-n(lam)} P_lam(x; 1/t) of Macdonald's
 P-function; its monomial expansion genuinely uses negative powers of t,
@@ -72,7 +72,7 @@ def _matmul(A, B):
     cols = range(len(B[0]) if B else 0)
     out = []
     for Ai in A:
-        nz = [(a, Bk) for a, Bk in zip(Ai, B) if a.c]
+        nz = [(a, Bk) for a, Bk in zip(Ai, B) if not a.is_zero()]
         out.append([_dot((a, Bk[j]) for a, Bk in nz) for j in cols])
     return out
 
@@ -253,7 +253,7 @@ def dualk_to_m(n: int, d: int, t_on: bool = True):
 
 
 @lru_cache(maxsize=None)
-def _kschur_row(n: int, nu, t_on: bool = True):
+def _kschur_row(n: int, nu, t_on: bool):
     """Row nu of the k-Schur functions in H(x;0,t), or in h at t=1: column nu of Kn^{-1}."""
     d = sum(nu)
     M = kn_matrix(n, d) if t_on else kn1_matrix(n, d)

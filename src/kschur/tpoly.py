@@ -8,7 +8,8 @@ power of t; `coeff_list` serves the plain polynomials, and the CLI
 prints the genuinely Laurent ones with their valuation.
 
 Unitriangular matrices over this ring have unit diagonal (+-t^k), so
-they invert exactly with no fractions (`symfun._unitriangular_inverse`).
+they invert exactly with no fractions, one column at a time by back
+substitution (`symfun._unitriangular_column`).
 """
 
 from __future__ import annotations
