@@ -85,6 +85,8 @@ CASES = [
     ("expand-dualk-n4-deg9-json", "expand --n 4 --basis dualk --core 5,2,2,2,1,1,1 --json"),
     ("expand-dualk-n4-deg11-json", "expand --n 4 --basis dualk --bounded 3,3,3,2 --json"),
     ("expand-k-n5-deg9-json", "expand --n 5 --basis k --bounded 4,3,2 --json"),
+    ("pieri-n7-bounded-json", "pieri --n 7 --bounded 4,3,1 --m 4 --json"),
+    ("verify-prop-main-n7-json", "verify prop-main --n 7 --max-deg 8 --json"),
 ]
 
 
