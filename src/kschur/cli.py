@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import lru_cache
 
@@ -494,13 +495,18 @@ def _parser() -> Parser:
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
-        return args.func(args)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 1
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        try:
+            args = _parser().parse_args(argv)
+            code = args.func(args)
+        except SystemExit as exc:
+            code = exc.code if isinstance(exc.code, int) else 1
+        except (ValueError, KeyError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 1
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # the reader is gone: devnull takes the rest, so exit cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -28,8 +28,8 @@ the beads:
 Strong (Bruhat) covers on cores are containment plus degree difference
 one; tau_{i,i+s} w_core moves one window entry up by s and one down by s,
 so covers are read off the window, each split into its ribbon copies.
-The weak cover s_i w_core is the s = 1 step tau_{i,i+1} w_core: act_s
-adds every addable corner of residue i.
+The weak cover s_i w_core is one degree up iff the entries a, b of residues
+i, i+1 have b < a; then a, b become a + 1, b - 1 in place: no length.
 """
 
 from __future__ import annotations
@@ -152,12 +152,21 @@ def _slots(window, n: int) -> dict:
     return {v % n: p for p, v in enumerate(window)}
 
 
+def _weak_steps(n: int, window, slot, letters):
+    """The window after s_i for each residue i in turn; None at the first that is no weak cover."""
+    u, slot = list(window), dict(slot)
+    for i in letters:
+        p, q = slot[i], slot[(i + 1) % n]
+        if u[q] > u[p]:
+            return None
+        u[p], u[q], slot[i], slot[(i + 1) % n] = u[p] + 1, u[q] - 1, q, p
+    return tuple(u)
+
+
 def _weak_cover(core: NCore, i: int):
-    """The core of s_i w_core = tau_{i,i+1} w_core if it is one degree up, else None."""
-    n, window = core.n, core.window
-    slot = _slots(window, n)
-    moved = _tau_step(n, window, slot[i % n], slot[(i + 1) % n], 1)
-    return _core_of_window(n, moved[0]) if moved and moved[1] == 1 else None
+    """The core of s_i w_core if it is one degree up, else None."""
+    up = _weak_steps(core.n, core.window, _slots(core.window, core.n), (i % core.n,))
+    return None if up is None else _core_of_window(core.n, up)
 
 
 def act_s(core: NCore, residue: int) -> NCore:
@@ -172,13 +181,9 @@ def a_map(word, n: int) -> NCore:
     """The core s_{i_1} ... s_{i_l}(empty), innermost letter first."""
     core = NCore(n, ())
     for i in reversed(list(word)):
-        try:
-            core = act_s(core, i)
-        except NoActionError as exc:
-            raise NonReducedWordError(
-                f"letter {i} adds no corner; word is not a reduced "
-                f"Grassmannian word"
-            ) from exc
+        core = _weak_cover(core, i)
+        if core is None:
+            raise NonReducedWordError(f"letter {i} adds no corner: not a reduced Grassmannian word")
     return core
 
 
@@ -321,14 +326,14 @@ def _entry_terms(v, n: int, p: int) -> int:
     return sum(abs(v[p] - x) // n for x in v)
 
 
-def _tau_step(n: int, window, p: int, q: int, s: int, base=None):
+def _tau_step(n: int, window, p: int, q: int, s: int, base):
     """The window of tau_{i,i+s} w and its length change, or None if not Grassmannian.
 
     w is Grassmannian with residues i, i+s at positions p, q, so window[p]
     goes up by s and window[q] down by s.  Only the raised entry's upper
     neighbour and the lowered entry's lower one can fall out of order: an
     O(1) test.  The length changes only in the O(n) pairs that meet p or q;
-    `base`, when given, holds `_entry_terms` of every position of the window.
+    `base` holds `_entry_terms` of every position of the window.
     """
     up, down = window[p] + s, window[q] - s
     above = down if q == p + 1 else window[p + 1] if p + 1 < n else up
@@ -337,8 +342,6 @@ def _tau_step(n: int, window, p: int, q: int, s: int, base=None):
         return None
     u = list(window)
     u[p], u[q] = up, down
-    if base is None:
-        base = {r: _entry_terms(window, n, r) for r in (p, q)}
     before = base[p] + base[q] - abs(window[p] - window[q]) // n
     after = _entry_terms(u, n, p) + _entry_terms(u, n, q) - abs(up - down) // n
     return tuple(u), after - before

@@ -1,8 +1,11 @@
 """Pieri rules, homology structure constants, and the quantum Monk side.
 
-The homology product is computed in the nilCoxeter model, where h_a
-acts by the weak Pieri rule: with s^(k)_mu(1) = sum_a c_a h_a for the
-lower-degree factor, xi_mu xi_lam = sum_a c_a h_{a_1}...h_{a_l} xi_lam.
+The homology product is computed in the nilCoxeter model, where h_m
+acts by the weak Pieri rule: each letter of a cyclically decreasing word,
+rightmost first, is an O(1) weak cover step on the core window (every
+suffix of a reduced Grassmannian product is Grassmannian).  With
+s^(k)_mu(1) = sum_a c_a h_a for the lower-degree factor,
+xi_mu xi_lam = sum_a c_a h_{a_1}...h_{a_l} xi_lam.
 Every k-rectangle R_r = (r^{n-r}) is first peeled off both factors and
 put back on each term, by the k-rectangle property
 s^(k)_{R_r union mu} = s_{R_r} s^(k)_mu.
@@ -27,16 +30,17 @@ from math import comb
 from .affine import cyclically_decreasing_of_length
 from .cores import (
     NCore,
+    _core_of_window,
+    _slots,
+    _weak_steps,
     c_inverse,
     c_map,
     conjugate,
-    core_of,
     normalize,
     rect,
     rect_translation,
     strong_covers_down,
     union,
-    w_core,
 )
 from .strips import (
     horizontal_strong_strips_from,
@@ -60,12 +64,12 @@ def weak_pieri(m: int, lam: NCore) -> dict:
 @lru_cache(maxsize=None)
 def _weak_pieri_terms(m: int, lam: NCore) -> tuple:
     """The cores gamma with xi_gamma in h_m xi_lam, for 0 <= m < n."""
-    w = w_core(lam)
+    slot = _slots(lam.window, lam.n)
     out = []
-    for _word, v in cyclically_decreasing_of_length(lam.n, m):
-        u = v * w
-        if u.is_grassmannian() and u.length() == w.length() + m:
-            out.append(core_of(u))
+    for word, _v in cyclically_decreasing_of_length(lam.n, m):
+        up = _weak_steps(lam.n, lam.window, slot, reversed(word))
+        if up is not None:
+            out.append(_core_of_window(lam.n, up))
     if len(set(out)) != len(out):
         raise AssertionError("weak Pieri term repeated")
     return tuple(out)

@@ -11,12 +11,14 @@ variables, monomial products by expanding in as many variables as
 the degree, and homology structure constants by multiplying k-Schur
 functions in the h basis and reading the product back through the
 dual basis at the product degree, or by weak Pieri without peeling
-off the k-rectangles.  Kostka numbers, Kostka-Foulkes and weak
-Kostka-Foulkes polynomials are computed one (lam, mu) pair at a time, by
-counting horizontal-strip removals down from lam or by enumerating the
-tableaux or ABCs of that one shape, with cocharge picking each letter's
-cell by scanning the set of remaining cells and n-cocharge extracting
-one whole standard subword of ext(A) at a time.
+off the k-rectangles, each h_m applied by the group product v w_core
+over the cyclically decreasing v and a full length.  Kostka numbers,
+Kostka-Foulkes and weak Kostka-Foulkes polynomials are computed one
+(lam, mu) pair at a time, by counting horizontal-strip removals down
+from lam or by enumerating the tableaux or ABCs of that one shape, with
+cocharge picking each letter's cell by scanning the set of remaining
+cells and n-cocharge extracting one whole standard subword of ext(A)
+at a time.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from kschur.abctab import enumerate_abc
 from kschur.affine import (
     AffinePermutation,
     cyclic_anchor_key,
+    cyclically_decreasing_of_length,
     is_cyclically_decreasing,
     transposition,
 )
@@ -568,13 +571,39 @@ def matrix_structure_constants(n: int, mu_b, lam_b) -> tuple:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def weak_pieri_terms_by_group(m: int, lam: NCore) -> tuple:
+    """The cores gamma of h_m xi_lam: v w_core Grassmannian of length ell(w_core) + m."""
+    w = w_core(lam)
+    out = []
+    for _word, v in cyclically_decreasing_of_length(lam.n, m):
+        u = v * w
+        if u.is_grassmannian() and u.length() == w.length() + m:
+            out.append(core_of(u))
+    if len(set(out)) != len(out):
+        raise AssertionError("weak Pieri term repeated")
+    return tuple(out)
+
+
+def h_times_by_group(a: tuple, core: NCore) -> dict:
+    """h_{a_1}(h_{a_2}(... xi_core)) as dict core -> coefficient, by the group route."""
+    cur = {core: 1}
+    for m in reversed(a):
+        nxt: dict = {}
+        for gamma, c in cur.items():
+            for nu in weak_pieri_terms_by_group(m, gamma):
+                nxt[nu] = nxt.get(nu, 0) + c
+        cur = nxt
+    return cur
+
+
 def unpeeled_structure_constants(n: int, mu_b, lam_b) -> tuple:
     """xi_mu xi_lam = sum_a [h_a]s^(k)_mu(1) h_a xi_lam, mu the lower degree."""
     mu_b, lam_b = sorted((mu_b, lam_b), key=sum)
     lam = c_map(lam_b, n)
     prod: dict = {}
     for a, ca in schubert._kschur_h_row(n, mu_b).items():
-        for nu, c in schubert._h_times(a, lam).items():
+        for nu, c in h_times_by_group(a, lam).items():
             prod[nu] = prod.get(nu, 0) + ca * c
     return tuple(sorted(((c_inverse(nu), c) for nu, c in prod.items() if c), reverse=True))
 

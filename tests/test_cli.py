@@ -250,3 +250,19 @@ def test_shared_parser_keeps_no_state(capsys):
         assert (code, captured.out, captured.err) == (
             fresh.returncode, fresh.stdout, fresh.stderr
         ), argv
+
+
+def test_closed_stdout_exits_one_without_traceback():
+    # the reader is gone before the CLI writes: exit 1, nothing on stderr
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(kschur.__file__)))
+    argv = "pieri --n 7 --bounded 4,3,1 --m 4 --json".split()
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "kschur.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")

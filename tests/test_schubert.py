@@ -9,6 +9,7 @@ from kschur.cores import NCore, c_inverse, c_map, cores_of_degree, rect, union
 from kschur.schubert import (
     _peel,
     _structure_constants,
+    _weak_pieri_terms,
     affine_monk_check,
     box_shape,
     gw_invariant,
@@ -34,7 +35,11 @@ from kschur.symfun import (
     multiply,
 )
 
-from oracles import matrix_structure_constants, unpeeled_structure_constants
+from oracles import (
+    matrix_structure_constants,
+    unpeeled_structure_constants,
+    weak_pieri_terms_by_group,
+)
 
 
 def strong_pieri_oracle(m, lam):
@@ -61,6 +66,18 @@ def test_weak_pieri_examples():
             assert {c.parts for c in weak_pieri(m, NCore(n, ()))} == {(m,)}
     with pytest.raises(ValueError):
         weak_pieri(4, NCore(4, (1,)))
+
+
+def test_weak_pieri_terms_match_group_oracle():
+    # the window steps give the group route's tuple, combinations order included
+    pairs = 0
+    for n in range(2, 9):
+        for d in range(11):
+            for lam in cores_of_degree(n, d):
+                for m in range(n):
+                    assert _weak_pieri_terms(m, lam) == weak_pieri_terms_by_group(m, lam), (m, lam)
+                    pairs += 1
+    assert pairs == 3477
 
 
 def test_weak_pieri_returns_fresh_dict():
