@@ -87,6 +87,9 @@ CASES = [
     ("expand-k-n5-deg9-json", "expand --n 5 --basis k --bounded 4,3,2 --json"),
     ("pieri-n7-bounded-json", "pieri --n 7 --bounded 4,3,1 --m 4 --json"),
     ("verify-prop-main-n7-json", "verify prop-main --n 7 --max-deg 8 --json"),
+    ("strips-strong-n8-json", "strips --n 8 --core 4,3,1 --kind strong --to 6,3,2,1 --m 3 --json"),
+    ("strips-ribbon-n8-json", "strips --n 8 --bounded 5,3,2,1 --kind ribbon --r 5 --b 3 --json"),
+    ("abc-bounded-n8-json", "abc --n 8 --bounded 4,3,1 --json"),
 ]
 
 
