@@ -466,8 +466,9 @@ def build_parser() -> Parser:
     common(p)
     p.add_argument("--basis", choices=("dualk", "k", "ptilde", "h0t"), required=True)
     core_or_bounded(p)
-    p.add_argument("--t1", action="store_true", help="specialize t = 1")
-    p.add_argument("--at-t", type=int, default=None)
+    specialize = p.add_mutually_exclusive_group()
+    specialize.add_argument("--t1", action="store_true", help="specialize t = 1")
+    specialize.add_argument("--at-t", type=int, default=None)
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("pieri", help="the three Pieri rules with agreement diff")

@@ -27,7 +27,10 @@ the beads:
 
 Strong (Bruhat) covers on cores are containment plus degree difference
 one; tau_{i,i+s} w_core moves one window entry up by s and one down by s,
-so covers are read off the window, each split into its ribbon copies.
+so covers are read off the window.  The length change comes from the
+moved pair and the entries between them alone; up covers raise the
+higher entry, down covers the lower one, and every cover has s < n.  Its
+skew is s-cell ribbon copies n contents apart: runs of consecutive content.
 The weak cover s_i w_core is one degree up iff the entries a, b of residues
 i, i+1 have b < a; then a, b become a + 1, b - 1 in place: no length.
 """
@@ -284,56 +287,45 @@ def skew_cells(outer, inner):
     return out
 
 
-def ribbon_components(cells_list):
-    """Rookwise connected components, each sorted by content.
+def _cover_ribbons(outer, inner) -> tuple:
+    """The ribbon copies of a strong cover's skew: its runs of consecutive content.
 
-    Components come back sorted by the content of their head, so the
-    decomposition of a skew shape is deterministic.
+    Each copy has s < n cells and the next sits n contents on (`_covers`),
+    so a gap in the contents ends a copy.  Copies come back in content
+    order, each sorted by content.
     """
-    todo = set(cells_list)
-    comps = []
-    for seed in sorted(cells_list):
-        if seed not in todo:
-            continue
-        todo.remove(seed)
-        stack = [seed]
-        comp = {seed}
-        while stack:
-            i, j = stack.pop()
-            for nb in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
-                if nb in todo:
-                    todo.remove(nb)
-                    comp.add(nb)
-                    stack.append(nb)
-        comps.append(tuple(sorted(comp, key=lambda c: c[1] - c[0])))
-    return sorted(comps, key=lambda comp: comp[-1][1] - comp[-1][0])
+    cells = sorted(skew_cells(outer, inner), key=lambda c: c[1] - c[0])
+    runs = [[cells[0]]]
+    for (i, j), cell in zip(cells, cells[1:]):
+        if cell[1] - cell[0] > j - i + 1:
+            runs.append([])
+        runs[-1].append(cell)
+    return tuple(map(tuple, runs))
 
 
 def ribbon_head(comp):
-    """Southeasternmost cell: the one of maximal content."""
-    return max(comp, key=lambda c: c[1] - c[0])
+    """Southeasternmost cell of a content-sorted ribbon: the one of maximal content."""
+    return comp[-1]
 
 
 def ribbon_tail(comp):
-    return min(comp, key=lambda c: c[1] - c[0])
+    return comp[0]
 
 
 # -- strong covers ------------------------------------------------------
 
 
-def _entry_terms(v, n: int, p: int) -> int:
-    """The length terms |v[p] - x| // n of the pairs that meet position p."""
-    return sum(abs(v[p] - x) // n for x in v)
-
-
-def _tau_step(n: int, window, p: int, q: int, s: int, base):
+def _tau_step(n: int, window, p: int, q: int, s: int):
     """The window of tau_{i,i+s} w and its length change, or None if not Grassmannian.
 
     w is Grassmannian with residues i, i+s at positions p, q, so window[p]
     goes up by s and window[q] down by s.  Only the raised entry's upper
     neighbour and the lowered entry's lower one can fall out of order: an
-    O(1) test.  The length changes only in the O(n) pairs that meet p or q;
-    `base` holds `_entry_terms` of every position of the window.
+    O(1) test.  A sorted window has length sum_{a<b} (v_b - v_a) // n
+    (Shi; Bjorner-Brenti 8.3).  The moved entries swap residues,
+    up = v_q and down = v_p mod n, and up + down = v_p + v_q, so an entry
+    x below both or above both has the same two terms before and after:
+    only the (p, q) pair and the entries strictly between them change.
     """
     up, down = window[p] + s, window[q] - s
     above = down if q == p + 1 else window[p + 1] if p + 1 < n else up
@@ -342,36 +334,41 @@ def _tau_step(n: int, window, p: int, q: int, s: int, base):
         return None
     u = list(window)
     u[p], u[q] = up, down
-    before = base[p] + base[q] - abs(window[p] - window[q]) // n
-    after = _entry_terms(u, n, p) + _entry_terms(u, n, q) - abs(up - down) // n
-    return tuple(u), after - before
+    lo, hi = (p, q) if p < q else (q, p)
+    bot, top = window[lo], window[hi]
+    new_bot, new_top = u[lo], u[hi]
+    change = (new_top - new_bot) // n - (top - bot) // n
+    for x in window[lo + 1:hi]:
+        change += (new_top - x) // n + (x - new_bot) // n - (top - x) // n - (x - bot) // n
+    return tuple(u), change
 
 
 def _covers(core: NCore, step: int):
     """Strong covers one degree up (step 1) or down (step -1), in (i, s) order.
 
-    The scan stops at s < max(window spread, n): a raised entry stays below
-    its upper neighbour or a lowered one above its lower one, unless the top
-    entry goes up and the bottom one down, which adds >= 2s // n to the length.
-    Below the top entry it stops sooner, at the upper neighbour: a raised
-    entry that reaches it stays out of order for every larger s.
+    Every term of the `_tau_step` change has the sign of the pair term.
+    When q < p the higher entry goes up and the lower one down, so the pair
+    and each entry between them move apart: every term is >= 0.  When q > p
+    they move together: every term is <= 0.  So up covers have q < p and
+    down covers q > p.  The pair term alone is at least 2s // n in size, so
+    a change of +-1 needs s < n; and a raised entry that reaches its upper
+    neighbour stays out of order for every larger s.  So the scan of
+    residue i stops at min(upper-neighbour gap, n).
     """
     n, parts, window = core.n, core.parts, core.window
     slot = _slots(window, n)
-    base = [_entry_terms(window, n, p) for p in range(n)]
     out = []
     for i in range(n):
         p = slot[i]
-        stop = window[p + 1] - window[p] if p < n - 1 else max(window[-1] - window[0], n)
-        for s in range(1, stop):
-            if s % n == 0:
+        for s in range(1, min(window[p + 1] - window[p], n) if p < n - 1 else n):
+            q = slot[(i + s) % n]
+            if (q < p) != (step > 0):
                 continue
-            moved = _tau_step(n, window, p, slot[(i + s) % n], s, base)
+            moved = _tau_step(n, window, p, q, s)
             if moved is not None and moved[1] == step:
                 other = _core_of_window(n, moved[0])
                 outer, inner = (other.parts, parts) if step > 0 else (parts, other.parts)
-                ribbons = tuple(ribbon_components(skew_cells(outer, inner)))
-                out.append((other, ribbons, (i, i + s)))
+                out.append((other, _cover_ribbons(outer, inner), (i, i + s)))
     return tuple(out)
 
 

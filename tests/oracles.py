@@ -3,7 +3,8 @@
 These deliberately avoid the production code paths: reduced words by
 breadth-first search, the core test, degree and bounded-partition
 bijection by hook lengths instead of the abacus, Bruhat covers by brute
-force over subdiagrams and by the transposition action on w_core, act_s
+force over subdiagrams and by the transposition action on w_core, their
+ribbon copies as rookwise components by breadth-first search, act_s
 by scanning the rows for addable corners,
 the words, strip chains and offsets of an ABC through the quotients
 w_core(hi) w_core(lo)^{-1} and skew shapes, the deformed P-functions by exact symmetrization in finitely many
@@ -44,7 +45,6 @@ from kschur.cores import (
     core_of,
     is_partition,
     normalize,
-    ribbon_components,
     ribbon_head,
     skew_cells,
     strong_covers_up,
@@ -217,6 +217,31 @@ def corner_scan_act_s(core: NCore, residue: int) -> NCore:
 def _tau_bound(n: int, d: int) -> int:
     # ell(tau_{i,i+s}) = 2(s - floor(s/n)) - 1 <= 2d + 1
     return n * (d + 2) // (n - 1) + n
+
+
+def ribbon_components(cells_list):
+    """Rookwise connected components by breadth-first search, each sorted by content.
+
+    Components come back sorted by the content of their head, so the
+    decomposition of a skew shape is deterministic.
+    """
+    todo = set(cells_list)
+    comps = []
+    for seed in sorted(cells_list):
+        if seed not in todo:
+            continue
+        todo.remove(seed)
+        stack = [seed]
+        comp = {seed}
+        while stack:
+            i, j = stack.pop()
+            for nb in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
+                if nb in todo:
+                    todo.remove(nb)
+                    comp.add(nb)
+                    stack.append(nb)
+        comps.append(tuple(sorted(comp, key=lambda c: c[1] - c[0])))
+    return sorted(comps, key=lambda comp: comp[-1][1] - comp[-1][0])
 
 
 def transposition_covers(n: int, parts, step: int):

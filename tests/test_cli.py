@@ -192,6 +192,13 @@ def test_bad_partition_exit_code(capsys):
     assert usage_error(capsys, "expand", "--n", "4", "--basis", "h0t", "--bounded", "x") == 1
 
 
+def test_expand_t1_and_at_t_are_exclusive(capsys):
+    # both options specialize t, so giving both is a usage error, in either order
+    argv = ("expand", "--basis", "dualk", "--n", "3", "--bounded", "1,1,1")
+    assert usage_error(capsys, *argv, "--t1", "--at-t", "2") == 1
+    assert usage_error(capsys, *argv, "--at-t", "2", "--t1") == 1
+
+
 def test_verify_affine_monk_without_instances(capsys):
     assert usage_error(capsys, "verify", "affine-monk", "--n", "1") == 1
 

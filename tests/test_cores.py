@@ -7,7 +7,7 @@ from kschur.cores import (
     NCore,
     NonReducedWordError,
     NoActionError,
-    _entry_terms,
+    _cover_ribbons,
     _tau_step,
     _weak_cover,
     a_map,
@@ -22,6 +22,7 @@ from kschur.cores import (
     rect_translation,
     ribbon_head,
     ribbon_tail,
+    skew_cells,
     strong_covers_down,
     strong_covers_up,
     union,
@@ -36,6 +37,7 @@ from oracles import (
     hook_c_inverse,
     hook_degree,
     hook_is_ncore,
+    ribbon_components,
     row_scan_c_map,
     transposition_covers,
 )
@@ -192,19 +194,50 @@ def test_strong_covers_match_brute_force(n):
 
 
 def test_tau_step_is_the_transposition_action():
-    # None exactly when tau_{i,i+s} w_core is not Grassmannian
-    for n in range(2, 6):
+    # None exactly when tau_{i,i+s} w_core is not Grassmannian; the exact
+    # length change for every s, not only for covers
+    for n in range(2, 8):
         for d in range(8):
             for core in cores_of_degree(n, d):
                 w, slot = w_core(core), [v % n for v in core.window]
-                base = [_entry_terms(core.window, n, p) for p in range(n)]
                 for i in range(n):
                     for s in range(1, 3 * n):
                         if s % n:
                             u = transposition(i, i + s, n) * w
                             want = (u.window, u.length() - d) if u.is_grassmannian() else None
-                            got = _tau_step(n, core.window, slot.index(i), slot.index((i + s) % n), s, base)
+                            got = _tau_step(n, core.window, slot.index(i), slot.index((i + s) % n), s)
                             assert got == want, (core, i, s)
+
+
+def test_covers_raise_on_their_side_by_less_than_n():
+    # up covers raise the higher entry (q < p), down covers the lower one
+    # (q > p); every cover has 0 < s < n and s cells in each ribbon copy
+    seen = 0
+    for n in range(2, 11):
+        for d in range(13 if n <= 6 else 11):
+            for core in cores_of_degree(n, d):
+                slot = {v % n: p for p, v in enumerate(core.window)}
+                for step, covers in ((1, strong_covers_up(core)), (-1, strong_covers_down(core))):
+                    for _, ribbons, (i, j) in covers:
+                        s, p, q = j - i, slot[i], slot[j % n]
+                        assert 0 < s < n, (core, i, j)
+                        assert (q < p) == (step > 0), (core, i, j)
+                        assert {len(comp) for comp in ribbons} == {s}, (core, i, j)
+                        seen += 1
+    assert seen == 5940
+
+
+def test_cover_ribbons_are_the_connected_components():
+    # content runs against the breadth-first search, on every up and down
+    # cover; at n = 8, 9 past the degrees of the transposition oracle tests
+    for n in range(2, 10):
+        for d in range(13 if n <= 7 else 11):
+            for core in cores_of_degree(n, d):
+                for step, covers in ((1, strong_covers_up(core)), (-1, strong_covers_down(core))):
+                    for other, _, _ in covers:
+                        outer, inner = (other, core) if step > 0 else (core, other)
+                        cells = skew_cells(outer.parts, inner.parts)
+                        assert _cover_ribbons(outer.parts, inner.parts) == tuple(ribbon_components(cells))
 
 
 def test_strong_covers_match_transposition_oracle():

@@ -11,7 +11,6 @@ from kschur.cores import (
     core_of,
     cores_of_degree,
     rect_translation,
-    ribbon_components,
     skew_cells,
     w_core,
 )
@@ -27,7 +26,7 @@ from kschur.strips import (
     strong_strips,
 )
 
-from oracles import is_horizontal_strong_strip, saturated_chains
+from oracles import is_horizontal_strong_strip, ribbon_components, saturated_chains
 
 
 def test_chains_from_3_to_411():
