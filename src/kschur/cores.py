@@ -30,7 +30,8 @@ one; tau_{i,i+s} w_core moves one window entry up by s and one down by s,
 so covers are read off the window.  The length change comes from the
 moved pair and the entries between them alone; up covers raise the
 higher entry, down covers the lower one, and every cover has s < n.  Its
-skew is s-cell ribbon copies n contents apart: runs of consecutive content.
+skew is made of s-cell ribbon copies n contents apart, so each copy is a
+run of consecutive content.
 The weak cover s_i w_core is one degree up iff the entries a, b of residues
 i, i+1 have b < a; then a, b become a + 1, b - 1 in place: no length.
 """
