@@ -90,6 +90,8 @@ CASES = [
     ("strips-strong-n8-json", "strips --n 8 --core 4,3,1 --kind strong --to 6,3,2,1 --m 3 --json"),
     ("strips-ribbon-n8-json", "strips --n 8 --bounded 5,3,2,1 --kind ribbon --r 5 --b 3 --json"),
     ("abc-bounded-n8-json", "abc --n 8 --bounded 4,3,1 --json"),
+    ("verify-affine-monk-n6-json", "verify affine-monk --n 6 --max-size 10 --json"),
+    ("verify-rect-pieri-n6-json", "verify rect-pieri --n 6 --max-size 8 --json"),
 ]
 
 
