@@ -22,6 +22,9 @@ the beads:
   * core_of winds a Grassmannian window back into beads and parts;
   * c_inverse / c_map: partitions with parts < n <-> n-cores, row i
     of the bounded partition counting the gaps in (b_i - n, b_i);
+    c_map walks the cells' residues as weak covers (Lapointe-Morse 2005)
+    and rect_translation translates the window (Lapointe-Morse 2008),
+    both checked through n = 10;
   * a_map: reduced words -> n-cores; core_to_word is a reduced word of
     w_core.
 
@@ -238,11 +241,10 @@ def c_inverse(core: NCore) -> tuple:
 def c_map(bounded, n: int) -> NCore:
     """The unique n-core whose row i has bounded_i hooks shorter than n.
 
-    Beads go in top row first, each at the lowest position b above the
-    previous bead with exactly bounded_i gaps among the n - 1 positions
-    under b.  Going up one step adds a gap to that count unless b - n
-    is a gap, and parts never shrink going down, so the lowest such b
-    has a bead at b - n, as an n-core needs.
+    w_core is s_{i_L} ... s_{i_1} for the residues (j - i) mod n of the
+    cells (i, j) of bounded, read row 1 first, left to right: a reduced
+    word, walked from the identity one weak cover a letter
+    (Lapointe-Morse, JCTA 2005).  Checked through n = 10.
     """
     bounded = normalize(bounded)
     if any(p >= n for p in bounded):
@@ -252,15 +254,9 @@ def c_map(bounded, n: int) -> NCore:
 
 @lru_cache(maxsize=None)
 def _core_of_bounded(bounded, n: int) -> NCore:
-    floor = b = -len(bounded)
-    beads: set = set()
-    for p in reversed(bounded):
-        b = next(
-            c for c in range(b + 1, b + n + 1)
-            if sum(g not in beads for g in range(max(c - n, floor) + 1, c)) == p
-        )
-        beads.add(b)
-    return _core_of_window(n, _window(n, beads))
+    start = tuple(range(1, n + 1))
+    word = ((j - i) % n for i, p in enumerate(bounded, start=1) for j in range(1, p + 1))
+    return _core_of_window(n, _weak_steps(n, start, _slots(start, n), word))
 
 
 def rect(r: int, n: int) -> tuple:
@@ -271,9 +267,16 @@ def rect(r: int, n: int) -> tuple:
 
 
 def rect_translation(core: NCore, r: int) -> NCore:
-    """R(r, core) = c_map(c_inverse(core) union R_r)."""
-    n = core.n
-    return c_map(union(c_inverse(core), rect(r, n)), n)
+    """R(r, core) = c_map(c_inverse(core) union R_r), a translation of the window.
+
+    Adding R_r translates w_core (Lapointe-Morse, Adv. Math. 2008): the
+    first r window entries go down by n - r, the other n - r up by r.  The
+    shift grows with the position, so the window stays sorted, and moves
+    every residue by r, so residues stay distinct.  Checked through n = 10.
+    """
+    n, w = core.n, core.window
+    rect(r, n)
+    return _core_of_window(n, tuple(v - n + r for v in w[:r]) + tuple(v + r for v in w[r:]))
 
 
 # -- skew shapes and ribbons -------------------------------------------

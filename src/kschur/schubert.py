@@ -206,12 +206,13 @@ def inv_vector(u):
 
 def sh_map(w) -> tuple:
     """The partition of the Schubert index: columns C(n-i,2)+inv_i(w0 w)."""
-    check_permutation(w)
     return _sh(tuple(w))
 
 
 @lru_cache(maxsize=None)
 def _sh(w: tuple) -> tuple:
+    """sh_map, checking each permutation once: a raise is not cached."""
+    check_permutation(w)
     n = len(w)
     u = perm_mult(w0(n), w)
     inv = inv_vector(u)
@@ -280,8 +281,7 @@ def gw_invariant(u, v, w, d) -> int:
     n = len(u)
     if len(v) != n or len(w) != n:
         raise ValueError("permutations must share n")
-    for perm in (u, v, w):
-        check_permutation(perm)
+    sh_u, sh_v, _ = _sh(tuple(u)), _sh(tuple(v)), _sh(tuple(w))
     d = tuple(d)
     if len(d) != n - 1 or any(x < 0 for x in d):
         raise ValueError("d must have n-1 nonnegative entries")
@@ -289,11 +289,9 @@ def gw_invariant(u, v, w, d) -> int:
     if eta is None:
         eta_invalid_count += 1
         return 0
-    sh_u, sh_v = _sh(tuple(u)), _sh(tuple(v))
     if sum(eta) != sum(sh_u) + sum(sh_v):
         return 0
-    constants = _structure_constants(n, sh_u, sh_v)
-    return dict(constants).get(eta, 0)
+    return next((c for nu, c in _structure_constants(n, sh_u, sh_v) if nu == eta), 0)
 
 
 # -- conjecture checkers -----------------------------------------------------

@@ -27,7 +27,6 @@ from .affine import cyclic_anchor_key, is_word_cyclically_decreasing
 from .cores import (
     NCore,
     c_inverse,
-    c_map,
     contains,
     rect,
     rect_translation,
@@ -197,14 +196,14 @@ def col_r(lam: NCore, r: int):
 
     With eta = c_inverse(lam) union R_r and m the highest row of eta of
     length r, these are the columns of the last r cells in row m of
-    c_map(eta).
+    c_map(eta) = R(r, lam).
     """
     n = lam.n
     if not 1 <= r < n:
         raise ValueError(f"need 1 <= r < n, got r={r}")
     eta = union(c_inverse(lam), rect(r, n))
     m = max(i for i, p in enumerate(eta, start=1) if p == r)
-    row_len = c_map(eta, n).parts[m - 1]
+    row_len = rect_translation(lam, r).parts[m - 1]
     return tuple(range(row_len - r + 1, row_len + 1))
 
 

@@ -5,7 +5,8 @@ breadth-first search, the core test, degree and bounded-partition
 bijection by hook lengths instead of the abacus, Bruhat covers by brute
 force over subdiagrams and by the transposition action on w_core, their
 ribbon copies as rookwise components by breadth-first search, act_s
-by scanning the rows for addable corners,
+by scanning the rows for addable corners, R(r, core) by composing
+c_inverse, the union with R_r and c_map,
 the words, strip chains and offsets of an ABC through the quotients
 w_core(hi) w_core(lo)^{-1} and skew shapes, the deformed P-functions by exact symmetrization in finitely many
 variables, monomial products by expanding in as many variables as
@@ -45,6 +46,7 @@ from kschur.cores import (
     core_of,
     is_partition,
     normalize,
+    rect,
     ribbon_head,
     skew_cells,
     strong_covers_up,
@@ -177,6 +179,12 @@ def row_scan_c_map(bounded, n: int) -> tuple:
         else:
             raise AssertionError("c_map row scan exhausted; bound too small")
     return tuple(reversed(rows_above))
+
+
+def composed_rect_translation(core: NCore, r: int) -> NCore:
+    """R(r, core) by its definition: c_map of c_inverse(core) union R_r."""
+    n = core.n
+    return c_map(union(c_inverse(core), rect(r, n)), n)
 
 
 def brute_covers_down(core: NCore):

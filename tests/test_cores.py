@@ -33,6 +33,7 @@ from kschur.symfun import bounded_partitions_of, partitions_of
 
 from oracles import (
     brute_covers_down,
+    composed_rect_translation,
     corner_scan_act_s,
     hook_c_inverse,
     hook_degree,
@@ -62,6 +63,7 @@ def test_abacus_matches_hook_oracles():
                 w = w_core(core)
                 assert core_of(w) == a_map(reduced_word(w), n)
                 assert w == from_word(core_to_word(core), n)
+    for n in range(2, 10):
         for d in range(11):
             for bounded in bounded_partitions_of(d, n):
                 assert c_map(bounded, n).parts == row_scan_c_map(bounded, n), (bounded, n)
@@ -289,6 +291,15 @@ def test_rect_translation_examples():
     assert rect_translation(NCore(4, (3, 1, 1)), 3).parts == (6, 3, 1, 1)
     for n in (3, 4, 5):
         assert rect_translation(NCore(n, ()), n - 1).parts == (n - 1,)
+
+
+def test_rect_translation_matches_composition():
+    for n in range(2, 10):
+        for d in range(13 if n <= 7 else 11):
+            for core in cores_of_degree(n, d):
+                for r in range(1, n):
+                    want = composed_rect_translation(core, r)
+                    assert rect_translation(core, r) == want, (core, r)
 
 
 def test_rect_translation_top_row_form():

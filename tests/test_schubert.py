@@ -304,6 +304,21 @@ def test_gw_invariant_validation():
         gw_invariant((1, 2, 3), (1, 2, 3), (1, 2, 3), (0, -1))
 
 
+def test_gw_invariant_rejects_a_non_permutation_in_every_slot():
+    good, d = (1, 3, 2), (0, 0)
+    for bad in ((1, 1, 3), (0, 1, 2)):
+        for slot in range(3):
+            args = [good, good, good]
+            gw_invariant(*args, d)
+            args[slot] = bad
+            with pytest.raises(ValueError):
+                gw_invariant(*args, d)
+            with pytest.raises(ValueError):
+                gw_invariant(*args, d)
+        with pytest.raises(ValueError):
+            sh_map(bad)
+
+
 def test_affine_monk_n5_3211():
     rep = affine_monk_check(3, (3, 2, 1, 1), 5)
     assert rep["match"]
