@@ -300,118 +300,91 @@ def _cores_up_to(n: int, max_deg: int):
     return [lam for d in range(max_deg + 1) for lam in cores_of_degree(n, d)]
 
 
-def _report(conjecture, instance, instances, failures, **extra):
-    """The sweep report; a sweep that checked nothing is a usage error."""
-    if not instances:
-        raise ValueError(f"the {conjecture} sweep has no instances at {instance}")
-    return {
-        "conjecture": conjecture,
-        "instance": instance,
-        "match": not failures,
-        "instances": instances,
-        "lhs": [],
-        "rhs": [],
-        "failures": failures,
-        **extra,
-    }
-
-
-def _verify_prop_main(args):
-    instances = _cores_up_to(args.n, args.max_deg)
-
-    def check(lam):
-        n = lam.n
-        for m in range(0, n):
-            strips = horizontal_strong_strips_from(lam, m)
-            hss = {s.nu.parts for s in strips}
-            weak = {nu.parts for nu in _weak_pieri_terms(n - 1 - m, lam)}
-            if hss != weak:
-                return ("mismatch", lam.parts, m, sorted(hss), sorted(weak))
-            for s in strips:
-                if phi(psi(s), lam) != s:
-                    return ("roundtrip", lam.parts, m, list(psi(s)))
-        return None
-
-    failures = [r for r in map(check, instances) if r is not None]
-    return _report(
-        "prop-main", {"n": args.n, "max_deg": args.max_deg}, len(instances), failures
-    )
-
-
-def _verify_theta(args):
-    instances = _cores_up_to(args.n, args.max_deg)
-
-    def compositions(total, n):
-        if total == 0:
-            yield ()
-            return
-        for first in range(1, min(total, n - 1) + 1):
-            for rest in compositions(total - first, n):
-                yield (first,) + rest
-
-    def check(lam):
-        w = w_core(lam)
-        bad = []
-        for alpha in compositions(lam.degree(), lam.n):
-            na = len(enumerate_abc(lam, alpha))
-            nf = count_affine_factorizations(w, alpha)
-            if na != nf:
-                bad.append((lam.parts, list(alpha), na, nf))
-        return bad or None
-
-    failures = [r for r in map(check, instances) if r is not None]
-    return _report(
-        "theta-bijection", {"n": args.n, "max_deg": args.max_deg}, len(instances), failures
-    )
-
-
 def _bounded_up_to(n: int, max_size: int):
     return [lam for size in range(max_size + 1) for lam in bounded_partitions_of(size, n)]
 
 
-def _verify_affine_monk(args):
-    n = args.n
-    reports = [
-        affine_monk_check(r, lam, n)
-        for lam in _bounded_up_to(n, args.max_size)
-        for r in range(1, n)
-    ]
-    failures = [r for r in reports if not r["match"]]
-    return _report(
-        "affine-monk", {"n": n, "max_size": args.max_size}, len(reports), failures
-    )
+def _compositions(total: int, n: int):
+    """The compositions of total with parts below n."""
+    if total == 0:
+        yield ()
+        return
+    for first in range(1, min(total, n - 1) + 1):
+        for rest in _compositions(total - first, n):
+            yield (first,) + rest
 
 
-def _verify_rect_pieri(args):
-    n = args.n
-    reports = [
-        rect_pieri_check(r, b, lam, n)
-        for lam in _bounded_up_to(n, args.max_size)
-        for r in range(2, n)
-        for b in range(1, r)
-    ]
-    failures = [r for r in reports if not r["match"]]
-    return _report(
-        "rect-pieri", {"n": n, "max_size": args.max_size}, len(reports), failures,
-        reading_disagreements=sum(1 for r in reports if not r["readings_agree"]),
-    )
+def _prop_main_check(lam):
+    """Prop. main at lam: hss = weak Pieri terms and phi inverts psi, for every m."""
+    n = lam.n
+    for m in range(0, n):
+        strips = horizontal_strong_strips_from(lam, m)
+        hss = {s.nu.parts for s in strips}
+        weak = {nu.parts for nu in _weak_pieri_terms(n - 1 - m, lam)}
+        if hss != weak:
+            return False, ("mismatch", lam.parts, m, sorted(hss), sorted(weak))
+        for s in strips:
+            if phi(psi(s), lam) != s:
+                return False, ("roundtrip", lam.parts, m, list(psi(s)))
+    return True, None
+
+
+def _theta_check(lam):
+    """Theta at lam: as many ABCs of each weight as factorizations of w_core."""
+    w = w_core(lam)
+    bad = []
+    for alpha in _compositions(lam.degree(), lam.n):
+        na = len(enumerate_abc(lam, alpha))
+        nf = count_affine_factorizations(w, alpha)
+        if na != nf:
+            bad.append((lam.parts, list(alpha), na, nf))
+    return not bad, bad
+
+
+def _verdict(report):
+    return report["match"], report
+
+
+def _monk_cases(n: int, max_size: int):
+    return [(r, lam, n) for lam in _bounded_up_to(n, max_size) for r in range(1, n)]
+
+
+def _rect_pieri_cases(n: int, max_size: int):
+    lams = _bounded_up_to(n, max_size)
+    return [(r, b, lam, n) for lam in lams for r in range(2, n) for b in range(1, r)]
+
+
+#: sweep -> (the bound it reads, instances(n, bound), check(instance) -> (match, failure),
+#: None or the extra report fields read off all the results); lambdas find checkers per call
+SWEEPS = {
+    "affine-monk": ("max_size", _monk_cases, lambda i: _verdict(affine_monk_check(*i)), None),
+    "rect-pieri": (
+        "max_size", _rect_pieri_cases, lambda i: _verdict(rect_pieri_check(*i)),
+        lambda results: {"reading_disagreements": sum(not r["readings_agree"] for _, r in results)},
+    ),
+    "prop-main": ("max_deg", _cores_up_to, _prop_main_check, None),
+    "theta-bijection": ("max_deg", _cores_up_to, _theta_check, None),
+}
 
 
 def cmd_verify(args) -> int:
-    runner, bound, unused = {
-        "prop-main": (_verify_prop_main, "max_deg", "max_size"),
-        "theta-bijection": (_verify_theta, "max_deg", "max_size"),
-        "affine-monk": (_verify_affine_monk, "max_size", "max_deg"),
-        "rect-pieri": (_verify_rect_pieri, "max_size", "max_deg"),
-    }[args.sweep]
-    if getattr(args, unused) is not None:
-        flag = "--" + unused.replace("_", "-")
-        raise ValueError(f"the {args.sweep} sweep does not read {flag}")
-    if getattr(args, bound) is None:
-        setattr(args, bound, 6)
-    report = runner(args)
+    """Run one sweep; a sweep that checks nothing is a usage error."""
+    bound, instances, check, extra = SWEEPS[args.sweep]
+    for opt in ("max_deg", "max_size"):
+        if opt != bound and getattr(args, opt) is not None:
+            raise ValueError(f"the {args.sweep} sweep does not read --{opt.replace('_', '-')}")
+    limit = 6 if getattr(args, bound) is None else getattr(args, bound)
+    instance = {"n": args.n, bound: limit}
+    cases = instances(args.n, limit)
+    if not cases:
+        raise ValueError(f"the {args.sweep} sweep has no instances at {instance}")
+    results = [check(case) for case in cases]
+    failures = [failure for match, failure in results if not match]
+    report = {"conjecture": args.sweep, "instance": instance, "match": not failures,
+              "instances": len(cases), "lhs": [], "rhs": [], "failures": failures,
+              **(extra(results) if extra else {})}
     print(json.dumps(report, sort_keys=True))
-    return 0 if report["match"] else 2
+    return 0 if not failures else 2
 
 
 # -- parser ------------------------------------------------------------------
@@ -478,7 +451,7 @@ def build_parser() -> Parser:
     p.set_defaults(func=cmd_pieri)
 
     p = sub.add_parser("verify", help="conjecture verification sweeps")
-    p.add_argument("sweep", choices=("affine-monk", "rect-pieri", "prop-main", "theta-bijection"))
+    p.add_argument("sweep", choices=tuple(SWEEPS))
     p.add_argument("--n", type=modulus, default=4)
     p.add_argument("--max-deg", type=count, default=None, help="prop-main, theta-bijection; default 6")
     p.add_argument("--max-size", type=count, default=None, help="affine-monk, rect-pieri; default 6")

@@ -43,10 +43,11 @@ from .cores import (
     union,
 )
 from .strips import (
+    _marked_tails,
+    _marked_top,
+    _ribbon_chains,
     horizontal_strong_strips_from,
     marked_strong_covers,
-    marked_tail_strips,
-    ribbon_strong_strips,
 )
 from .symfun import _kschur_row, bounded_partitions_of
 
@@ -106,7 +107,7 @@ def strong_pieri_cohomology(m: int, lam: NCore) -> dict:
 
 
 def _kschur_h_row(n: int, bounded) -> dict:
-    # row `bounded` of kschur_to_h(n, d), one column of Kn(1)^{-1}
+    # the k-Schur function of `bounded` at t=1 in h: one column of Kn(1)^{-1}
     Pn = bounded_partitions_of(sum(bounded), n)
     return {mu: c(1) for mu, c in zip(Pn, _kschur_row(n, bounded, False)) if not c.is_zero()}
 
@@ -397,9 +398,9 @@ def rect_pieri_check(r: int, b: int, lam, n: int) -> dict:
     mu = normalize((r,) * (n - 1 - r) + (r - b,))
     core = c_map(lam, n)
     lhs = _structure_constants(n, mu, lam)
-    strips = ribbon_strong_strips(core, r, b)
-    rhs = sorted((c_inverse(s.nu) for s in strips), reverse=True)
-    tail_reading = sorted((c_inverse(c) for c in marked_tail_strips(core, r, b)), reverse=True)
+    top, columns = _marked_top(core, r)  # R(r, core) and col_r, built once for both readings
+    rhs = sorted(map(c_inverse, _ribbon_chains(top, columns, b)), reverse=True)
+    tail_reading = sorted(map(c_inverse, _marked_tails(top, columns, b)), reverse=True)
     match = [p for p, c in lhs if c == 1] == rhs and all(c == 1 for _, c in lhs)
     return {
         "conjecture": "rect-pieri",

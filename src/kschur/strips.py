@@ -191,6 +191,18 @@ def phi(word, lam: NCore) -> HorizontalStrongStrip:
 # -- ribbon strong strips ------------------------------------------------
 
 
+def _marked_top(lam: NCore, r: int):
+    """R(r, lam) and col_r(lam, r), the top of every ribbon walk and its marked columns."""
+    n = lam.n
+    if not 1 <= r < n:
+        raise ValueError(f"need 1 <= r < n, got r={r}")
+    top = rect_translation(lam, r)
+    eta = union(c_inverse(lam), rect(r, n))
+    m = max(i for i, p in enumerate(eta, start=1) if p == r)
+    row_len = top.parts[m - 1]
+    return top, tuple(range(row_len - r + 1, row_len + 1))
+
+
 def col_r(lam: NCore, r: int):
     """The r marked columns used by ribbon strong strips.
 
@@ -198,13 +210,7 @@ def col_r(lam: NCore, r: int):
     length r, these are the columns of the last r cells in row m of
     c_map(eta) = R(r, lam).
     """
-    n = lam.n
-    if not 1 <= r < n:
-        raise ValueError(f"need 1 <= r < n, got r={r}")
-    eta = union(c_inverse(lam), rect(r, n))
-    m = max(i for i, p in enumerate(eta, start=1) if p == r)
-    row_len = rect_translation(lam, r).parts[m - 1]
-    return tuple(range(row_len - r + 1, row_len + 1))
+    return _marked_top(lam, r)[1]
 
 
 def _step_heads_ok(ribbons, base_parts) -> bool:
@@ -225,13 +231,12 @@ def ribbon_strong_strip_chains(lam: NCore, r: int, b: int):
     cell of nu, the smallest shape of the chain.  Returns a dict
     mapping nu to its list of ascending chains.
     """
-    n = lam.n
-    if not 1 <= r < n:
-        raise ValueError(f"need 1 <= r < n, got r={r}")
+    return _ribbon_chains(*_marked_top(lam, r), b)
+
+
+def _ribbon_chains(top: NCore, columns, b: int) -> dict:
     if b < 0:
         raise ValueError("strip length must be nonnegative")
-    top = rect_translation(lam, r)
-    columns = col_r(lam, r)
     found = {}
 
     def walk(cur, chain, steps):
@@ -263,8 +268,10 @@ def marked_tail_strips(lam: NCore, r: int, b: int):
     carrying a strictly increasing content vector, every step with a
     ribbon tail in the marked columns (no head condition).
     """
-    top = rect_translation(lam, r)
-    columns = col_r(lam, r)
+    return sorted(_marked_tails(*_marked_top(lam, r), b), key=lambda c: c.parts, reverse=True)
+
+
+def _marked_tails(top: NCore, columns, b: int) -> set:
     out = set()
 
     def walk(cur, floor_content, steps):
@@ -280,4 +287,4 @@ def marked_tail_strips(lam: NCore, r: int, b: int):
                     walk(mu, c, steps + 1)
 
     walk(top, None, 0)
-    return sorted(out, key=lambda c: c.parts, reverse=True)
+    return out

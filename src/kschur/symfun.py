@@ -196,40 +196,35 @@ def weak_kostka_foulkes(lam, mu, n: int) -> TPoly:
     return _weak_kf_fiber(n, mu).get(c_map(lam, n), ZERO)
 
 
-@lru_cache(maxsize=None)
-def kn_matrix(n: int, d: int):
-    """Kn(t) over bounded partitions of d; checked dominance-triangular."""
+def _bounded_block(n: int, d: int, fiber, name: str):
+    """Row lam, column mu: fiber(mu) at c(lam), over the bounded partitions of d.
+
+    Checked dominance-triangular: an entry is zero unless mu <= lam.
+    """
     P = bounded_partitions_of(d, n)
-    cols = [_weak_kf_fiber(n, mu) for mu in P]
+    cols = [fiber(mu) for mu in P]
     M = []
     for lam in P:
         core = c_map(lam, n)
-        row = [col.get(core, ZERO) for col in cols]
-        for mu, entry in zip(P, row):
+        M.append([col.get(core, ZERO) for col in cols])
+        for mu, entry in zip(P, M[-1]):
             if not entry.is_zero() and not dominance_leq(mu, lam):
-                raise AssertionError(
-                    f"K^{n}_{lam},{mu}(t) nonzero off the dominance ideal"
-                )
-        M.append(row)
+                raise AssertionError(f"{name} nonzero off the dominance ideal at {lam},{mu}")
     return M
+
+
+@lru_cache(maxsize=None)
+def kn_matrix(n: int, d: int):
+    """Kn(t) over bounded partitions of d, by the weak-KF DP."""
+    return _bounded_block(n, d, lambda mu: _weak_kf_fiber(n, mu), f"K^{n}(t)")
 
 
 @lru_cache(maxsize=None)
 def kn1_matrix(n: int, d: int):
     """Kn(1), the ABC counts, by the fast chain DP."""
-    P = bounded_partitions_of(d, n)
-    M = []
-    for lam in P:
-        shape = c_map(lam, n)
-        row = [TPoly.const(abc_counts(n, mu).get(shape, 0)) for mu in P]
-        M.append(row)
-    for i, lam in enumerate(P):
-        for j, mu in enumerate(P):
-            if not M[i][j].is_zero() and not dominance_leq(mu, lam):
-                raise AssertionError(
-                    f"|ABC| nonzero off the dominance ideal at {lam},{mu}"
-                )
-    return M
+    return _bounded_block(
+        n, d, lambda mu: {c: TPoly.const(v) for c, v in abc_counts(n, mu).items()}, "|ABC|"
+    )
 
 
 @lru_cache(maxsize=None)
@@ -258,27 +253,6 @@ def _kschur_row(n: int, nu, t_on: bool):
     d = sum(nu)
     M = kn_matrix(n, d) if t_on else kn1_matrix(n, d)
     return _unitriangular_column(M, _index(bounded_partitions_of(d, n))[nu])
-
-
-@lru_cache(maxsize=None)
-def kschur_to_h0t(n: int, d: int):
-    """k-Schur rows in the H(x;0,t) basis: transpose inverse of Kn(t)."""
-    return [_kschur_row(n, nu, True) for nu in bounded_partitions_of(d, n)]
-
-
-@lru_cache(maxsize=None)
-def kschur_to_h(n: int, d: int):
-    """k-Schur rows at t=1 in the homogeneous basis (bounded indices)."""
-    return [_kschur_row(n, nu, False) for nu in bounded_partitions_of(d, n)]
-
-
-@lru_cache(maxsize=None)
-def kschur_to_m(n: int, d: int, t_on: bool = True):
-    """k-Schur rows in m, through H(x;0,t) with t on and through h at t=1."""
-    idx = _index(partitions_of(d))
-    to_m = h0t_to_m(d) if t_on else h_to_m(d)
-    rows = [to_m[idx[mu]] for mu in bounded_partitions_of(d, n)]
-    return _matmul((kschur_to_h0t if t_on else kschur_to_h)(n, d), rows)
 
 
 # -- symmetric function values -------------------------------------------
@@ -329,16 +303,13 @@ class SymF:
         return f
 
     def __add__(self, other: "SymF") -> "SymF":
-        if self.basis != other.basis or self.degree != other.degree:
-            a, b = self.in_m(), other.in_m()
-            terms = dict(a.terms)
-            for p, c in b.terms.items():
-                terms[p] = terms.get(p, ZERO) + c
-            return SymF("m", self.degree, terms)
-        terms = dict(self.terms)
-        for p, c in other.terms.items():
+        a, b = self, other
+        if a.basis != b.basis or a.degree != b.degree:
+            a, b = a.in_m(), b.in_m()
+        terms = dict(a.terms)
+        for p, c in b.terms.items():
             terms[p] = terms.get(p, ZERO) + c
-        return SymF(self.basis, self.degree, terms, self.n)
+        return SymF(a.basis, self.degree, terms, a.n)
 
     def scale(self, c) -> "SymF":
         if isinstance(c, int):
@@ -348,29 +319,15 @@ class SymF:
     def in_m(self) -> "SymF":
         if self.basis == "m":
             return self
-        d = self.degree
-        if self.basis in ("s", "h", "ptilde", "H0t"):
-            P = partitions_of(d)
-            idx = _index(P)
-            M = {
-                "s": s_to_m,
-                "h": h_to_m,
-                "ptilde": ptilde_to_m,
-                "H0t": h0t_to_m,
-            }[self.basis](d)
-            return SymF("m", d, _expand(self.terms, M, idx, P))
-        if self.basis in ("dualk", "k", "kt1", "dualkt1"):
-            n = self.n
-            Pn = bounded_partitions_of(d, n)
-            t_on = self.basis in ("dualk", "k")
-            if self.basis.startswith("dualk"):
-                M = dualk_to_m(n, d, t_on)
-                cols = Pn
-            else:
-                M = kschur_to_m(n, d, t_on)
-                cols = partitions_of(d)
-            return SymF("m", d, _expand(self.terms, M, _index(Pn), cols))
-        raise ValueError(f"unknown basis {self.basis}")
+        d, n = self.degree, self.n
+        whole = {"s": s_to_m, "h": h_to_m, "ptilde": ptilde_to_m, "H0t": h0t_to_m}
+        if self.basis in whole:
+            P, M = partitions_of(d), whole[self.basis](d)
+        elif self.basis in ("dualk", "dualkt1"):
+            P, M = bounded_partitions_of(d, n), dualk_to_m(n, d, self.basis == "dualk")
+        else:
+            raise ValueError(f"unknown basis {self.basis}")
+        return SymF("m", d, _expand(self.terms, M, _index(P), P))
 
     def in_h(self) -> "SymF":
         d = self.degree

@@ -167,6 +167,8 @@ def test_usage_error_exit_code(capsys):
     assert usage_error(capsys, "strips", "--n", "4", "--core", "2", "--bounded", "1") == 1
     assert usage_error(capsys, "verify", "affine-monk", "--n", "4", "--max-deg", "2") == 1
     assert usage_error(capsys, "verify", "prop-main", "--n", "4", "--max-size", "1") == 1
+    assert usage_error(capsys, "verify", "theta-bijection", "--max-size", "1") == 1
+    assert usage_error(capsys, "verify", "rect-pieri", "--max-deg", "1") == 1
     # strips options that the chosen --kind does not read
     assert usage_error(capsys, "strips", "--n", "4", "--core", "3,1,1", "--r", "2") == 1
     assert usage_error(capsys, "strips", "--n", "4", "--core", "3,1,1", "--b", "1") == 1
@@ -234,6 +236,19 @@ def test_verify_mismatch_exits_two(capsys, monkeypatch):
     report = json.loads(out)
     assert report["match"] is False
     assert report["failures"]  # witnesses carried through
+
+    def failing_rect_check(r, b, lam, n):
+        return {"conjecture": "rect-pieri", "r": r, "b": b, "lambda": list(lam), "match": False,
+                "readings_agree": r == 2}
+
+    monkeypatch.setattr(cli, "rect_pieri_check", failing_rect_check)
+    code, out = run(capsys, "verify", "rect-pieri", "--n", "4", "--max-size", "1")
+    assert code == 2
+    report = json.loads(out)
+    assert report["match"] is False
+    assert report["instances"] == len(report["failures"]) == 2 * 3  # lambda () and (1)
+    assert report["failures"][0]["conjecture"] == "rect-pieri"
+    assert report["reading_disagreements"] == 2 * 2  # every r=3 instance
 
 
 def test_shared_parser_keeps_no_state(capsys):

@@ -17,8 +17,6 @@ from kschur.symfun import (
     kf_matrix,
     kn_matrix,
     kschur,
-    kschur_to_h,
-    kschur_to_h0t,
     m_sym,
     multiply,
     partitions_of,
@@ -159,13 +157,19 @@ def test_kschur_rows_match_whole_inverse():
     for n in range(3, 7):
         for d in range(0, 9):
             Pn = bounded_partitions_of(d, n)
-            for t_on, basis, rows in ((True, "H0t", kschur_to_h0t), (False, "h", kschur_to_h)):
+            for t_on, basis in ((True, "H0t"), (False, "h")):
                 want = kschur_rows_by_inverse(n, d, t_on)
-                assert rows(n, d) == want
                 for nu, row in zip(Pn, want):
                     f = kschur(c_map(nu, n), t_on)
                     assert f.basis == basis
                     assert f.terms == {mu: c for mu, c in zip(Pn, row) if not c.is_zero()}
+
+
+def test_k_basis_labels_are_unknown():
+    # k-Schur functions live in H(x;0,t) or h (see kschur); no SymF carries a k label
+    for basis in ("k", "kt1"):
+        with pytest.raises(ValueError, match="unknown basis"):
+            SymF(basis, 2, {(2,): ONE}, n=3).in_m()
 
 
 def test_kf_matrix_times_its_inverse_is_identity():
