@@ -34,7 +34,8 @@ so covers are read off the window.  The length change comes from the
 moved pair and the entries between them alone; up covers raise the
 higher entry, down covers the lower one, and every cover has s < n.  Its
 skew is made of s-cell ribbon copies n contents apart, so each copy is a
-run of consecutive content.
+run of consecutive content, and its rows, read from the last one down,
+list its cells in content order.
 The weak cover s_i w_core is one degree up iff the entries a, b of residues
 i, i+1 have b < a; then a, b become a + 1, b - 1 in place: no length.
 """
@@ -279,31 +280,31 @@ def rect_translation(core: NCore, r: int) -> NCore:
     return _core_of_window(n, tuple(v - n + r for v in w[:r]) + tuple(v + r for v in w[r:]))
 
 
-# -- skew shapes and ribbons -------------------------------------------
-
-
-def skew_cells(outer, inner):
-    outer, inner = tuple(outer), tuple(inner)
-    out = []
-    for i, p in enumerate(outer, start=1):
-        q = inner[i - 1] if i <= len(inner) else 0
-        out.extend((i, j) for j in range(q + 1, p + 1))
-    return out
+# -- ribbons -----------------------------------------------------------
 
 
 def _cover_ribbons(outer, inner) -> tuple:
     """The ribbon copies of a strong cover's skew: its runs of consecutive content.
 
     Each copy has s < n cells and the next sits n contents on (`_covers`),
-    so a gap in the contents ends a copy.  Copies come back in content
-    order, each sorted by content.
+    so no two skew cells share a content.  Then the skew has no 2 x 2
+    block, whose diagonal cells would, so every cell is on the outer rim:
+    row i + 1 ends at or before the column where row i starts, its last
+    content below row i's first.  So the rows, read from the last one
+    down, list the cells in content order, and a gap in the contents ends
+    a copy.  Copies come back in content order, each sorted by content.
     """
-    cells = sorted(skew_cells(outer, inner), key=lambda c: c[1] - c[0])
-    runs = [[cells[0]]]
-    for (i, j), cell in zip(cells, cells[1:]):
-        if cell[1] - cell[0] > j - i + 1:
-            runs.append([])
-        runs[-1].append(cell)
+    runs, last = [], None
+    for i in range(len(outer), 0, -1):
+        p, q = outer[i - 1], inner[i - 1] if i <= len(inner) else 0
+        if p == q:
+            continue
+        row = [(i, j) for j in range(q + 1, p + 1)]
+        if q - i == last:  # the row's first content, q + 1 - i, follows on
+            runs[-1].extend(row)
+        else:
+            runs.append(row)
+        last = p - i
     return tuple(map(tuple, runs))
 
 
@@ -396,11 +397,17 @@ def strong_covers_down(core: NCore):
     return _covers_down(core)
 
 
-@lru_cache(maxsize=None)
+#: n -> the cores of degree 0, 1, ... built so far
+_cores_by_degree: dict = {}
+
+
 def cores_of_degree(n: int, d: int):
-    """All n-cores of the given degree: the weak covers of those one degree down."""
-    if d == 0:
-        return (NCore(n, ()),)
-    out = {_weak_cover(core, i) for core in cores_of_degree(n, d - 1) for i in range(n)}
-    out.discard(None)
-    return tuple(sorted(out, key=lambda c: c.parts, reverse=True))
+    """All n-cores of the given degree: the weak covers of those one degree down, in a loop."""
+    if d < 0:
+        return ()
+    levels = _cores_by_degree.setdefault(n, [(NCore(n, ()),)])
+    while len(levels) <= d:
+        out = {_weak_cover(core, i) for core in levels[-1] for i in range(n)}
+        out.discard(None)
+        levels.append(tuple(sorted(out, key=lambda c: c.parts, reverse=True)))
+    return levels[d]

@@ -43,9 +43,9 @@ from .cores import (
     union,
 )
 from .strips import (
-    _marked_tails,
+    _marked_tail_levels,
     _marked_top,
-    _ribbon_chains,
+    _ribbon_levels,
     horizontal_strong_strips_from,
     marked_strong_covers,
 )
@@ -282,17 +282,26 @@ def gw_invariant(u, v, w, d) -> int:
     n = len(u)
     if len(v) != n or len(w) != n:
         raise ValueError("permutations must share n")
-    sh_u, sh_v, _ = _sh(tuple(u)), _sh(tuple(v)), _sh(tuple(w))
-    d = tuple(d)
-    if len(d) != n - 1 or any(x < 0 for x in d):
-        raise ValueError("d must have n-1 nonnegative entries")
-    eta = _eta_of_monk_term(perm_mult(w0(n), w), d)
+    sh_u, sh_v = _sh(tuple(u)), _sh(tuple(v))
+    eta = _gw_eta(tuple(w), tuple(d))
     if eta is None:
         eta_invalid_count += 1
         return 0
     if sum(eta) != sum(sh_u) + sum(sh_v):
         return 0
     return next((c for nu, c in _structure_constants(n, sh_u, sh_v) if nu == eta), 0)
+
+
+@lru_cache(maxsize=None)
+def _gw_eta(w: tuple, d: tuple):
+    """eta of <., ., w>_d, or None for invalid column data; checks w, then d.
+
+    A raise is not cached, so a bad d raises on every call."""
+    check_permutation(w)
+    n = len(w)
+    if len(d) != n - 1 or any(x < 0 for x in d):
+        raise ValueError("d must have n-1 nonnegative entries")
+    return _eta_of_monk_term(perm_mult(w0(n), w), d)
 
 
 # -- conjecture checkers -----------------------------------------------------
@@ -398,9 +407,11 @@ def rect_pieri_check(r: int, b: int, lam, n: int) -> dict:
     mu = normalize((r,) * (n - 1 - r) + (r - b,))
     core = c_map(lam, n)
     lhs = _structure_constants(n, mu, lam)
-    top, columns = _marked_top(core, r)  # R(r, core) and col_r, built once for both readings
-    rhs = sorted(map(c_inverse, _ribbon_chains(top, columns, b)), reverse=True)
-    tail_reading = sorted(map(c_inverse, _marked_tails(top, columns, b)), reverse=True)
+    # R(r, core) and col_r built once for both readings; each walk serves every b < r
+    top, columns = _marked_top(core, r)
+    rhs = sorted(map(c_inverse, _ribbon_levels(top, columns, r - 1).get(b, ())), reverse=True)
+    tails = _marked_tail_levels(top, columns, r - 1).get(b, ())
+    tail_reading = sorted(map(c_inverse, tails), reverse=True)
     match = [p for p, c in lhs if c == 1] == rhs and all(c == 1 for _, c in lhs)
     return {
         "conjecture": "rect-pieri",

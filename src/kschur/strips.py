@@ -15,7 +15,15 @@ word of w_nu w_lam^{-1}.
 
 Ribbon strong strips generalize to the translation R(r, lam): chains
 whose per-step ribbon heads sit in the bottom row or directly above an
-older cell, with a ribbon tail in the marked columns col_r(lam).
+older cell, with a ribbon tail in the marked columns col_r(lam).  The
+ribbon and marked-tail walks down from R(r, lam) record every length up
+to a depth in one walk: their pruning does not read the length b, so
+level b holds what a walk cut at b finds, in its DFS order.  A rect-Pieri
+sweep reads every b < r of one (lam, r) off one walk to depth r - 1.
+The ribbon walk drops a chain once a head is in neither the bottom row
+nor above a cell of the current shape: every shape below it is smaller,
+so no longer chain through it qualifies, and the walk visits no dead
+subtree at any depth.
 """
 
 from __future__ import annotations
@@ -231,27 +239,34 @@ def ribbon_strong_strip_chains(lam: NCore, r: int, b: int):
     cell of nu, the smallest shape of the chain.  Returns a dict
     mapping nu to its list of ascending chains.
     """
-    return _ribbon_chains(*_marked_top(lam, r), b)
-
-
-def _ribbon_chains(top: NCore, columns, b: int) -> dict:
     if b < 0:
         raise ValueError("strip length must be nonnegative")
-    found = {}
+    level = _ribbon_levels(*_marked_top(lam, r), b).get(b, {})
+    return {nu: list(chains) for nu, chains in level.items()}
+
+
+@lru_cache(maxsize=1)
+def _ribbon_levels(top: NCore, columns, depth: int) -> dict:
+    """b <= depth -> {nu: its ascending chains of length b down from top}; no key if none.
+
+    Only the last walk is kept: a sweep asks for every b of one (lam, r) in a row.
+    """
+    levels: dict = {}
 
     def walk(cur, chain, steps):
-        # steps holds the ribbons of each cover taken so far
-        if len(chain) == b + 1:
-            if all(_step_heads_ok(ribbons, cur.parts) for ribbons in steps):
-                found.setdefault(cur, []).append(tuple(reversed(chain)))
+        # steps holds the ribbons of each cover taken so far; a head off
+        # row 1 and above no cell of cur is so for every smaller shape: prune
+        if not all(_step_heads_ok(ribbons, cur.parts) for ribbons in steps):
+            return
+        levels.setdefault(len(steps), {}).setdefault(cur, []).append(tuple(reversed(chain)))
+        if len(steps) == depth:
             return
         for mu, ribbons, _tau in strong_covers_down(cur):
-            # heads sit above nu subset mu, so the mu-test prunes safely
-            if _step_tail_ok(ribbons, columns) and _step_heads_ok(ribbons, mu.parts):
+            if _step_tail_ok(ribbons, columns):
                 walk(mu, chain + [mu], steps + [ribbons])
 
     walk(top, [top], [])
-    return found
+    return levels
 
 
 def ribbon_strong_strips(lam: NCore, r: int, b: int):
@@ -268,15 +283,20 @@ def marked_tail_strips(lam: NCore, r: int, b: int):
     carrying a strictly increasing content vector, every step with a
     ribbon tail in the marked columns (no head condition).
     """
-    return sorted(_marked_tails(*_marked_top(lam, r), b), key=lambda c: c.parts, reverse=True)
+    if b < 0:
+        raise ValueError("strip length must be nonnegative")
+    ends = _marked_tail_levels(*_marked_top(lam, r), b).get(b, ())
+    return sorted(ends, key=lambda c: c.parts, reverse=True)
 
 
-def _marked_tails(top: NCore, columns, b: int) -> set:
-    out = set()
+@lru_cache(maxsize=1)
+def _marked_tail_levels(top: NCore, columns, depth: int) -> dict:
+    """b <= depth -> the set of ends of the marked-tail chains of length b down from top."""
+    levels: dict = {}
 
     def walk(cur, floor_content, steps):
-        if steps == b:
-            out.add(cur)
+        levels.setdefault(steps, set()).add(cur)
+        if steps == depth:
             return
         for mu, ribbons, _tau in strong_covers_down(cur):
             if not _step_tail_ok(ribbons, columns):
@@ -287,4 +307,4 @@ def _marked_tails(top: NCore, columns, b: int) -> set:
                     walk(mu, c, steps + 1)
 
     walk(top, None, 0)
-    return out
+    return levels

@@ -4,9 +4,10 @@ These deliberately avoid the production code paths: reduced words by
 breadth-first search, the core test, degree and bounded-partition
 bijection by hook lengths instead of the abacus, Bruhat covers by brute
 force over subdiagrams and by the transposition action on w_core, their
-ribbon copies as rookwise components by breadth-first search, act_s
-by scanning the rows for addable corners, R(r, core) by composing
-c_inverse, the union with R_r and c_map,
+ribbon copies as rookwise components by breadth-first search over the
+cells of the skew, the ribbon and marked-tail strip walks one length at
+a time, act_s by scanning the rows for addable corners, R(r, core) by
+composing c_inverse, the union with R_r and c_map,
 the words, strip chains and offsets of an ABC through the quotients
 w_core(hi) w_core(lo)^{-1} and skew shapes, the deformed P-functions by exact symmetrization in finitely many
 variables, monomial products by expanding in as many variables as
@@ -48,12 +49,12 @@ from kschur.cores import (
     normalize,
     rect,
     ribbon_head,
-    skew_cells,
+    strong_covers_down,
     strong_covers_up,
     union,
     w_core,
 )
-from kschur.strips import horizontal_strong_strips_from, phi
+from kschur.strips import _step_heads_ok, _step_tail_ok, horizontal_strong_strips_from, phi
 from kschur.symfun import (
     _index,
     _transpose,
@@ -227,6 +228,16 @@ def _tau_bound(n: int, d: int) -> int:
     return n * (d + 2) // (n - 1) + n
 
 
+def skew_cells(outer, inner):
+    """The cells of outer / inner, row by row, each row left to right."""
+    outer, inner = tuple(outer), tuple(inner)
+    out = []
+    for i, p in enumerate(outer, start=1):
+        q = inner[i - 1] if i <= len(inner) else 0
+        out.extend((i, j) for j in range(q + 1, p + 1))
+    return out
+
+
 def ribbon_components(cells_list):
     """Rookwise connected components by breadth-first search, each sorted by content.
 
@@ -273,6 +284,46 @@ def transposition_covers(n: int, parts, step: int):
                 ribbons = tuple(ribbon_components(skew_cells(outer, inner)))
                 out.append((other, ribbons, (i, i + s)))
     return tuple(out)
+
+
+def ribbon_chains_of_length(top: NCore, columns, b: int) -> dict:
+    """The ribbon strip chains of length b down from top, by a walk cut at depth b.
+
+    nu -> its ascending chains, both in DFS order: the one-length walk
+    that `strips._ribbon_levels` replaced.
+    """
+    found = {}
+
+    def walk(cur, chain, steps):
+        if len(chain) == b + 1:
+            if all(_step_heads_ok(ribbons, cur.parts) for ribbons in steps):
+                found.setdefault(cur, []).append(tuple(reversed(chain)))
+            return
+        for mu, ribbons, _tau in strong_covers_down(cur):
+            if _step_tail_ok(ribbons, columns) and _step_heads_ok(ribbons, mu.parts):
+                walk(mu, chain + [mu], steps + [ribbons])
+
+    walk(top, [top], [])
+    return found
+
+
+def marked_tails_of_length(top: NCore, columns, b: int) -> set:
+    """The ends of the marked-tail chains of length b down from top, by a walk cut at depth b."""
+    out = set()
+
+    def walk(cur, floor_content, steps):
+        if steps == b:
+            out.add(cur)
+            return
+        for mu, ribbons, _tau in strong_covers_down(cur):
+            if not _step_tail_ok(ribbons, columns):
+                continue
+            for c in {j - i for i, j in map(ribbon_head, ribbons)}:
+                if floor_content is None or c < floor_content:
+                    walk(mu, c, steps + 1)
+
+    walk(top, None, 0)
+    return out
 
 
 # -- ABC views through the group and skew shapes -----------------------------

@@ -288,3 +288,15 @@ def test_closed_stdout_exits_one_without_traceback():
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (1, "")
+
+
+def test_cores_at_a_high_degree_builds_levels_without_recursion():
+    # one 2-core per degree; the levels are built in a loop, not one frame each
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(kschur.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kschur.cli", *"cores --n 2 --deg 600 --json".split()],
+        capture_output=True, text=True, env=env,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    (entry,) = json.loads(proc.stdout)
+    assert entry["degree"] == 600

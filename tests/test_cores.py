@@ -22,7 +22,6 @@ from kschur.cores import (
     rect_translation,
     ribbon_head,
     ribbon_tail,
-    skew_cells,
     strong_covers_down,
     strong_covers_up,
     union,
@@ -40,6 +39,7 @@ from oracles import (
     hook_is_ncore,
     ribbon_components,
     row_scan_c_map,
+    skew_cells,
     transposition_covers,
 )
 

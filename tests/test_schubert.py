@@ -304,6 +304,16 @@ def test_gw_invariant_validation():
         gw_invariant((1, 2, 3), (1, 2, 3), (1, 2, 3), (0, -1))
 
 
+def test_gw_invariant_rejects_a_bad_d_after_a_valid_call():
+    # eta is cached per (w, d), but a raise is not
+    u, v, w = (1, 3, 2), (2, 1, 3), (2, 3, 1)
+    gw_invariant(u, v, w, (0, 0))
+    for bad in ((0,), (0, -1), (0, 0, 0)):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                gw_invariant(u, v, w, bad)
+
+
 def test_gw_invariant_rejects_a_non_permutation_in_every_slot():
     good, d = (1, 3, 2), (0, 0)
     for bad in ((1, 1, 3), (0, 1, 2)):

@@ -11,10 +11,12 @@ from kschur.cores import (
     core_of,
     cores_of_degree,
     rect_translation,
-    skew_cells,
     w_core,
 )
 from kschur.strips import (
+    _marked_tail_levels,
+    _marked_top,
+    _ribbon_levels,
     col_r,
     horizontal_strong_strips_from,
     marked_strong_covers,
@@ -26,7 +28,14 @@ from kschur.strips import (
     strong_strips,
 )
 
-from oracles import is_horizontal_strong_strip, ribbon_components, saturated_chains
+from oracles import (
+    is_horizontal_strong_strip,
+    marked_tails_of_length,
+    ribbon_chains_of_length,
+    ribbon_components,
+    saturated_chains,
+    skew_cells,
+)
 
 
 def test_chains_from_3_to_411():
@@ -231,3 +240,54 @@ def test_closing_conjecture_comparison_reported():
                         assert A <= B  # definition chains embed into marked ones
     print(f"\nribbon-strip reading comparison: agree={agree} disagree={disagree}")
     assert agree > 0
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_walk_levels_match_the_walk_of_each_length(n):
+    # one walk per (lam, r) to depth r - 1, as rect_pieri_check reads it:
+    # each level keeps the nu order, the chain order and the tail set of
+    # the walk cut at that length
+    for d in range(9):
+        for lam in cores_of_degree(n, d):
+            for r in range(1, n):
+                top, columns = _marked_top(lam, r)
+                chains = _ribbon_levels(top, columns, r - 1)
+                tails = _marked_tail_levels(top, columns, r - 1)
+                for b in range(r):
+                    want = ribbon_chains_of_length(top, columns, b)
+                    assert list(chains.get(b, {}).items()) == list(want.items()), (lam, r, b)
+                    assert tails.get(b, set()) == marked_tails_of_length(top, columns, b)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_public_walks_at_b0_and_past_r(n):
+    for d in range(9):
+        for lam in cores_of_degree(n, d):
+            for r in range(1, n):
+                top, columns = _marked_top(lam, r)
+                for b in (0, r, r + 1):
+                    want = ribbon_chains_of_length(top, columns, b)
+                    got = ribbon_strong_strip_chains(lam, r, b)
+                    assert list(got.items()) == list(want.items()), (lam, r, b)
+                    tails = sorted(marked_tails_of_length(top, columns, b),
+                                   key=lambda c: c.parts, reverse=True)
+                    assert marked_tail_strips(lam, r, b) == tails, (lam, r, b)
+                # a level with no chain gets no key, so a deep walk stores only what it finds
+                assert all(_ribbon_levels(top, columns, 64).values())
+                assert all(_marked_tail_levels(top, columns, 64).values())
+
+
+def test_ribbon_chains_return_fresh_dicts():
+    lam = c_map((4, 2), 5)
+    got = ribbon_strong_strip_chains(lam, 3, 2)
+    want = {nu: list(chains) for nu, chains in got.items()}
+    next(iter(got.values())).clear()
+    got[lam] = [(lam,)]
+    assert ribbon_strong_strip_chains(lam, 3, 2) == want
+
+
+def test_negative_strip_length_is_rejected():
+    lam = c_map((4, 2), 5)
+    for walk in (ribbon_strong_strip_chains, marked_tail_strips):
+        with pytest.raises(ValueError):
+            walk(lam, 3, -1)
