@@ -18,6 +18,7 @@ from functools import lru_cache
 from .abctab import count_affine_factorizations, enumerate_abc
 from .cores import (
     NCore,
+    _weak_pieri_terms,
     c_inverse,
     c_map,
     cores_of_degree,
@@ -25,7 +26,6 @@ from .cores import (
     w_core,
 )
 from .schubert import (
-    _weak_pieri_terms,
     affine_monk_check,
     horizontal_pieri,
     rect_pieri_check,

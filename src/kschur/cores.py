@@ -14,10 +14,14 @@ b - n.  The top bead of each runner, plus n, sorted, is the core's
 `window`: the window of its affine Grassmannian element w_core.
 
 `NCore(n, parts)` checks its input; it is the constructor for callers.
-Every core the library builds itself comes from a window through the
-cached `_core_of_window`, which reads the parts off the beads and skips
-the checks, so each core is built once.  The other views are read off
-the beads:
+There is one instance per window: `NCore` returns the one that the
+cached `_core_of_window` holds, and every core the library builds itself
+comes from a window through that same function, which reads the parts
+off the beads and skips the checks.  It is the intern table and is never
+cleared.  Equal cores are thus the same object and compare and hash by
+identity, in C; a set of cores iterates in address order, so every one
+is sorted before it reaches output.  The other views are read off the
+beads:
   * degree is ell(w_core), the number of cells of hook length < n;
   * core_of winds a Grassmannian window back into beads and parts;
   * c_inverse / c_map: partitions with parts < n <-> n-cores, row i
@@ -38,11 +42,14 @@ run of consecutive content, and its rows, read from the last one down,
 list its cells in content order.
 The weak cover s_i w_core is one degree up iff the entries a, b of residues
 i, i+1 have b < a; then a, b become a + 1, b - 1 in place: no length.
+Weak Pieri, h_m xi_core, takes such steps along the maximal cyclic runs
+of each m-subset of Z/n at once (`_weak_pieri_terms`).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 
 from .affine import AffinePermutation, reduced_word
 
@@ -123,33 +130,29 @@ def is_ncore(parts, n: int) -> bool:
 
 
 class NCore:
-    """An n-core partition, checked here; `_core_of_window` builds the library's own."""
+    """An n-core partition, checked here: one instance per window, from `_core_of_window`.
 
-    __slots__ = ("n", "parts", "window", "_deg", "_hash")
+    Equal cores are the same object, so equality and hashing are the
+    default identity ones, run in C.
+    """
 
-    def __init__(self, n: int, parts):
+    __slots__ = ("n", "parts", "window", "_deg")
+
+    def __new__(cls, n: int, parts):
         parts = normalize(parts)
         if not is_ncore(parts, n):
             raise ValueError(f"{parts} has a hook of length {n}")
-        self._fill(n, parts, _window(n, _beads(parts)))
+        return _core_of_window(n, _window(n, _beads(parts)))
 
-    def _fill(self, n: int, parts: tuple, window: tuple):
-        self.n, self.parts, self.window = n, parts, window
-        self._deg, self._hash = None, hash((n, parts))
+    def __reduce__(self):
+        # copies and unpickled cores come back through the intern table
+        return NCore, (self.n, self.parts)
 
     def degree(self) -> int:
         """Number of cells of hook length < n; equals ell(w_core)."""
         if self._deg is None:
             self._deg = w_core(self).length()
         return self._deg
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, NCore) and self.n == other.n and self.parts == other.parts
-        )
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return f"NCore({self.n}, {list(self.parts)})"
@@ -175,6 +178,98 @@ def _weak_cover(core: NCore, i: int):
     """The core of s_i w_core if it is one degree up, else None."""
     up = _weak_steps(core.n, core.window, _slots(core.window, core.n), (i % core.n,))
     return None if up is None else _core_of_window(core.n, up)
+
+
+# -- weak Pieri ---------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _cyclic_runs(n: int, m: int) -> tuple:
+    """The m-subsets of Z/n in combinations order, each as the set of its maximal cyclic runs.
+
+    The run (a, k) is the residues a, a+1, ..., a+k-1 mod n; m < n, so
+    every run has a first residue.
+    """
+    out = []
+    for subset in combinations(range(n), m):
+        members = set(subset)
+        runs = []
+        for a in subset:
+            if (a - 1) % n not in members:
+                k = 1
+                while (a + k) % n in members:
+                    k += 1
+                runs.append((a, k))
+        out.append(frozenset(runs))
+    return tuple(out)
+
+
+def _weak_runs(core: NCore) -> tuple:
+    """The window position of each residue, and every run (a, k) that is a chain of weak covers.
+
+    Those are the runs with k <= reach(a), the largest k < n with
+    v(a+j) < v(a) + j - 1 for j = 1..k; one scan from each residue.
+    """
+    n = core.n
+    slot, v = [0] * n, [0] * n
+    for p, x in enumerate(core.window):
+        slot[x % n], v[x % n] = p, x
+    fits = set()
+    for a in range(n):
+        k = 1
+        while k < n and v[(a + k) % n] < v[a] + k - 1:
+            fits.add((a, k))
+            k += 1
+    return slot, fits
+
+
+@lru_cache(maxsize=None)
+def _weak_pieri_terms(m: int, core: NCore) -> tuple:
+    """The cores gamma with xi_gamma in h_m xi_core, for 0 <= m < n, in combinations order.
+
+    h_m is the sum of the cyclically decreasing elements of length m, one
+    per m-subset S of Z/n; its word, read from the right, takes each
+    maximal cyclic run [a, a+k-1] of S upwards from a, one weak cover a
+    letter.  Write v(i) for the window entry of residue i.  Letter
+    a+j-1 (j = 1..k) finds v(a) + j - 1 at residue a+j-1, carried up the
+    run, and v(a+j) at residue a+j, untouched: it is a weak cover iff
+    v(a+j) < v(a) + j - 1, and it carries v(a) + j on to residue a+j and
+    leaves v(a+j) - 1 behind.  So the run is a chain of weak covers iff
+    k <= reach(a), the longest run from a that meets this for every j
+    (`_weak_runs`), and in place it adds k to v(a) and subtracts 1 from
+    v(a+1..a+k).  A residue outside S separates two maximal runs, so
+    they touch disjoint residues a..a+k and act independently; the
+    window stays sorted, as in `_weak_steps`, so each S gives the tuple
+    its word walk gives.
+    """
+    n, window = core.n, core.window
+    if not 0 <= m < n:
+        return ()
+    slot, fits = _weak_runs(core)
+    out = []
+    for runs in _cyclic_runs(n, m):
+        if runs <= fits:
+            u = list(window)
+            for a, k in runs:
+                u[slot[a]] += k
+                for i in range(a + 1, a + k + 1):
+                    u[slot[i % n]] -= 1
+            out.append(_core_of_window(n, tuple(u)))
+    if len(set(out)) != len(out):
+        raise AssertionError("weak Pieri term repeated")
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _h_times(a: tuple, core: NCore) -> dict:
+    """h_a xi_core = h_{a_1}(h_{a_2}(...)) by weak Pieri, as dict core -> coefficient."""
+    if not a:
+        return {core: 1}
+    out: dict = {}
+    for gamma, c in _h_times(a[1:], core).items():
+        for nu in _weak_pieri_terms(a[0], gamma):
+            out[nu] = out.get(nu, 0) + c
+    return out
 
 
 def act_s(core: NCore, residue: int) -> NCore:
@@ -211,15 +306,19 @@ def w_core(core: NCore) -> AffinePermutation:
 
 @lru_cache(maxsize=None)
 def _core_of_window(n: int, window: tuple) -> NCore:
-    """The core of a Grassmannian window, unchecked: the one internal constructor.
+    """The core of a Grassmannian window, unchecked: the intern table of every NCore.
 
-    The beads are the runner tops v - n and every position n, 2n, ...
-    below them, down to a full row of n beads; row i is b_i + i.
+    It builds the one instance of each window, and is never cleared: a
+    core built after a clear would be a second object for the same
+    core, equal to no core built before it.  The beads are the runner
+    tops v - n and every position n, 2n, ... below them, down to a full
+    row of n beads; row i is b_i + i.
     """
     low = min(window)
     beads = sorted((v - n - k for v in window for k in range(0, v - low + 1, n)), reverse=True)
     core = object.__new__(NCore)
-    core._fill(n, tuple(p for p in (b + i for i, b in enumerate(beads)) if p), window)
+    core.n, core.window, core._deg = n, window, None
+    core.parts = tuple(p for p in (b + i for i, b in enumerate(beads)) if p)
     return core
 
 

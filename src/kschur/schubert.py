@@ -1,11 +1,12 @@
 """Pieri rules, homology structure constants, and the quantum Monk side.
 
 The homology product is computed in the nilCoxeter model, where h_m
-acts by the weak Pieri rule: each letter of a cyclically decreasing word,
-rightmost first, is an O(1) weak cover step on the core window (every
-suffix of a reduced Grassmannian product is Grassmannian).  With
+acts by the weak Pieri rule, read off the cyclic runs of each m-subset
+of Z/n on the core window (`cores._weak_pieri_terms`).  With
 s^(k)_mu(1) = sum_a c_a h_a for the lower-degree factor,
-xi_mu xi_lam = sum_a c_a h_{a_1}...h_{a_l} xi_lam.
+xi_mu xi_lam = sum_a c_a h_{a_1}...h_{a_l} xi_lam (Lam, JAMS 2008).
+The row c is a column of Kn(1)^{-1}, and column a of Kn(1) is
+h_a xi_empty, so weak Pieri gives both and no ABC is counted.
 Every k-rectangle R_r = (r^{n-r}) is first peeled off both factors and
 put back on each term, by the k-rectangle property
 s^(k)_{R_r union mu} = s_{R_r} s^(k)_mu.
@@ -27,12 +28,11 @@ from functools import lru_cache
 from itertools import groupby, permutations
 from math import comb
 
-from .affine import cyclically_decreasing_of_length
 from .cores import (
     NCore,
-    _core_of_window,
-    _slots,
-    _weak_steps,
+    _core_of_bounded,
+    _h_times,
+    _weak_pieri_terms,
     c_inverse,
     c_map,
     conjugate,
@@ -49,7 +49,7 @@ from .strips import (
     horizontal_strong_strips_from,
     marked_strong_covers,
 )
-from .symfun import _kschur_row, bounded_partitions_of
+from .symfun import _kschur_t1_row, bounded_partitions_of
 
 
 # -- affine Pieri rules ---------------------------------------------------
@@ -60,20 +60,6 @@ def weak_pieri(m: int, lam: NCore) -> dict:
     if not 1 <= m < lam.n:
         raise ValueError(f"need 1 <= m < n, got m={m}")
     return dict.fromkeys(_weak_pieri_terms(m, lam), 1)
-
-
-@lru_cache(maxsize=None)
-def _weak_pieri_terms(m: int, lam: NCore) -> tuple:
-    """The cores gamma with xi_gamma in h_m xi_lam, for 0 <= m < n."""
-    slot = _slots(lam.window, lam.n)
-    out = []
-    for word, _v in cyclically_decreasing_of_length(lam.n, m):
-        up = _weak_steps(lam.n, lam.window, slot, reversed(word))
-        if up is not None:
-            out.append(_core_of_window(lam.n, up))
-    if len(set(out)) != len(out):
-        raise AssertionError("weak Pieri term repeated")
-    return tuple(out)
 
 
 def horizontal_pieri(m: int, lam: NCore) -> dict:
@@ -109,19 +95,7 @@ def strong_pieri_cohomology(m: int, lam: NCore) -> dict:
 def _kschur_h_row(n: int, bounded) -> dict:
     # the k-Schur function of `bounded` at t=1 in h: one column of Kn(1)^{-1}
     Pn = bounded_partitions_of(sum(bounded), n)
-    return {mu: c(1) for mu, c in zip(Pn, _kschur_row(n, bounded, False)) if not c.is_zero()}
-
-
-@lru_cache(maxsize=None)
-def _h_times(a: tuple, core: NCore) -> dict:
-    """h_a xi_core = h_{a_1}(h_{a_2}(...)) by weak Pieri, as dict core -> coefficient."""
-    if not a:
-        return {core: 1}
-    out: dict = {}
-    for gamma, c in _h_times(a[1:], core).items():
-        for nu in _weak_pieri_terms(a[0], gamma):
-            out[nu] = out.get(nu, 0) + c
-    return out
+    return {mu: c for mu, c in zip(Pn, _kschur_t1_row(n, bounded)) if c}
 
 
 def _peel(bounded, n: int):
@@ -151,7 +125,7 @@ def _structure_constants(n: int, mu_b, lam_b) -> tuple:
     lam_b, lam_rects = _peel(lam_b, n)
     rects = mu_rects + lam_rects
     mu_b, lam_b = sorted((mu_b, lam_b), key=sum)
-    lam = c_map(lam_b, n)
+    lam = _core_of_bounded(lam_b, n)  # the callers checked both factors
     prod: dict = {}
     for a, ca in _kschur_h_row(n, mu_b).items():
         for nu, c in _h_times(a, lam).items():

@@ -23,7 +23,9 @@ sweep reads every b < r of one (lam, r) off one walk to depth r - 1.
 The ribbon walk drops a chain once a head is in neither the bottom row
 nor above a cell of the current shape: every shape below it is smaller,
 so no longer chain through it qualifies, and the walk visits no dead
-subtree at any depth.
+subtree at any depth.  It carries the largest head column of each row,
+so that test reads one bound a row.  Both walks take the down covers
+with a tail in the marked columns from one memo, `_tail_covers`.
 """
 
 from __future__ import annotations
@@ -221,14 +223,34 @@ def col_r(lam: NCore, r: int):
     return _marked_top(lam, r)[1]
 
 
-def _step_heads_ok(ribbons, base_parts) -> bool:
-    """Each ribbon head of a cover in row 1 or directly above a base cell."""
-    heads = map(ribbon_head, ribbons)
-    return all(i == 1 or (i - 1 <= len(base_parts) and base_parts[i - 2] >= j) for i, j in heads)
+def _head_rows(rows: tuple, ribbons) -> tuple:
+    """rows with a cover's heads taken in: entry k is the largest head column in row k + 2.
+
+    A head (i, j) is in row 1 or directly above a cell of a shape iff
+    i == 1 or the shape's row i - 1 reaches column j.  So every head of a
+    chain is iff row k + 1 of the shape reaches rows[k] for each k: the
+    largest head column of a row stands for all its heads.  The last
+    entry is never 0, so len(rows) is the highest such row needed.
+    """
+    out = list(rows)
+    for i, j in map(ribbon_head, ribbons):
+        if i > 1:
+            out += [0] * (i - 1 - len(out))
+            out[i - 2] = max(out[i - 2], j)
+    return tuple(out)
 
 
 def _step_tail_ok(ribbons, columns) -> bool:
     return any(ribbon_tail(comp)[1] in columns for comp in ribbons)
+
+
+@lru_cache(maxsize=None)
+def _tail_covers(core: NCore, columns) -> tuple:
+    """The (mu, ribbons) down covers of core with a ribbon tail in the marked columns, in order."""
+    return tuple(
+        (mu, ribbons) for mu, ribbons, _tau in strong_covers_down(core)
+        if _step_tail_ok(ribbons, columns)
+    )
 
 
 def ribbon_strong_strip_chains(lam: NCore, r: int, b: int):
@@ -253,19 +275,19 @@ def _ribbon_levels(top: NCore, columns, depth: int) -> dict:
     """
     levels: dict = {}
 
-    def walk(cur, chain, steps):
-        # steps holds the ribbons of each cover taken so far; a head off
-        # row 1 and above no cell of cur is so for every smaller shape: prune
-        if not all(_step_heads_ok(ribbons, cur.parts) for ribbons in steps):
+    def walk(cur, chain, rows):
+        # rows holds the head columns of the covers taken so far (`_head_rows`);
+        # a head off row 1 and above no cell of cur is so for every smaller shape: prune
+        parts = cur.parts
+        if len(rows) > len(parts) or any(p < j for p, j in zip(parts, rows)):
             return
-        levels.setdefault(len(steps), {}).setdefault(cur, []).append(tuple(reversed(chain)))
-        if len(steps) == depth:
+        levels.setdefault(len(chain) - 1, {}).setdefault(cur, []).append(tuple(reversed(chain)))
+        if len(chain) - 1 == depth:
             return
-        for mu, ribbons, _tau in strong_covers_down(cur):
-            if _step_tail_ok(ribbons, columns):
-                walk(mu, chain + [mu], steps + [ribbons])
+        for mu, ribbons in _tail_covers(cur, columns):
+            walk(mu, chain + [mu], _head_rows(rows, ribbons))
 
-    walk(top, [top], [])
+    walk(top, [top], ())
     return levels
 
 
@@ -298,9 +320,7 @@ def _marked_tail_levels(top: NCore, columns, depth: int) -> dict:
         levels.setdefault(steps, set()).add(cur)
         if steps == depth:
             return
-        for mu, ribbons, _tau in strong_covers_down(cur):
-            if not _step_tail_ok(ribbons, columns):
-                continue
+        for mu, ribbons in _tail_covers(cur, columns):
             marks = {j - i for i, j in map(ribbon_head, ribbons)}
             for c in marks:
                 if floor_content is None or c < floor_content:

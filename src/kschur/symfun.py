@@ -12,6 +12,11 @@ triangular with unit diagonal and invert exactly):
     with Kn the weak Kostka-Foulkes polynomials from ABCs
   * k-Schur: the Hall-dual basis, one column of Kn^{-1} each.
 
+At t = 1, column mu of Kn(1) is h_mu xi_empty in the nilCoxeter model
+of homology (Lam, JAMS 2008), read off weak Pieri (`cores._h_times`)
+with no ABC enumerated; the k-Schur row at t = 1 is an integer back
+substitution over the columns up to it.
+
 Ptilde is the deformation t^{-n(lam)} P_lam(x; 1/t) of Macdonald's
 P-function; its monomial expansion genuinely uses negative powers of t,
 which is why TPoly is a Laurent type.  Products are computed through
@@ -22,8 +27,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .abctab import _ext_columns, _strip_off, _subword_picks, abc_counts
-from .cores import NCore, c_inverse, c_map, dominance_leq, normalize
+from .abctab import _ext_columns, _strip_off, _subword_picks
+from .cores import NCore, _core_of_bounded, _h_times, c_inverse, c_map, dominance_leq, normalize
 from .strips import horizontal_strong_strips_from
 from .tableaux import _cocharge_fiber, _kf_fiber, _kostka_fiber
 from .tpoly import TPoly
@@ -219,11 +224,16 @@ def kn_matrix(n: int, d: int):
     return _bounded_block(n, d, lambda mu: _weak_kf_fiber(n, mu), f"K^{n}(t)")
 
 
+def _kn1_column(n: int, mu) -> dict:
+    """Column mu of Kn(1), core -> |ABC(core, mu)|: the coefficients of h_mu xi_empty."""
+    return _h_times(mu, _core_of_bounded((), n))
+
+
 @lru_cache(maxsize=None)
 def kn1_matrix(n: int, d: int):
-    """Kn(1), the ABC counts, by the fast chain DP."""
+    """Kn(1), the ABC counts, each column read off weak Pieri."""
     return _bounded_block(
-        n, d, lambda mu: {c: TPoly.const(v) for c, v in abc_counts(n, mu).items()}, "|ABC|"
+        n, d, lambda mu: {c: TPoly.const(v) for c, v in _kn1_column(n, mu).items()}, "|ABC|"
     )
 
 
@@ -250,9 +260,30 @@ def dualk_to_m(n: int, d: int, t_on: bool = True):
 @lru_cache(maxsize=None)
 def _kschur_row(n: int, nu, t_on: bool):
     """Row nu of the k-Schur functions in H(x;0,t), or in h at t=1: column nu of Kn^{-1}."""
-    d = sum(nu)
-    M = kn_matrix(n, d) if t_on else kn1_matrix(n, d)
-    return _unitriangular_column(M, _index(bounded_partitions_of(d, n))[nu])
+    P = bounded_partitions_of(sum(nu), n)
+    if not t_on:
+        row = _kschur_t1_row(n, nu)
+        return [TPoly.const(c) for c in row] + [ZERO] * (len(P) - len(row))
+    return _unitriangular_column(kn_matrix(n, sum(nu)), _index(P)[nu])
+
+
+@lru_cache(maxsize=None)
+def _kschur_t1_row(n: int, nu) -> tuple:
+    """Row nu of the k-Schur functions in h at t=1, over the bounded partitions up to nu.
+
+    Column nu of Kn(1)^{-1} by integer back substitution, which reads only
+    the columns of Kn(1) up to nu in lex-descending order; Kn(1) has unit
+    diagonal.  Later partitions have coefficient 0.
+    """
+    P = bounded_partitions_of(sum(nu), n)
+    lead = P[: P.index(nu) + 1]
+    cols = [_kn1_column(n, a) for a in lead]
+    x = [0] * len(lead)
+    x[-1] = 1
+    for i in range(len(lead) - 2, -1, -1):
+        core = _core_of_bounded(lead[i], n)
+        x[i] = -sum(col.get(core, 0) * c for col, c in zip(cols[i + 1 :], x[i + 1 :]))
+    return tuple(x)
 
 
 # -- symmetric function values -------------------------------------------

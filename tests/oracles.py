@@ -30,7 +30,7 @@ from functools import lru_cache
 from itertools import permutations
 
 from kschur import schubert
-from kschur.abctab import enumerate_abc
+from kschur.abctab import abc_counts, enumerate_abc
 from kschur.affine import (
     AffinePermutation,
     cyclic_anchor_key,
@@ -54,13 +54,12 @@ from kschur.cores import (
     union,
     w_core,
 )
-from kschur.strips import _step_heads_ok, _step_tail_ok, horizontal_strong_strips_from, phi
+from kschur.strips import _step_tail_ok, horizontal_strong_strips_from, phi
 from kschur.symfun import (
     _index,
     _transpose,
     _unitriangular_inverse,
     bounded_partitions_of,
-    kn1_matrix,
     kn_matrix,
     partitions_of,
     ptilde_to_m,
@@ -284,6 +283,12 @@ def transposition_covers(n: int, parts, step: int):
                 ribbons = tuple(ribbon_components(skew_cells(outer, inner)))
                 out.append((other, ribbons, (i, i + s)))
     return tuple(out)
+
+
+def _step_heads_ok(ribbons, base_parts) -> bool:
+    """Each ribbon head of a cover in row 1 or directly above a base cell."""
+    heads = map(ribbon_head, ribbons)
+    return all(i == 1 or (i - 1 <= len(base_parts) and base_parts[i - 2] >= j) for i, j in heads)
 
 
 def ribbon_chains_of_length(top: NCore, columns, b: int) -> dict:
@@ -614,9 +619,21 @@ def ptilde_to_m_bounded_by_slice(n: int, d: int):
     return [[full[idx[lam]][idx[mu]] for mu in Pn] for lam in Pn]
 
 
+@lru_cache(maxsize=None)
+def kn1_by_abc(n: int, d: int):
+    """Kn(1) over the bounded partitions of d: row lam, column mu, |ABC(c(lam), mu)|.
+
+    Each column is the `abc_counts` strip DP, not the weak Pieri rule that
+    `kn1_matrix` reads its columns off.
+    """
+    P = bounded_partitions_of(d, n)
+    cols = [abc_counts(n, mu) for mu in P]
+    return [[TPoly.const(col.get(c_map(lam, n), 0)) for col in cols] for lam in P]
+
+
 def kschur_rows_by_inverse(n: int, d: int, t_on: bool = True):
     """k-Schur rows in H(x;0,t), or in h at t=1: the transposed whole inverse of Kn."""
-    return _transpose(_unitriangular_inverse(kn_matrix(n, d) if t_on else kn1_matrix(n, d)))
+    return _transpose(_unitriangular_inverse(kn_matrix(n, d) if t_on else kn1_by_abc(n, d)))
 
 
 # -- homology structure constants through the degree-D k-Kostka matrix -------
@@ -645,7 +662,7 @@ def matrix_structure_constants(n: int, mu_b, lam_b) -> tuple:
             prod[key] = prod.get(key, 0) + ca(1) * cb(1)
     PnD = bounded_partitions_of(D, n)
     idx = _index(PnD)
-    kn1 = kn1_matrix(n, D)
+    kn1 = kn1_by_abc(n, D)
     out = []
     for nu in PnD:
         row = kn1[idx[nu]]

@@ -1,5 +1,8 @@
 """n-cores: the a and c bijections, covers, ribbons, translations."""
 
+import copy
+import pickle
+
 import pytest
 
 from kschur.affine import from_word, reduced_word, transposition
@@ -166,10 +169,9 @@ def test_act_s_matches_corner_scan_oracle():
 
 
 def test_library_cores_are_checked_cores():
-    # every core built from a window equals the checked NCore: parts, window and hash
+    # every core built from a window is the very instance the checked NCore returns
     def same(core):
-        checked = NCore(core.n, core.parts)
-        return core == checked and core.window == checked.window and hash(core) == hash(checked)
+        return core is NCore(core.n, core.parts)
 
     for n in range(2, 8):
         for d in range(11):
@@ -178,6 +180,29 @@ def test_library_cores_are_checked_cores():
                 built += [c for c, _, _ in strong_covers_up(core) + strong_covers_down(core)]
                 built += [up for i in range(n) if (up := _act_or_none(act_s, core, i)) is not None]
                 assert all(map(same, built)), core
+
+
+def test_interned_cores_survive_copy_and_pickle():
+    # a copy is the same instance, so it still compares equal to every other
+    core = NCore(5, (4, 2, 1))
+    assert copy.copy(core) is core
+    assert copy.deepcopy(core) is core
+    assert copy.deepcopy({core: [core]}) == {core: [core]}
+    assert pickle.loads(pickle.dumps(core)) is core
+    assert pickle.loads(pickle.dumps(core, protocol=0)) is core
+
+
+def test_core_equality_is_identity():
+    # test_library_cores_are_checked_cores checks NCore(n, p) is c_map(c_inverse(...), n)
+    core = NCore(4, (2,))
+    assert NCore(4, [2, 0]) is core
+    assert core != (2,) and core != (4, (2,)) and core != [2]
+    assert core != NCore(5, (2,)) and core.parts == NCore(5, (2,)).parts
+    assert NCore(4, ()) != NCore(3, ())
+    # hashing and equality are object's own, run in C
+    assert NCore.__hash__ is object.__hash__
+    assert NCore.__eq__ is object.__eq__
+    assert hash(core) == object.__hash__(core)
 
 
 def test_strong_covers_examples():

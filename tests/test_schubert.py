@@ -1,15 +1,17 @@
 """Pieri rules, structure constants, sh, quantum Monk, GW invariants."""
 
+import os
+import subprocess
+import sys
 from itertools import permutations, product
 
 import pytest
 
 from kschur import schubert
-from kschur.cores import NCore, c_inverse, c_map, cores_of_degree, rect, union
+from kschur.cores import NCore, _weak_pieri_terms, c_inverse, c_map, cores_of_degree, rect, union
 from kschur.schubert import (
     _peel,
     _structure_constants,
-    _weak_pieri_terms,
     affine_monk_check,
     box_shape,
     gw_invariant,
@@ -31,11 +33,11 @@ from kschur.schubert import (
 from kschur.symfun import (
     bounded_partitions_of,
     dual_kschur,
-    kn1_matrix,
     multiply,
 )
 
 from oracles import (
+    kn1_by_abc,
     matrix_structure_constants,
     unpeeled_structure_constants,
     weak_pieri_terms_by_group,
@@ -48,7 +50,7 @@ def strong_pieri_oracle(m, lam):
     prod = multiply(dual_kschur(c_map((m,), n), False), dual_kschur(lam, False))
     D = prod.degree
     Pn = bounded_partitions_of(D, n)
-    kn1 = kn1_matrix(n, D)
+    kn1 = kn1_by_abc(n, D)
     pvec = [prod.coefficient(mu)(1) for mu in Pn]
     coeffs = {}
     for i, nu in enumerate(Pn):
@@ -183,6 +185,40 @@ def test_structure_constants_match_unpeeled_oracle():
                 assert _structure_constants(n, mu_b, lam_b) == want, (n, mu_b, lam_b)
                 pairs += 1
     assert pairs == 739
+
+
+# Wraps abc_counts wherever a kschur module holds it, runs the CLI argvs
+# and prints the exit codes and the number of calls, then calls count_abc
+# once and prints the number again; a fresh interpreter, so no warm cache
+# hides a call.
+_COUNT_ABC = """
+import sys
+import kschur, kschur.cli
+from kschur import abctab
+orig, calls = abctab.abc_counts, []
+def counting(*args):
+    calls.append(args)
+    return orig(*args)
+for mod in list(sys.modules.values()):
+    if getattr(mod, "__name__", "").startswith("kschur"):
+        if getattr(mod, "abc_counts", None) is orig:
+            mod.abc_counts = counting
+codes = [kschur.cli.main(argv.split()) for argv in sys.argv[1:]]
+before = len(calls)
+abctab.count_abc(kschur.NCore(4, (3, 1, 1)), (2, 1, 1))
+print(codes, before, len(calls), file=sys.stderr)
+"""
+
+
+def test_homology_sweeps_count_no_abc():
+    # Kn(1) columns and the k-Schur rows at t=1 come from weak Pieri alone;
+    # the last count shows that the wrapper does see a call
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(schubert.__file__)))
+    sweeps = ["verify affine-monk --n 5 --max-size 8", "verify rect-pieri --n 5 --max-size 8"]
+    proc = subprocess.run(
+        [sys.executable, "-c", _COUNT_ABC, *sweeps], capture_output=True, text=True, env=env
+    )
+    assert proc.stderr.strip() == "[0, 0] 0 1", proc.stderr
 
 
 def test_structure_constants_commutative_nonnegative():

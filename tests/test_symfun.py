@@ -8,6 +8,8 @@ from kschur.symfun import (
     ONE,
     ZERO,
     SymF,
+    _kschur_row,
+    _kschur_t1_row,
     _matmul,
     _weak_kf_fiber,
     bounded_partitions_of,
@@ -15,6 +17,7 @@ from kschur.symfun import (
     hall_pairing,
     h0t_in_m,
     kf_matrix,
+    kn1_matrix,
     kn_matrix,
     kschur,
     m_sym,
@@ -32,6 +35,7 @@ from kschur.tpoly import TPoly
 
 from oracles import (
     expand_symf,
+    kn1_by_abc,
     kschur_rows_by_inverse,
     n_stat,
     pair_weak_kostka_foulkes,
@@ -163,6 +167,26 @@ def test_kschur_rows_match_whole_inverse():
                     f = kschur(c_map(nu, n), t_on)
                     assert f.basis == basis
                     assert f.terms == {mu: c for mu, c in zip(Pn, row) if not c.is_zero()}
+
+
+def test_kn1_columns_from_weak_pieri_match_abc_counts():
+    # column mu of Kn(1) is h_mu xi_empty by weak Pieri; the oracle counts ABCs by strips
+    for n in range(3, 9):
+        for d in range(0, 11):
+            assert kn1_matrix(n, d) == kn1_by_abc(n, d), (n, d)
+
+
+def test_t1_kschur_rows_match_inverse_of_abc_block():
+    # the leading-block integer back substitution is the oracle's whole-inverse row
+    for n in range(3, 8):
+        for d in range(0, 11):
+            Pn = bounded_partitions_of(d, n)
+            for nu, want in zip(Pn, kschur_rows_by_inverse(n, d, False)):
+                row = _kschur_t1_row(n, nu)
+                assert len(row) == Pn.index(nu) + 1
+                assert list(row) == [c(1) for c in want[: len(row)]], (n, nu)
+                assert all(c.is_zero() for c in want[len(row) :]), (n, nu)
+                assert _kschur_row(n, nu, False) == want, (n, nu)
 
 
 def test_k_basis_labels_are_unknown():
