@@ -92,6 +92,8 @@ CASES = [
     ("abc-bounded-n8-json", "abc --n 8 --bounded 4,3,1 --json"),
     ("verify-affine-monk-n6-json", "verify affine-monk --n 6 --max-size 10 --json"),
     ("verify-rect-pieri-n6-json", "verify rect-pieri --n 6 --max-size 8 --json"),
+    ("expand-dualk-n4-deg13-json", "expand --n 4 --basis dualk --bounded 3,3,3,2,1,1 --json"),
+    ("expand-ptilde-n4-deg8-json", "expand --n 4 --basis ptilde --bounded 3,2,2,1 --json"),
 ]
 
 
