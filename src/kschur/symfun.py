@@ -1,15 +1,18 @@
 """Symmetric functions of bounded degree over ZZ[t, t^-1], exactly.
 
-Everything is matrix arithmetic per degree d against the monomial
-basis, with partitions of d listed in lex-descending order (a linear
-extension of dominance, so all the transition matrices below are
-triangular with unit diagonal and invert exactly):
+Every basis is expanded against the monomial basis, per degree d, with
+partitions of d listed in lex-descending order (a linear extension of
+dominance, so all the transition matrices below are triangular with
+unit diagonal and invert exactly):
 
   * s_lam   = sum_mu K_{lam,mu} m_mu                  (Kostka numbers)
   * s_lam   = sum_mu K_{lam,mu}(t) Ptilde_mu          (cocharge KF)
+  * Ptilde_lam in m, read off Macdonald's psi-tableaux one weight at a
+    time (`tableaux._ptilde_fiber`), with no K(t) inverted
   * H_mu(x;0,t) = sum_lam K_{lam,mu}(t) s_lam
   * dual k-Schur: S_{c(lam)}(x;t) = sum_mu Kn_{lam,mu}(t) Ptilde_mu,
-    with Kn the weak Kostka-Foulkes polynomials from ABCs
+    with Kn the weak Kostka-Foulkes polynomials from ABCs; one row of
+    Kn(t) times the bounded Ptilde block, per function asked for
   * k-Schur: the Hall-dual basis, one column of Kn^{-1} each.
 
 At t = 1, column mu of Kn(1) is h_mu xi_empty in the nilCoxeter model
@@ -30,7 +33,7 @@ from functools import lru_cache
 from .abctab import _ext_columns, _strip_off, _subword_picks
 from .cores import NCore, _core_of_bounded, _h_times, c_inverse, c_map, dominance_leq, normalize
 from .strips import horizontal_strong_strips_from
-from .tableaux import _cocharge_fiber, _kf_fiber, _kostka_fiber
+from .tableaux import _cocharge_fiber, _kf_fiber, _kostka_fiber, _ptilde_fiber
 from .tpoly import TPoly
 
 ZERO = TPoly.zero()
@@ -73,13 +76,14 @@ def _dot(pairs) -> TPoly:
     return TPoly(acc)
 
 
+def _row_times(row, B):
+    """The row vector times the matrix B, skipping the row's zero entries."""
+    nz = [(a, Bk) for a, Bk in zip(row, B) if not a.is_zero()]
+    return [_dot((a, Bk[j]) for a, Bk in nz) for j in range(len(B[0]) if B else 0)]
+
+
 def _matmul(A, B):
-    cols = range(len(B[0]) if B else 0)
-    out = []
-    for Ai in A:
-        nz = [(a, Bk) for a, Bk in zip(Ai, B) if not a.is_zero()]
-        out.append([_dot((a, Bk[j]) for a, Bk in nz) for j in cols])
-    return out
+    return [_row_times(Ai, B) for Ai in A]
 
 
 def _unitriangular_inverse(M):
@@ -97,9 +101,9 @@ def _unitriangular_column(M, j: int):
     return x
 
 
-def _expand(terms, M, idx, cols) -> dict:
-    """sum_p c_p * (row idx[p] of M), as a dict over the column labels (zeros included)."""
-    rows = [(c, M[idx[p]]) for p, c in terms.items()]
+def _expand(terms, row_of, cols) -> dict:
+    """sum_p c_p * row_of(p), as a dict over the column labels (zeros included)."""
+    rows = [(c, row_of(p)) for p, c in terms.items()]
     return {mu: _dot((c, row[j]) for c, row in rows) for j, mu in enumerate(cols)}
 
 
@@ -110,21 +114,23 @@ def _transpose(M):
 # -- full-degree transition matrices (coefficients of m) -----------------
 
 
-def _kostka_block(P):
-    """K over the partitions P, a dominance ideal, read off their own fibers."""
-    cols = [_kostka_fiber(mu) for mu in P]
-    return [[TPoly.const(col.get(lam, 0)) for col in cols] for lam in P]
-
-
-def _kf_block(P):
-    """K(t) over the partitions P, a dominance ideal, read off their own fibers."""
-    cols = [_kf_fiber(mu) for mu in P]
+def _block(P, fiber):
+    """Row lam, column mu: fiber(mu) at lam, over the partitions P."""
+    cols = [fiber(mu) for mu in P]
     return [[col.get(lam, ZERO) for col in cols] for lam in P]
+
+
+def _ptilde_block(P):
+    """[m_mu] Ptilde_lam over P, lex descending: psi fibers no wider than P's first partition."""
+    width = P[0][0] if P and P[0] else 0
+    return _block(P, lambda mu: _ptilde_fiber(mu, width))
 
 
 @lru_cache(maxsize=None)
 def s_to_m(d: int):
-    return _kostka_block(partitions_of(d))
+    return _block(
+        partitions_of(d), lambda mu: {lam: TPoly.const(c) for lam, c in _kostka_fiber(mu).items()}
+    )
 
 
 @lru_cache(maxsize=None)
@@ -135,17 +141,13 @@ def m_to_s(d: int):
 @lru_cache(maxsize=None)
 def kf_matrix(d: int):
     """K(t): rows lam, columns mu; upper triangular, diagonal t^{n(lam)}."""
-    return _kf_block(partitions_of(d))
-
-
-@lru_cache(maxsize=None)
-def ptilde_to_s(d: int):
-    return _unitriangular_inverse(kf_matrix(d))
+    return _block(partitions_of(d), _kf_fiber)
 
 
 @lru_cache(maxsize=None)
 def ptilde_to_m(d: int):
-    return _matmul(ptilde_to_s(d), s_to_m(d))
+    """[m_mu] Ptilde_lam: rows lam, columns mu; upper triangular, diagonal t^{-n(lam)}."""
+    return _ptilde_block(partitions_of(d))
 
 
 @lru_cache(maxsize=None)
@@ -239,22 +241,18 @@ def kn1_matrix(n: int, d: int):
 
 @lru_cache(maxsize=None)
 def ptilde_to_m_bounded(n: int, d: int):
-    """Rows/columns of ptilde_to_m restricted to bounded partitions: K_B(t)^{-1} K_B.
-
-    The bounded partitions B form a dominance ideal, and K(t), K are
-    dominance-triangular, so a bounded row of either (and of K(t)^{-1})
-    vanishes off B and the B-block of K(t)^{-1} K is that of the blocks.
-    """
-    Pn = bounded_partitions_of(d, n)
-    return _matmul(_unitriangular_inverse(_kf_block(Pn)), _kostka_block(Pn))
+    """Rows/columns of ptilde_to_m restricted to bounded partitions, from their fibers alone."""
+    return _ptilde_block(bounded_partitions_of(d, n))
 
 
 @lru_cache(maxsize=None)
-def dualk_to_m(n: int, d: int, t_on: bool = True):
-    """Dual k-Schur rows over bounded partitions (m-coefficients)."""
+def _dualk_row(n: int, lam, t_on: bool):
+    """Dual k-Schur row lam in m: row lam of Kn(t) times the bounded Ptilde block, or of Kn(1)."""
+    d = sum(lam)
+    i = bounded_partitions_of(d, n).index(lam)
     if t_on:
-        return _matmul(kn_matrix(n, d), ptilde_to_m_bounded(n, d))
-    return kn1_matrix(n, d)
+        return _row_times(kn_matrix(n, d)[i], ptilde_to_m_bounded(n, d))
+    return kn1_matrix(n, d)[i]
 
 
 @lru_cache(maxsize=None)
@@ -303,11 +301,16 @@ class SymF:
             for p, c in terms.items()
             if not (c.is_zero() if isinstance(c, TPoly) else c == 0)
         }
+        bounded = basis in ("dualk", "dualkt1")
+        if bounded and not isinstance(n, int):
+            raise ValueError(f"basis {basis} needs an integer n, not {n!r}")
         for p, c in list(self.terms.items()):
             if not isinstance(c, TPoly):
                 self.terms[p] = TPoly.const(c)
             if sum(p) != degree:
                 raise ValueError(f"{p} does not have degree {degree}")
+            if bounded and p and p[0] >= n:
+                raise ValueError(f"{p} has a part >= n = {n}, so it labels no {basis} function")
 
     def __eq__(self, other):
         return (
@@ -335,7 +338,7 @@ class SymF:
 
     def __add__(self, other: "SymF") -> "SymF":
         a, b = self, other
-        if a.basis != b.basis or a.degree != b.degree:
+        if a.basis != b.basis or a.degree != b.degree or a.n != b.n:
             a, b = a.in_m(), b.in_m()
         terms = dict(a.terms)
         for p, c in b.terms.items():
@@ -353,17 +356,19 @@ class SymF:
         d, n = self.degree, self.n
         whole = {"s": s_to_m, "h": h_to_m, "ptilde": ptilde_to_m, "H0t": h0t_to_m}
         if self.basis in whole:
-            P, M = partitions_of(d), whole[self.basis](d)
+            P = partitions_of(d)
+            row_of = dict(zip(P, whole[self.basis](d))).__getitem__
         elif self.basis in ("dualk", "dualkt1"):
-            P, M = bounded_partitions_of(d, n), dualk_to_m(n, d, self.basis == "dualk")
+            P, t_on = bounded_partitions_of(d, n), self.basis == "dualk"
+            row_of = lambda p: _dualk_row(n, p, t_on)
         else:
             raise ValueError(f"unknown basis {self.basis}")
-        return SymF("m", d, _expand(self.terms, M, _index(P), P))
+        return SymF("m", d, _expand(self.terms, row_of, P))
 
     def in_h(self) -> "SymF":
         d = self.degree
         P = partitions_of(d)
-        return SymF("h", d, _expand(self.in_m().terms, m_to_h(d), _index(P), P))
+        return SymF("h", d, _expand(self.in_m().terms, dict(zip(P, m_to_h(d))).__getitem__, P))
 
 
 def m_sym(p) -> SymF:

@@ -1,4 +1,4 @@
-"""Semi-standard tableaux, cocharge, and Kostka-Foulkes polynomials.
+"""Semi-standard tableaux, cocharge, Kostka-Foulkes polynomials and P-tilde in m.
 
 A tableau of shape lam and weight mu is a chain of partitions growing
 by horizontal strips; the filling puts i on the i-th strip.  Cocharge
@@ -14,6 +14,15 @@ all shapes: Kostka numbers count its horizontal-strip chains, and the
 KF polynomials come from a DP over the chain prefixes that runs the
 extraction letter by letter, merging prefixes that agree on the shape
 and on each open subword's last cell.
+
+The deformed P-function Ptilde_lam = t^{-n(lam)} P_lam(x; 1/t) is read
+off the same chains with no cocharge: P_lam(x; t) = sum over the SSYT T
+of shape lam of psi_T(t) x^T, where psi_T is the product over its
+letters of psi_{hi/lo}(t) = prod_{j in J} (1 - t^{m_j(lo)}), J being
+the columns j >= 1 that hold no cell of hi/lo while column j + 1 holds
+one (Macdonald, Symmetric Functions and Hall Polynomials, III (5.8'),
+(5.11')).  So each weight's fiber of [m_mu] Ptilde is one DP that
+carries a polynomial per shape.
 """
 
 from __future__ import annotations
@@ -219,6 +228,54 @@ def _kf_fiber(mu) -> dict:
         return ((hi, (lo, hi), 0) for hi in horizontal_strip_additions(lo, m))
 
     return _cocharge_fiber(mu, (), grow, _letter_picks)
+
+
+@lru_cache(maxsize=None)
+def _psi_strips(lo, m) -> tuple:
+    """(hi, ks) per horizontal m-strip hi/lo, with psi_{hi/lo}(u) = prod over ks of (1 - u^k).
+
+    The strip's cells fill the columns (lo_i, hi_i] of each row i.  Each
+    column j >= 1 that holds no cell while column j + 1 holds one gives
+    k = m_j(lo); the row of that cell ends at j in lo, so k >= 1.
+    """
+    out = []
+    for hi in horizontal_strip_additions(lo, m):
+        low = lo + (0,) * (len(hi) - len(lo))
+        cols = {c for p, q in zip(hi, low) for c in range(q + 1, p + 1)}
+        out.append((hi, tuple(lo.count(c - 1) for c in cols if c > 1 and c - 1 not in cols)))
+    return tuple(out)
+
+
+def _ptilde_fiber(mu, width: int) -> dict:
+    """shape -> [m_mu] Ptilde_shape over the shapes with first row <= width.
+
+    [m_mu] Ptilde_lam = t^{-n(lam)} sum over SSYT(lam, mu) of psi_T(1/t),
+    so the DP grows the chains of weight mu strip by strip, keeping per
+    shape the sum of psi over its prefixes as u = 1/t exponent -> count.
+    A row never shrinks, so a shape wider than width is dropped at once.
+    """
+    layer = {(): {0: 1}}
+    for m in mu:
+        nxt: dict = {}
+        for lo, poly in layer.items():
+            for hi, ks in _psi_strips(lo, m):
+                if hi[0] > width:
+                    continue
+                p = poly
+                for k in ks:
+                    q = dict(p)
+                    for e, c in p.items():
+                        q[e + k] = q.get(e + k, 0) - c
+                    p = q
+                into = nxt.setdefault(hi, {})
+                for e, c in p.items():
+                    into[e] = into.get(e, 0) + c
+        layer = nxt
+    out = {}
+    for lam, poly in layer.items():
+        n_lam = sum(i * p for i, p in enumerate(lam))
+        out[lam] = TPoly({-e - n_lam: c for e, c in poly.items()})
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -10,7 +10,8 @@ a time, act_s by scanning the rows for addable corners, R(r, core) by
 composing c_inverse, the union with R_r and c_map,
 the words, strip chains and offsets of an ABC through the quotients
 w_core(hi) w_core(lo)^{-1} and skew shapes, the deformed P-functions by exact symmetrization in finitely many
-variables, monomial products by expanding in as many variables as
+variables and in m through the whole inverse K(t)^{-1} K (dual k-Schur
+rows as the whole product of Kn(t) with its bounded slice), monomial products by expanding in as many variables as
 the degree, and homology structure constants by multiplying k-Schur
 functions in the h basis and reading the product back through the
 dual basis at the product degree, or by weak Pieri without peeling
@@ -57,12 +58,14 @@ from kschur.cores import (
 from kschur.strips import _step_tail_ok, horizontal_strong_strips_from, phi
 from kschur.symfun import (
     _index,
+    _matmul,
     _transpose,
     _unitriangular_inverse,
     bounded_partitions_of,
+    kf_matrix,
     kn_matrix,
     partitions_of,
-    ptilde_to_m,
+    s_to_m,
 )
 from kschur.tableaux import Tableau, semistandard_tableaux
 from kschur.tpoly import TPoly
@@ -611,10 +614,22 @@ def expand_symf(f, nvars: int) -> MPoly:
 # -- whole-degree matrix routes -----------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def ptilde_to_s_by_inverse(d: int):
+    """Ptilde in s, rows lam: the whole inverse of K(t), since s = K(t) Ptilde."""
+    return _unitriangular_inverse(kf_matrix(d))
+
+
+@lru_cache(maxsize=None)
+def ptilde_to_m_by_inverse(d: int):
+    """Ptilde in m through s, the whole K(t)^{-1} K."""
+    return _matmul(ptilde_to_s_by_inverse(d), s_to_m(d))
+
+
 def ptilde_to_m_bounded_by_slice(n: int, d: int):
-    """The bounded rows and columns of ptilde_to_m(d), the whole K(t)^{-1} K."""
+    """The bounded rows and columns of the whole K(t)^{-1} K."""
     idx = _index(partitions_of(d))
-    full = ptilde_to_m(d)
+    full = ptilde_to_m_by_inverse(d)
     Pn = bounded_partitions_of(d, n)
     return [[full[idx[lam]][idx[mu]] for mu in Pn] for lam in Pn]
 
@@ -629,6 +644,17 @@ def kn1_by_abc(n: int, d: int):
     P = bounded_partitions_of(d, n)
     cols = [abc_counts(n, mu) for mu in P]
     return [[TPoly.const(col.get(c_map(lam, n), 0)) for col in cols] for lam in P]
+
+
+def dualk_to_m_by_product(n: int, d: int, t_on: bool = True):
+    """Dual k-Schur rows in m over the bounded partitions of d, as whole products.
+
+    Kn(t) times the bounded slice of K(t)^{-1} K, or at t=1 Kn(1) from
+    the ABC counts.
+    """
+    if t_on:
+        return _matmul(kn_matrix(n, d), ptilde_to_m_bounded_by_slice(n, d))
+    return kn1_by_abc(n, d)
 
 
 def kschur_rows_by_inverse(n: int, d: int, t_on: bool = True):

@@ -10,6 +10,7 @@ from kschur.symfun import (
     SymF,
     _kschur_row,
     _kschur_t1_row,
+    _dualk_row,
     _matmul,
     _weak_kf_fiber,
     bounded_partitions_of,
@@ -24,8 +25,9 @@ from kschur.symfun import (
     multiply,
     partitions_of,
     ptilde_in_m,
+    ptilde_to_m,
     ptilde_to_m_bounded,
-    ptilde_to_s,
+    s_to_m,
     schur,
     hom,
     weak_kostka_foulkes,
@@ -34,6 +36,7 @@ from kschur.tableaux import _kf_fiber, _kostka_fiber, kostka_foulkes
 from kschur.tpoly import TPoly
 
 from oracles import (
+    dualk_to_m_by_product,
     expand_symf,
     kn1_by_abc,
     kschur_rows_by_inverse,
@@ -41,6 +44,8 @@ from oracles import (
     pair_weak_kostka_foulkes,
     ptilde_oracle,
     ptilde_to_m_bounded_by_slice,
+    ptilde_to_m_by_inverse,
+    ptilde_to_s_by_inverse,
 )
 
 
@@ -156,6 +161,54 @@ def test_ptilde_to_m_bounded_matches_whole_degree_slice():
             assert ptilde_to_m_bounded(n, d) == ptilde_to_m_bounded_by_slice(n, d), (n, d)
 
 
+def test_psi_tableaux_blocks_match_the_inverse_route():
+    # Macdonald's psi-tableaux against K(t)^{-1} K, whole and bounded
+    for d in range(0, 11):
+        assert ptilde_to_m(d) == ptilde_to_m_by_inverse(d), d
+        for n in range(3, 10):
+            assert ptilde_to_m_bounded(n, d) == ptilde_to_m_bounded_by_slice(n, d), (n, d)
+
+
+def test_kf_matrix_times_ptilde_is_schur():
+    # s = K(t) Ptilde, with Ptilde from the psi-tableaux and K(t) from cocharge
+    for d in range(0, 11):
+        assert _matmul(kf_matrix(d), ptilde_to_m(d)) == s_to_m(d), d
+
+
+def test_dualk_rows_match_the_whole_product():
+    # one row of Kn(t) times the Ptilde block, or of Kn(1), per dual k-Schur function
+    for n in range(3, 8):
+        for d in range(0, 10):
+            Pn = bounded_partitions_of(d, n)
+            for t_on in (True, False):
+                want = dualk_to_m_by_product(n, d, t_on)
+                for lam, row in zip(Pn, want):
+                    assert _dualk_row(n, lam, t_on) == row, (n, lam, t_on)
+                    f = dual_kschur(c_map(lam, n), t_on)
+                    assert f.terms == {mu: c for mu, c in zip(Pn, row) if not c.is_zero()}
+
+
+def test_dualk_symf_needs_n_and_bounded_labels():
+    # both are refused when the SymF is built, before any expansion
+    for basis in ("dualk", "dualkt1"):
+        with pytest.raises(ValueError, match="needs an integer n"):
+            SymF(basis, 3, {(2, 1): 1})
+        with pytest.raises(ValueError, match="has a part >= n"):
+            SymF(basis, 3, {(3,): 1}, n=3)
+        with pytest.raises(ValueError, match="has a part >= n"):
+            SymF(basis, 4, {(2, 2): 1, (3, 1): 1}, n=3)
+        assert SymF(basis, 3, {(3,): 0}, n=3).terms == {}
+        assert SymF(basis, 3, {(2, 1): 1}, n=3).in_m().terms
+
+
+def test_dualk_sum_across_n_adds_in_m():
+    # S_{c(2,1)} differs at n = 3 and n = 4, so a sum may not merge their labels
+    a = SymF("dualk", 3, {(2, 1): 1}, n=3)
+    b = SymF("dualk", 3, {(2, 1): 1}, n=4)
+    assert (a + b).in_m().terms == (a.in_m() + b.in_m()).terms
+    assert (a + a).terms == {(2, 1): TPoly.const(2)}
+
+
 def test_kschur_rows_match_whole_inverse():
     # one back-substituted column of Kn^{-1} per k-Schur function
     for n in range(3, 7):
@@ -200,8 +253,8 @@ def test_kf_matrix_times_its_inverse_is_identity():
     for d in range(0, 10):
         size = len(partitions_of(d))
         want = [[ONE if i == j else ZERO for j in range(size)] for i in range(size)]
-        assert _matmul(kf_matrix(d), ptilde_to_s(d)) == want
-        assert _matmul(ptilde_to_s(d), kf_matrix(d)) == want
+        assert _matmul(kf_matrix(d), ptilde_to_s_by_inverse(d)) == want
+        assert _matmul(ptilde_to_s_by_inverse(d), kf_matrix(d)) == want
 
 
 def test_dual_kschur_reduction():
