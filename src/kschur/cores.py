@@ -139,6 +139,8 @@ class NCore:
     __slots__ = ("n", "parts", "window", "_deg")
 
     def __new__(cls, n: int, parts):
+        if n < 2:
+            raise ValueError("modulus n must be at least 2")
         parts = normalize(parts)
         if not is_ncore(parts, n):
             raise ValueError(f"{parts} has a hook of length {n}")
@@ -346,6 +348,8 @@ def c_map(bounded, n: int) -> NCore:
     word, walked from the identity one weak cover a letter
     (Lapointe-Morse, JCTA 2005).  Checked through n = 10.
     """
+    if n < 2:
+        raise ValueError("modulus n must be at least 2")
     bounded = normalize(bounded)
     if any(p >= n for p in bounded):
         raise ValueError(f"parts must be < {n}")

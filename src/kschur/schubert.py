@@ -5,8 +5,8 @@ acts by the weak Pieri rule, read off the cyclic runs of each m-subset
 of Z/n on the core window (`cores._weak_pieri_terms`).  With
 s^(k)_mu(1) = sum_a c_a h_a for the lower-degree factor,
 xi_mu xi_lam = sum_a c_a h_{a_1}...h_{a_l} xi_lam (Lam, JAMS 2008).
-The row c is a column of Kn(1)^{-1}, and column a of Kn(1) is
-h_a xi_empty, so weak Pieri gives both and no ABC is counted.
+The row c is a column of Kn(1)^{-1} (`symfun._kschur_row` at t = 1),
+and column a of Kn(1) is h_a xi_empty, so weak Pieri gives both.
 Every k-rectangle R_r = (r^{n-r}) is first peeled off both factors and
 put back on each term, by the k-rectangle property
 s^(k)_{R_r union mu} = s_{R_r} s^(k)_mu.
@@ -49,7 +49,7 @@ from .strips import (
     horizontal_strong_strips_from,
     marked_strong_covers,
 )
-from .symfun import _kschur_t1_row, bounded_partitions_of
+from .symfun import _kschur_row, bounded_partitions_of
 
 
 # -- affine Pieri rules ---------------------------------------------------
@@ -92,10 +92,11 @@ def strong_pieri_cohomology(m: int, lam: NCore) -> dict:
 # -- homology structure constants -----------------------------------------
 
 
-def _kschur_h_row(n: int, bounded) -> dict:
-    # the k-Schur function of `bounded` at t=1 in h: one column of Kn(1)^{-1}
-    Pn = bounded_partitions_of(sum(bounded), n)
-    return {mu: c for mu, c in zip(Pn, _kschur_t1_row(n, bounded)) if c}
+@lru_cache(maxsize=None)
+def _kschur_h_row(n: int, bounded) -> tuple:
+    # the k-Schur function of `bounded` at t=1 in h, (a, [h_a]) pairs: one column of Kn(1)^{-1}
+    row = zip(bounded_partitions_of(sum(bounded), n), _kschur_row(n, bounded, False))
+    return tuple((mu, c(1)) for mu, c in row if not c.is_zero())
 
 
 def _peel(bounded, n: int):
@@ -127,7 +128,7 @@ def _structure_constants(n: int, mu_b, lam_b) -> tuple:
     mu_b, lam_b = sorted((mu_b, lam_b), key=sum)
     lam = _core_of_bounded(lam_b, n)  # the callers checked both factors
     prod: dict = {}
-    for a, ca in _kschur_h_row(n, mu_b).items():
+    for a, ca in _kschur_h_row(n, mu_b):
         for nu, c in _h_times(a, lam).items():
             prod[nu] = prod.get(nu, 0) + ca * c
     return tuple(

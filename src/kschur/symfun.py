@@ -11,14 +11,15 @@ unit diagonal and invert exactly):
     time (`tableaux._ptilde_fiber`), with no K(t) inverted
   * H_mu(x;0,t) = sum_lam K_{lam,mu}(t) s_lam
   * dual k-Schur: S_{c(lam)}(x;t) = sum_mu Kn_{lam,mu}(t) Ptilde_mu,
-    with Kn the weak Kostka-Foulkes polynomials from ABCs; one row of
-    Kn(t) times the bounded Ptilde block, per function asked for
-  * k-Schur: the Hall-dual basis, one column of Kn^{-1} each.
+    with Kn(t) the weak Kostka-Foulkes matrix; one row of Kn(t) times
+    the bounded Ptilde block, per function asked for
+  * k-Schur: the Hall-dual basis, one column of Kn^{-1} each, back
+    substituted over the columns of Kn up to it.
 
-At t = 1, column mu of Kn(1) is h_mu xi_empty in the nilCoxeter model
-of homology (Lam, JAMS 2008), read off weak Pieri (`cores._h_times`)
-with no ABC enumerated; the k-Schur row at t = 1 is an integer back
-substitution over the columns up to it.
+Every read of Kn(t) or Kn(1) goes through one cached column,
+`_kn_column(n, mu, t_on)`.  With t on it is the weak-KF cocharge DP;
+at t = 1 it is h_mu xi_empty in the nilCoxeter model of homology (Lam,
+JAMS 2008), read off weak Pieri (`cores._h_times`).
 
 Ptilde is the deformation t^{-n(lam)} P_lam(x; 1/t) of Macdonald's
 P-function; its monomial expansion genuinely uses negative powers of t,
@@ -31,7 +32,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .abctab import _ext_columns, _strip_off, _subword_picks
-from .cores import NCore, _core_of_bounded, _h_times, c_inverse, c_map, dominance_leq, normalize
+from .cores import NCore, _h_times, c_inverse, dominance_leq, normalize
 from .strips import horizontal_strong_strips_from
 from .tableaux import _cocharge_fiber, _kf_fiber, _kostka_fiber, _ptilde_fiber
 from .tpoly import TPoly
@@ -60,10 +61,6 @@ def partitions_of(d: int):
 def bounded_partitions_of(d: int, n: int):
     """Partitions of d with all parts < n, lex descending."""
     return tuple(p for p in partitions_of(d) if not p or p[0] < n)
-
-
-def _index(parts):
-    return {p: i for i, p in enumerate(parts)}
 
 
 def _dot(pairs) -> TPoly:
@@ -173,23 +170,37 @@ def m_to_h(d: int):
 
 
 @lru_cache(maxsize=None)
-def _weak_kf_fiber(n: int, mu) -> dict:
-    """core -> Kn_{c^-1(core),mu}(t) over every core, by the DP over the ABCs of weight mu.
+def _kn_column(n: int, mu, t_on: bool) -> dict:
+    """Column mu of Kn(t), or of Kn(1): bounded lam -> Kn_{lam,mu}, zeros left out.
 
+    With t on, the entries come from the DP over the ABCs of weight mu.
     Letter i of ext(A) and step i's share of off(A) read only the i-th
     strip, so the ABCs are grown strip by strip, as `abc_counts` does,
     through the cocharge DP of `tableaux._cocharge_fiber` with the core
     as the shape.  The DP needs letter i of ext(A) to have mu_i cells,
     one per letter of psi of the strip, and raises AssertionError if
     not; tests check this for every strip out of a core of degree < 8
-    at n = 8, 9, and the Kn matrices against the oracle up to n = 7.
+    at n = 8, 9, and Kn against the oracle up to n = 7.  At t = 1 the
+    column is h_mu xi_empty, read off weak Pieri with no ABC enumerated.
+    Checked dominance-triangular: an entry is zero unless mu <= lam.
     """
+    empty = NCore(n, ())
+    if t_on:
 
-    def grow(lam, a):
-        for strip in horizontal_strong_strips_from(lam, n - 1 - a):
-            yield strip.nu, (n, _ext_columns(strip)), _strip_off(strip)
+        def grow(lam, a):
+            for strip in horizontal_strong_strips_from(lam, n - 1 - a):
+                yield strip.nu, (n, _ext_columns(strip)), _strip_off(strip)
 
-    return _cocharge_fiber(mu, NCore(n, ()), grow, _subword_picks)
+        by_core = _cocharge_fiber(mu, empty, grow, _subword_picks)
+    else:
+        by_core = {c: TPoly.const(v) for c, v in _h_times(mu, empty).items()}
+    col = {}
+    for core, entry in by_core.items():
+        lam = c_inverse(core)
+        if not dominance_leq(mu, lam):
+            raise AssertionError(f"K^{n} nonzero off the dominance ideal at {lam},{mu}")
+        col[lam] = entry
+    return col
 
 
 @lru_cache(maxsize=None)
@@ -200,43 +211,13 @@ def weak_kostka_foulkes(lam, mu, n: int) -> TPoly:
         raise ValueError(f"parts must be < {n}")
     if sum(lam) != sum(mu):
         return ZERO
-    return _weak_kf_fiber(n, mu).get(c_map(lam, n), ZERO)
-
-
-def _bounded_block(n: int, d: int, fiber, name: str):
-    """Row lam, column mu: fiber(mu) at c(lam), over the bounded partitions of d.
-
-    Checked dominance-triangular: an entry is zero unless mu <= lam.
-    """
-    P = bounded_partitions_of(d, n)
-    cols = [fiber(mu) for mu in P]
-    M = []
-    for lam in P:
-        core = c_map(lam, n)
-        M.append([col.get(core, ZERO) for col in cols])
-        for mu, entry in zip(P, M[-1]):
-            if not entry.is_zero() and not dominance_leq(mu, lam):
-                raise AssertionError(f"{name} nonzero off the dominance ideal at {lam},{mu}")
-    return M
+    return _kn_column(n, mu, True).get(lam, ZERO)
 
 
 @lru_cache(maxsize=None)
 def kn_matrix(n: int, d: int):
     """Kn(t) over bounded partitions of d, by the weak-KF DP."""
-    return _bounded_block(n, d, lambda mu: _weak_kf_fiber(n, mu), f"K^{n}(t)")
-
-
-def _kn1_column(n: int, mu) -> dict:
-    """Column mu of Kn(1), core -> |ABC(core, mu)|: the coefficients of h_mu xi_empty."""
-    return _h_times(mu, _core_of_bounded((), n))
-
-
-@lru_cache(maxsize=None)
-def kn1_matrix(n: int, d: int):
-    """Kn(1), the ABC counts, each column read off weak Pieri."""
-    return _bounded_block(
-        n, d, lambda mu: {c: TPoly.const(v) for c, v in _kn1_column(n, mu).items()}, "|ABC|"
-    )
+    return _block(bounded_partitions_of(d, n), lambda mu: _kn_column(n, mu, True))
 
 
 @lru_cache(maxsize=None)
@@ -247,44 +228,35 @@ def ptilde_to_m_bounded(n: int, d: int):
 
 @lru_cache(maxsize=None)
 def _dualk_row(n: int, lam, t_on: bool):
-    """Dual k-Schur row lam in m: row lam of Kn(t) times the bounded Ptilde block, or of Kn(1)."""
+    """Dual k-Schur row lam in m: row lam of Kn(t) times the bounded Ptilde block, or of Kn(1).
+
+    Row lam is zero off the weights mu <= lam, so only the columns at or
+    after lam in lex order are read.
+    """
     d = sum(lam)
-    i = bounded_partitions_of(d, n).index(lam)
-    if t_on:
-        return _row_times(kn_matrix(n, d)[i], ptilde_to_m_bounded(n, d))
-    return kn1_matrix(n, d)[i]
+    P = bounded_partitions_of(d, n)
+    i = P.index(lam)
+    row = [ZERO] * i + [_kn_column(n, mu, t_on).get(lam, ZERO) for mu in P[i:]]
+    return _row_times(row, ptilde_to_m_bounded(n, d)) if t_on else row
 
 
 @lru_cache(maxsize=None)
 def _kschur_row(n: int, nu, t_on: bool):
-    """Row nu of the k-Schur functions in H(x;0,t), or in h at t=1: column nu of Kn^{-1}."""
-    P = bounded_partitions_of(sum(nu), n)
-    if not t_on:
-        row = _kschur_t1_row(n, nu)
-        return [TPoly.const(c) for c in row] + [ZERO] * (len(P) - len(row))
-    return _unitriangular_column(kn_matrix(n, sum(nu)), _index(P)[nu])
+    """Row nu of the k-Schur functions in H(x;0,t), or in h at t=1: column nu of Kn^{-1}.
 
-
-@lru_cache(maxsize=None)
-def _kschur_t1_row(n: int, nu) -> tuple:
-    """Row nu of the k-Schur functions in h at t=1, over the bounded partitions up to nu.
-
-    Column nu of Kn(1)^{-1} by integer back substitution, which reads only
-    the columns of Kn(1) up to nu in lex-descending order; Kn(1) has unit
-    diagonal.  Later partitions have coefficient 0.
+    The back substitution reads only the leading block of Kn up to nu in
+    lex order; later partitions have coefficient 0.
     """
     P = bounded_partitions_of(sum(nu), n)
-    lead = P[: P.index(nu) + 1]
-    cols = [_kn1_column(n, a) for a in lead]
-    x = [0] * len(lead)
-    x[-1] = 1
-    for i in range(len(lead) - 2, -1, -1):
-        core = _core_of_bounded(lead[i], n)
-        x[i] = -sum(col.get(core, 0) * c for col, c in zip(cols[i + 1 :], x[i + 1 :]))
-    return tuple(x)
+    j = P.index(nu)
+    lead = _block(P[: j + 1], lambda mu: _kn_column(n, mu, t_on))
+    return _unitriangular_column(lead, j) + [ZERO] * (len(P) - j - 1)
 
 
 # -- symmetric function values -------------------------------------------
+
+#: H_mu(x;0,1) = h_mu, Ptilde_lam(x;1) = m_lam, and the dual k-Schur basis at t = 1
+_AT_T1 = {"H0t": "h", "ptilde": "m", "dualk": "dualkt1"}
 
 
 class SymF:
@@ -330,10 +302,10 @@ class SymF:
         return SymF(self.basis, self.degree, {p: f(c) for p, c in self.terms.items()}, self.n)
 
     def at_t(self, value: int) -> "SymF":
-        """Coefficients at t = value; H_mu(x;0,1) = h_mu, so H0t becomes h at t = 1."""
+        """Coefficients at t = value; at t = 1 a t-dependent basis becomes its value there."""
         f = self.map_coeffs(lambda c: TPoly.const(c(value)))
-        if value == 1 and f.basis == "H0t":
-            f.basis = "h"
+        if value == 1:
+            f.basis = _AT_T1.get(f.basis, f.basis)
         return f
 
     def __add__(self, other: "SymF") -> "SymF":

@@ -57,7 +57,6 @@ from kschur.cores import (
 )
 from kschur.strips import _step_tail_ok, horizontal_strong_strips_from, phi
 from kschur.symfun import (
-    _index,
     _matmul,
     _transpose,
     _unitriangular_inverse,
@@ -628,7 +627,7 @@ def ptilde_to_m_by_inverse(d: int):
 
 def ptilde_to_m_bounded_by_slice(n: int, d: int):
     """The bounded rows and columns of the whole K(t)^{-1} K."""
-    idx = _index(partitions_of(d))
+    idx = {p: i for i, p in enumerate(partitions_of(d))}
     full = ptilde_to_m_by_inverse(d)
     Pn = bounded_partitions_of(d, n)
     return [[full[idx[lam]][idx[mu]] for mu in Pn] for lam in Pn]
@@ -639,7 +638,7 @@ def kn1_by_abc(n: int, d: int):
     """Kn(1) over the bounded partitions of d: row lam, column mu, |ABC(c(lam), mu)|.
 
     Each column is the `abc_counts` strip DP, not the weak Pieri rule that
-    `kn1_matrix` reads its columns off.
+    `symfun._kn_column` reads its t = 1 columns off.
     """
     P = bounded_partitions_of(d, n)
     cols = [abc_counts(n, mu) for mu in P]
@@ -668,7 +667,7 @@ def kschur_rows_by_inverse(n: int, d: int, t_on: bool = True):
 def _kschur_h_row(n: int, bounded) -> dict:
     d = sum(bounded)
     Pn = bounded_partitions_of(d, n)
-    row = kschur_rows_by_inverse(n, d, False)[_index(Pn)[bounded]]
+    row = kschur_rows_by_inverse(n, d, False)[Pn.index(bounded)]
     return {mu: c for mu, c in zip(Pn, row) if not c.is_zero()}
 
 
@@ -687,7 +686,7 @@ def matrix_structure_constants(n: int, mu_b, lam_b) -> tuple:
             key = union(a, b)
             prod[key] = prod.get(key, 0) + ca(1) * cb(1)
     PnD = bounded_partitions_of(D, n)
-    idx = _index(PnD)
+    idx = {p: i for i, p in enumerate(PnD)}
     kn1 = kn1_by_abc(n, D)
     out = []
     for nu in PnD:
@@ -729,7 +728,7 @@ def unpeeled_structure_constants(n: int, mu_b, lam_b) -> tuple:
     mu_b, lam_b = sorted((mu_b, lam_b), key=sum)
     lam = c_map(lam_b, n)
     prod: dict = {}
-    for a, ca in schubert._kschur_h_row(n, mu_b).items():
+    for a, ca in schubert._kschur_h_row(n, mu_b):
         for nu, c in h_times_by_group(a, lam).items():
             prod[nu] = prod.get(nu, 0) + ca * c
     return tuple(sorted(((c_inverse(nu), c) for nu, c in prod.items() if c), reverse=True))

@@ -31,7 +31,7 @@ from kschur.cores import (
     w_core,
 )
 
-from kschur.symfun import bounded_partitions_of, partitions_of
+from kschur.symfun import bounded_partitions_of, partitions_of, weak_kostka_foulkes
 
 from oracles import (
     brute_covers_down,
@@ -118,6 +118,19 @@ def test_c_map_small_partitions_fixed():
         for parts in [(1,), (2,), (2, 1), (1, 1, 1)]:
             if sum(parts) < n:
                 assert c_map(parts, n).parts == parts
+
+
+def test_modulus_below_two_is_refused():
+    # checked where a core is built from the caller's n, as AffinePermutation does
+    for n in (-1, 0, 1):
+        with pytest.raises(ValueError, match="modulus n must be at least 2"):
+            NCore(n, ())
+        with pytest.raises(ValueError, match="modulus n must be at least 2"):
+            c_map((), n)
+        with pytest.raises(ValueError, match="modulus n must be at least 2"):
+            cores_of_degree(n, 2)
+        with pytest.raises(ValueError, match="modulus n must be at least 2"):
+            weak_kostka_foulkes((), (), n)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

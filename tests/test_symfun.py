@@ -3,22 +3,21 @@
 import pytest
 
 from kschur.abctab import abc_counts
-from kschur.cores import c_map, dominance_leq
+from kschur.cores import c_inverse, c_map, dominance_leq
+from kschur.schubert import _kschur_h_row
 from kschur.symfun import (
     ONE,
     ZERO,
     SymF,
-    _kschur_row,
-    _kschur_t1_row,
     _dualk_row,
+    _kn_column,
+    _kschur_row,
     _matmul,
-    _weak_kf_fiber,
     bounded_partitions_of,
     dual_kschur,
     hall_pairing,
     h0t_in_m,
     kf_matrix,
-    kn1_matrix,
     kn_matrix,
     kschur,
     m_sym,
@@ -150,8 +149,9 @@ def test_fibers_at_t1_count_tableaux_and_abcs():
     for n in range(3, 8):
         for d in range(0, 11):
             for mu in bounded_partitions_of(d, n):
-                fiber = _weak_kf_fiber(n, mu)
-                assert {core: kn(1) for core, kn in fiber.items()} == abc_counts(n, mu)
+                fiber = _kn_column(n, mu, True)
+                counts = {c_inverse(core): v for core, v in abc_counts(n, mu).items()}
+                assert {lam: kn(1) for lam, kn in fiber.items()} == counts
 
 
 def test_ptilde_to_m_bounded_matches_whole_degree_slice():
@@ -226,20 +226,33 @@ def test_kn1_columns_from_weak_pieri_match_abc_counts():
     # column mu of Kn(1) is h_mu xi_empty by weak Pieri; the oracle counts ABCs by strips
     for n in range(3, 9):
         for d in range(0, 11):
-            assert kn1_matrix(n, d) == kn1_by_abc(n, d), (n, d)
+            P = bounded_partitions_of(d, n)
+            block = [[_kn_column(n, mu, False).get(lam, ZERO) for mu in P] for lam in P]
+            assert block == kn1_by_abc(n, d), (n, d)
 
 
 def test_t1_kschur_rows_match_inverse_of_abc_block():
-    # the leading-block integer back substitution is the oracle's whole-inverse row
+    # the leading-block back substitution at t = 1 is the oracle's whole-inverse row
     for n in range(3, 8):
         for d in range(0, 11):
             Pn = bounded_partitions_of(d, n)
             for nu, want in zip(Pn, kschur_rows_by_inverse(n, d, False)):
-                row = _kschur_t1_row(n, nu)
-                assert len(row) == Pn.index(nu) + 1
-                assert list(row) == [c(1) for c in want[: len(row)]], (n, nu)
-                assert all(c.is_zero() for c in want[len(row) :]), (n, nu)
                 assert _kschur_row(n, nu, False) == want, (n, nu)
+                h_row = _kschur_h_row(n, nu)
+                assert h_row == tuple((mu, c(1)) for mu, c in zip(Pn, want) if not c.is_zero())
+                assert all(type(c) is int for _, c in h_row), (n, nu)
+
+
+def test_first_kschur_and_last_dualk_build_one_kn_column():
+    # a k-Schur row reads the columns up to it, a dual k-Schur row those from it on
+    for n, d in ((3, 7), (4, 8), (5, 9)):
+        P = bounded_partitions_of(d, n)
+        for t_on in (True, False):
+            for build, lam in ((kschur, P[0]), (dual_kschur, P[-1])):
+                for cache in (_kn_column, _kschur_row, _dualk_row):
+                    cache.cache_clear()
+                build(c_map(lam, n), t_on)
+                assert _kn_column.cache_info().currsize == 1, (n, d, t_on, build.__name__)
 
 
 def test_k_basis_labels_are_unknown():
@@ -343,6 +356,17 @@ def test_multiplication_matches_polynomial_expansion():
         lhs = expand_symf(multiply(m_sym(a), m_sym(b)), nvars)
         rhs = expand_symf(m_sym(a), nvars) * expand_symf(m_sym(b), nvars)
         assert lhs == rhs
+
+
+def test_at_t1_commutes_with_in_m_for_every_basis():
+    # at t = 1, H0t becomes h, ptilde becomes m and dualk becomes dualkt1
+    assert SymF("ptilde", 3, {(2, 1): 1}).at_t(1).in_m().terms == {(2, 1): ONE}
+    for d in range(0, 6):
+        for basis in ("m", "s", "h", "ptilde", "H0t", "dualk", "dualkt1"):
+            n = 4 if basis.startswith("dualk") else None
+            P = bounded_partitions_of(d, n) if n else partitions_of(d)
+            f = SymF(basis, d, {p: TPoly({-1: i, 0: 1, 2: -i}) for i, p in enumerate(P)}, n)
+            assert f.at_t(1).in_m().terms == f.in_m().at_t(1).terms, (basis, d)
 
 
 def test_multiplication_commutes_with_t1():
