@@ -24,7 +24,10 @@ lam^(i)_1 - lam^(i-1)_1 + 1 to row i, keeps only the letter-i cells,
 and drops every ribbon tail; n-cocharge is the sum of the index
 vectors of the standard sequences extracted from ext(A) plus off(A),
 the count of non-tail cells in ribbon copies sitting outside their
-home row.
+home row.  Letter i of ext(A) and step i's share of off(A) read only
+the i-th strip, so the letter table `_strip_letters(lam, m)`, cached
+per (core, m) beside the strips, is the one source of both: the ABC
+views and the weak Kostka-Foulkes DP read it.
 """
 
 from __future__ import annotations
@@ -145,13 +148,18 @@ class ABC:
 
     # -- offsets, extension, cocharge ------------------------------------
 
+    def _letters(self):
+        """Per step, its (n, ext columns) letter and off share, from the letter table."""
+        n = self.n
+        return [_strip_letters(s.lam, n - 1 - a)[s.nu] for s, a in zip(self.strips, self.weight)]
+
     def off(self) -> int:
         """Sum of (size - 1) over ribbon copies outside their home row."""
-        return sum(map(_strip_off, self.strips))
+        return sum(off for _letter, off in self._letters())
 
     def extension(self):
         """dict letter -> sorted columns of the letter's cells in ext(A)."""
-        return {i: _ext_columns(strip) for i, strip in enumerate(self.strips, start=1)}
+        return {i: list(cols) for i, ((_n, cols), _off) in enumerate(self._letters(), start=1)}
 
     def n_cocharge(self) -> int:
         """off(A) plus the index sums over standard-sequence extractions."""
@@ -165,8 +173,13 @@ class ABC:
 
     def index_vectors(self):
         """Index vectors of the successive standard sequences of ext(A)."""
-        letters = ((self.n, cols) for cols in self.extension().values())
-        return _index_vectors(letters, _subword_picks)
+        return _index_vectors((letter for letter, _off in self._letters()), _subword_picks)
+
+
+@lru_cache(maxsize=None)
+def _strip_letters(lam: NCore, m: int) -> dict:
+    """nu -> ((n, ext columns), off share) of each horizontal strong m-strip (lam, nu)."""
+    return {s.nu: ((lam.n, tuple(_ext_columns(s))), _strip_off(s)) for s in _hss_from(lam, m)}
 
 
 def _strip_off(strip) -> int:

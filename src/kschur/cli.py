@@ -2,9 +2,10 @@
 
 Subcommands: cores, strips, abc, kf-table, expand, pieri, verify.
 Output is JSON (--json) or aligned text, byte-deterministic for fixed
-inputs.  Exit codes: 0 success, 1 usage error (including a verification
-sweep with no instances), 2 conjecture mismatch.  Every usage error
-prints an `error:` line to stderr.
+inputs; each command builds only the format it prints.  Exit codes: 0
+success, 1 usage error (including a verification sweep with no
+instances), 2 conjecture mismatch.  Every usage error prints an
+`error:` line to stderr.
 """
 
 from __future__ import annotations
@@ -110,10 +111,11 @@ def tpoly_json(p: TPoly, at_t=None):
 
 
 def _emit(args, payload, text_lines):
+    """Print payload() as JSON with --json, else each line of text_lines(); the other is never built."""
     if args.json:
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(payload(), sort_keys=True))
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
 
 
@@ -123,21 +125,16 @@ def _emit(args, payload, text_lines):
 def cmd_cores(args) -> int:
     max_deg = 6 if args.max_deg is None else args.max_deg
     degs = [args.deg] if args.deg is not None else list(range(max_deg + 1))
-    payload = []
-    lines = []
-    for d in degs:
-        for core in cores_of_degree(args.n, d):
-            bounded = list(c_inverse(core))
-            payload.append(
-                {
-                    "degree": d,
-                    "core": core_json(core),
-                    "bounded": bounded,
-                    "word": list(w_core(core).window),
-                }
-            )
-            lines.append(f"deg {d}: core {list(core.parts)} bounded {bounded}")
-    _emit(args, payload, lines)
+    rows = [(d, core, list(c_inverse(core))) for d in degs for core in cores_of_degree(args.n, d)]
+    _emit(
+        args,
+        lambda: [
+            {"degree": d, "core": core_json(core), "bounded": bounded,
+             "word": list(w_core(core).window)}
+            for d, core, bounded in rows
+        ],
+        lambda: (f"deg {d}: core {list(core.parts)} bounded {bounded}" for d, core, bounded in rows),
+    )
     return 0
 
 
@@ -158,17 +155,17 @@ def cmd_strips(args) -> int:
             raise ValueError(f"--kind {args.kind} does not read --{opt}")
     m = 1 if args.m is None else args.m
     lam = _core_from_args(args)
-    payload = []
-    lines = []
     if args.kind == "horizontal":
         if m > args.n - 1:
             raise ValueError(f"--m must be at most n-1 = {args.n - 1}, got {m}")
-        for s in horizontal_strong_strips_from(lam, m):
-            payload.append(
-                {"nu": core_json(s.nu), **_strip_json(s.chain, s.contents),
-                 "word": list(psi(s))}
-            )
-            lines.append(f"nu {list(s.nu.parts)} contents {list(s.contents)} word {list(psi(s))}")
+        strips = [(s, list(psi(s))) for s in horizontal_strong_strips_from(lam, m)]
+        payload = lambda: [
+            {"nu": core_json(s.nu), **_strip_json(s.chain, s.contents), "word": word}
+            for s, word in strips
+        ]
+        lines = lambda: (
+            f"nu {list(s.nu.parts)} contents {list(s.contents)} word {word}" for s, word in strips
+        )
     elif args.kind == "strong":
         if args.to is None:
             raise ValueError("--to is required for strong strips")
@@ -176,15 +173,19 @@ def cmd_strips(args) -> int:
         gap = gamma.degree() - lam.degree()
         if m != gap:
             raise ValueError(f"--m is {m}, but deg(--to) - deg(core) = {gap}")
-        for s in strong_strips(lam, gamma, m):
-            payload.append(_strip_json(s.chain, s.contents))
-            lines.append(f"chain {[list(c.parts) for c in s.chain]} contents {list(s.contents)}")
-    elif args.kind == "ribbon":
+        strips = strong_strips(lam, gamma, m)
+        payload = lambda: [_strip_json(s.chain, s.contents) for s in strips]
+        lines = lambda: (
+            f"chain {[list(c.parts) for c in s.chain]} contents {list(s.contents)}" for s in strips
+        )
+    else:
         if args.r is None or args.b is None:
             raise ValueError("--r and --b are required for ribbon strips")
-        for s in ribbon_strong_strips(lam, args.r, args.b):
-            payload.append({"nu": core_json(s.nu), **_strip_json(s.chain)})
-            lines.append(f"nu {list(s.nu.parts)} chain {[list(c.parts) for c in s.chain]}")
+        strips = ribbon_strong_strips(lam, args.r, args.b)
+        payload = lambda: [{"nu": core_json(s.nu), **_strip_json(s.chain)} for s in strips]
+        lines = lambda: (
+            f"nu {list(s.nu.parts)} chain {[list(c.parts) for c in s.chain]}" for s in strips
+        )
     _emit(args, payload, lines)
     return 0
 
@@ -198,27 +199,19 @@ def cmd_abc(args) -> int:
         weights = [parse_composition(args.weight)]
         if sum(weights[0]) != d:
             raise ValueError(f"--weight sums to {sum(weights[0])}, but the core has degree {d}")
-    payload = []
-    lines = []
-    for weight in weights:
-        for abc in enumerate_abc(shape, weight):
-            entry = {
-                "n": abc.n,
-                "lambda_chain": [list(c.parts) for c in abc.chain],
-                "weight": list(abc.weight),
-            }
-            is_partition_weight = all(
-                abc.weight[i] >= abc.weight[i + 1] for i in range(len(abc.weight) - 1)
-            )
-            if is_partition_weight:
-                entry["cocharge"] = abc.n_cocharge()
-            payload.append(entry)
-            lines.append(abc.pretty())
-            lines.append(
-                f"weight {list(abc.weight)}"
-                + (f" cocharge {entry['cocharge']}" if "cocharge" in entry else "")
-            )
-            lines.append("")
+    # each ABC with its n-cocharge, or None off the partition weights, which have none
+    abcs = [
+        (abc, abc.n_cocharge() if list(weight) == sorted(weight, reverse=True) else None)
+        for weight in weights for abc in enumerate_abc(shape, weight)
+    ]
+    payload = lambda: [
+        {"n": abc.n, "lambda_chain": [list(c.parts) for c in abc.chain],
+         "weight": list(abc.weight), **({} if cc is None else {"cocharge": cc})}
+        for abc, cc in abcs
+    ]
+    lines = lambda: (line for abc, cc in abcs for line in (
+        abc.pretty(), f"weight {list(abc.weight)}" + ("" if cc is None else f" cocharge {cc}"), ""
+    ))
     _emit(args, payload, lines)
     return 0
 
@@ -228,17 +221,25 @@ def cmd_kf_table(args) -> int:
         parts, matrix = bounded_partitions_of(args.deg, args.n), kn_matrix(args.n, args.deg)
     else:
         parts, matrix = partitions_of(args.deg), kf_matrix(args.deg)
-    payload = {"n": args.n if args.weak else None, "degree": args.deg, "rows": []}
-    lines = []
-    for lam, entries in zip(parts, matrix):
-        row = {"lambda": list(lam), "entries": []}
-        cells = []
-        for mu, p in zip(parts, entries):
-            row["entries"].append({"mu": list(mu), "coeff": tpoly_json(p, args.at_t)})
-            cells.append(str(p(args.at_t)) if args.at_t is not None else repr(p))
-        payload["rows"].append(row)
-        lines.append(f"{str(list(lam)):<18} " + " | ".join(cells))
-    _emit(args, payload, lines)
+    cell = repr if args.at_t is None else lambda p: str(p(args.at_t))
+    _emit(
+        args,
+        lambda: {
+            "n": args.n if args.weak else None,
+            "degree": args.deg,
+            "rows": [
+                {"lambda": list(lam), "entries": [
+                    {"mu": list(mu), "coeff": tpoly_json(p, args.at_t)}
+                    for mu, p in zip(parts, entries)
+                ]}
+                for lam, entries in zip(parts, matrix)
+            ],
+        },
+        lambda: (
+            f"{str(list(lam)):<18} " + " | ".join(map(cell, entries))
+            for lam, entries in zip(parts, matrix)
+        ),
+    )
     return 0
 
 
@@ -257,15 +258,15 @@ def cmd_expand(args) -> int:
     if args.at_t is not None:
         f = f.at_t(args.at_t)
     terms = sorted(f.terms.items(), reverse=True)
-    payload = {
-        "basis": f.basis,
-        "n": getattr(args, "n", None),
-        "terms": [
-            {"partition": list(p), "coeff": tpoly_json(c, None)} for p, c in terms
-        ],
-    }
-    lines = [f"{str(list(p)):<18} {c!r}" for p, c in terms]
-    _emit(args, payload, lines)
+    _emit(
+        args,
+        lambda: {
+            "basis": f.basis,
+            "n": getattr(args, "n", None),
+            "terms": [{"partition": list(p), "coeff": tpoly_json(c, None)} for p, c in terms],
+        },
+        lambda: (f"{str(list(p)):<18} {c!r}" for p, c in terms),
+    )
     return 0
 
 
@@ -283,13 +284,13 @@ def cmd_pieri(args) -> int:
         ),
         "weak_horizontal_agree": agree,
     }
-    lines = [
+    lines = lambda: [
         "weak:       " + str(payload["weak"]),
         "horizontal: " + str(payload["horizontal"]),
         "strong^:    " + str(payload["strong_cohomology"]),
         "agreement:  " + str(agree),
     ]
-    _emit(args, payload, lines)
+    _emit(args, lambda: payload, lines)
     return 0 if agree else 2
 
 

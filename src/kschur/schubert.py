@@ -71,22 +71,24 @@ def horizontal_pieri(m: int, lam: NCore) -> dict:
 
 
 def strong_pieri_cohomology(m: int, lam: NCore) -> dict:
-    """xi^{c_{0,m}} xi^lam: multiplicity = number of strong m-strips."""
-    n = lam.n
-    if not 1 <= m < n:
+    """xi^{c_{0,m}} xi^lam: multiplicity = number of strong m-strips.
+
+    Counted a step at a time, per (core, last content), so each core's
+    marked covers are read once per step, not once per chain.
+    """
+    if not 1 <= m < lam.n:
         raise ValueError(f"need 1 <= m < n, got m={m}")
-    out = {}
-
-    def walk(cur, floor_content, steps):
-        if steps == m:
-            out[cur] = out.get(cur, 0) + 1
-            return
-        for nxt, c in marked_strong_covers(cur):
-            if floor_content is None or c > floor_content:
-                walk(nxt, c, steps + 1)
-
-    walk(lam, None, 0)
-    return out
+    layer = {lam: {float("-inf"): 1}}  # the first step may take any content
+    for _ in range(m):
+        nxt: dict = {}
+        for cur, by_content in layer.items():
+            for gamma, c in marked_strong_covers(cur):
+                count = sum(k for last, k in by_content.items() if last < c)
+                if count:
+                    tally = nxt.setdefault(gamma, {})
+                    tally[c] = tally.get(c, 0) + count
+        layer = nxt
+    return {core: sum(by_content.values()) for core, by_content in layer.items()}
 
 
 # -- homology structure constants -----------------------------------------

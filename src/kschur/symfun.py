@@ -31,9 +31,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .abctab import _ext_columns, _strip_off, _subword_picks
+from .abctab import _strip_letters, _subword_picks
 from .cores import NCore, _h_times, c_inverse, dominance_leq, normalize
-from .strips import horizontal_strong_strips_from
 from .tableaux import _cocharge_fiber, _kf_fiber, _kostka_fiber, _ptilde_fiber
 from .tpoly import TPoly
 
@@ -175,7 +174,7 @@ def _kn_column(n: int, mu, t_on: bool) -> dict:
 
     With t on, the entries come from the DP over the ABCs of weight mu.
     Letter i of ext(A) and step i's share of off(A) read only the i-th
-    strip, so the ABCs are grown strip by strip, as `abc_counts` does,
+    strip, so the ABCs are grown strip by strip off `_strip_letters`,
     through the cocharge DP of `tableaux._cocharge_fiber` with the core
     as the shape.  The DP needs letter i of ext(A) to have mu_i cells,
     one per letter of psi of the strip, and raises AssertionError if
@@ -188,8 +187,7 @@ def _kn_column(n: int, mu, t_on: bool) -> dict:
     if t_on:
 
         def grow(lam, a):
-            for strip in horizontal_strong_strips_from(lam, n - 1 - a):
-                yield strip.nu, (n, _ext_columns(strip)), _strip_off(strip)
+            return ((nu, *entry) for nu, entry in _strip_letters(lam, n - 1 - a).items())
 
         by_core = _cocharge_fiber(mu, empty, grow, _subword_picks)
     else:

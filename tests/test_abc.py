@@ -70,7 +70,7 @@ def test_stored_strips_match_the_group_and_skew_routes():
     # every ABC of composition weight, n = 3, 4, 5 up to degree 7, 7, 6;
     # the index vectors, letter by letter, against one whole subword at a
     # time, where most of these weights leave cells that no subword reaches
-    checked = leftovers = 0
+    checked = leftovers = partition_weights = 0
     for n, max_deg in ((3, 7), (4, 7), (5, 6)):
         for d in range(0, max_deg + 1):
             for lam in cores_of_degree(n, d):
@@ -87,9 +87,15 @@ def test_stored_strips_match_the_group_and_skew_routes():
                         got = _index_vectors_or_leftover(ABC.index_vectors, abc)
                         assert got == _index_vectors_or_leftover(subword_scan_index_vectors, abc)
                         leftovers += isinstance(got, str)
+                        if list(alpha) == sorted(alpha, reverse=True):
+                            # the letter table's n-cocharge against the skew off and the scan
+                            scanned = sum(map(sum, subword_scan_index_vectors(abc)))
+                            assert abc.n_cocharge() == skew_off(chains) + scanned
+                            partition_weights += 1
                         checked += 1
     assert checked == 1137
     assert 0 < leftovers < checked
+    assert 0 < partition_weights < checked
 
 
 def test_enumerated_abcs_equal_checked_abcs():

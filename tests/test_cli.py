@@ -251,6 +251,49 @@ def test_verify_mismatch_exits_two(capsys, monkeypatch):
     assert report["reading_disagreements"] == 2 * 2  # every r=3 instance
 
 
+def test_each_command_builds_only_the_format_it_prints(capsys, monkeypatch):
+    # with --json no text line is rendered, without it no JSON payload; the output is unchanged
+    import kschur.cli as cli
+    from kschur.abctab import ABC
+    from kschur.tpoly import TPoly
+
+    json_calls = [
+        "abc --n 4 --core 3,1,1 --json",
+        "abc --n 5 --bounded 3,2,1 --weight 2,3,1 --json",
+        "strips --n 4 --core 3,1,1 --kind horizontal --m 2 --json",
+        "expand --n 4 --basis dualk --bounded 2,2,1 --json",
+        "expand --n 4 --basis k --bounded 3,1 --json",
+        "kf-table --n 3 --deg 4 --weak --json",
+    ]
+    text_calls = [call.removesuffix(" --json") for call in json_calls]
+    want = {call: run(capsys, *call.split()) for call in json_calls + text_calls}
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("rendered a format that is not printed")
+
+    psi, psi_calls = cli.psi, []
+
+    def counted_psi(strip):
+        psi_calls.append(strip)
+        return psi(strip)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ABC, "pretty", refuse)
+        patch.setattr(TPoly, "__repr__", refuse)
+        patch.setattr(cli, "psi", counted_psi)
+        for call in json_calls:
+            assert run(capsys, *call.split()) == want[call], call
+            assert want[call][0] == 0
+    # one psi per horizontal strip: the word is read once, for the JSON only
+    assert len(psi_calls) == len(json.loads(want[json_calls[2]][1]))
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "core_json", refuse)
+        patch.setattr(cli, "tpoly_json", refuse)
+        for call in text_calls:
+            assert run(capsys, *call.split()) == want[call], call
+            assert want[call][0] == 0
+
+
 def test_shared_parser_keeps_no_state(capsys):
     # one interpreter, one parser: each call prints what a fresh process prints
     calls = [

@@ -30,6 +30,7 @@ from kschur.schubert import (
     w0,
     weak_pieri,
 )
+from kschur.strips import strong_strips
 from kschur.symfun import (
     bounded_partitions_of,
     dual_kschur,
@@ -124,6 +125,14 @@ def test_strong_pieri_examples():
     for n in (3, 4):
         for m in range(1, n):
             assert strong_pieri_cohomology(m, NCore(n, ())) == {NCore(n, (m,)): 1}
+    # the count a step at a time against the strong m-strips enumerated chain by chain
+    for n, max_deg in ((4, 6), (5, 5)):
+        for d in range(max_deg + 1):
+            for lam in cores_of_degree(n, d):
+                for m in range(1, n):
+                    ends = cores_of_degree(n, d + m)
+                    chains = {gamma: len(strong_strips(lam, gamma, m)) for gamma in ends}
+                    assert strong_pieri_cohomology(m, lam) == {g: k for g, k in chains.items() if k}
 
 
 @pytest.mark.parametrize("n", [2, 3])
