@@ -94,6 +94,8 @@ CASES = [
     ("verify-rect-pieri-n6-json", "verify rect-pieri --n 6 --max-size 8 --json"),
     ("expand-dualk-n4-deg13-json", "expand --n 4 --basis dualk --bounded 3,3,3,2,1,1 --json"),
     ("expand-ptilde-n4-deg8-json", "expand --n 4 --basis ptilde --bounded 3,2,2,1 --json"),
+    ("expand-k-at-t2-json", "expand --n 3 --basis k --bounded 2,1 --at-t 2 --json"),
+    ("expand-k-laurent-at-t2", "expand --n 4 --basis k --core 3,1,1 --at-t 2"),
 ]
 
 
