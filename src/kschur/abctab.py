@@ -91,15 +91,11 @@ class ABC:
     def __repr__(self):
         return f"ABC({self.n}, {[list(c.parts) for c in self.chain]})"
 
-    # -- factorization words and strip chains ---------------------------
+    # -- factorization words ---------------------------------------------
 
     def words(self):
         """The cyclically decreasing words v^1, ..., v^r of Theta."""
         return tuple(map(psi, self.strips))
-
-    def strip_chains(self):
-        """Per letter i, the unique strong chain lam^(i) -> R(n-1, lam^(i-1))."""
-        return tuple(s.chain for s in self.strips)
 
     # -- countertableau views --------------------------------------------
 
@@ -149,7 +145,7 @@ class ABC:
     # -- offsets, extension, cocharge ------------------------------------
 
     def _letters(self):
-        """Per step, its (n, ext columns) letter and off share, from the letter table."""
+        """Per step, its (n, ext cells) letter and off share, from the letter table."""
         n = self.n
         return [_strip_letters(s.lam, n - 1 - a)[s.nu] for s, a in zip(self.strips, self.weight)]
 
@@ -159,7 +155,8 @@ class ABC:
 
     def extension(self):
         """dict letter -> sorted columns of the letter's cells in ext(A)."""
-        return {i: list(cols) for i, ((_n, cols), _off) in enumerate(self._letters(), start=1)}
+        letters = enumerate(self._letters(), start=1)
+        return {i: [c for _res, c in cells] for i, ((_n, cells), _off) in letters}
 
     def n_cocharge(self) -> int:
         """off(A) plus the index sums over standard-sequence extractions."""
@@ -178,8 +175,8 @@ class ABC:
 
 @lru_cache(maxsize=None)
 def _strip_letters(lam: NCore, m: int) -> dict:
-    """nu -> ((n, ext columns), off share) of each horizontal strong m-strip (lam, nu)."""
-    return {s.nu: ((lam.n, tuple(_ext_columns(s))), _strip_off(s)) for s in _hss_from(lam, m)}
+    """nu -> ((n, ext cells), off share) of each horizontal strong m-strip (lam, nu)."""
+    return {s.nu: ((lam.n, _ext_cells(s)), _strip_off(s)) for s in _hss_from(lam, m)}
 
 
 def _strip_off(strip) -> int:
@@ -187,29 +184,29 @@ def _strip_off(strip) -> int:
     return sum(len(comp) - 1 for step in strip.ribbons for comp in step[:-1])
 
 
-def _ext_columns(strip):
-    """Sorted columns of the step's letter in ext(A); they read only this strip."""
+def _ext_cells(strip) -> tuple:
+    """(residue, column) of the step's letter in ext(A), by column; they read only this strip."""
     n = strip.lam.n
     lo1 = strip.lam.parts[0] if strip.lam.parts else 0
     hi1 = strip.nu.parts[0] if strip.nu.parts else 0
     letters = set(psi(strip))
     cols = [c for c in range(hi1 + 1, lo1 + n) if (c - 1) % n in letters]
     cols.extend(range(lo1 + n + 1, hi1 + n + 1))
-    return cols
+    return tuple(((c - 1) % n, c) for c in cols)
 
 
 def _subword_picks(letter, last):
-    """(residue, column) of the cell that each open subword takes from letter = (n, its columns).
+    """(residue, column) of the cell that each open subword takes from letter = (n, its cells).
 
     Letter 1 (`last` is None) opens one subword per cell, rightmost
     first; each open subword then takes the counter-clockwise choice
     from its last residue.  A cell that no open subword reaches would
     be left over, since only letter 1 opens subwords.
     """
-    n, cols = letter
-    options = {(c - 1) % n: c for c in cols}
+    n, cells = letter
     if last is None:
-        return sorted(options.items(), key=lambda rc: rc[1], reverse=True)
+        return cells[::-1]
+    options = dict(cells)
     if len(options) > len(last):
         raise AssertionError("extraction left non-empty rows without 1s")
     picks = []

@@ -55,18 +55,6 @@ class AffinePermutation:
     def identity(n: int) -> "AffinePermutation":
         return AffinePermutation(n, range(1, n + 1))
 
-    @staticmethod
-    def simple(n: int, i: int) -> "AffinePermutation":
-        """The generator s_i."""
-        if not 0 <= i < n:
-            raise InvalidLetterError(f"letter {i} not in 0..{n - 1}")
-        w = list(range(1, n + 1))
-        if i == 0:
-            w[0], w[n - 1] = 0, n + 1
-        else:
-            w[i - 1], w[i] = i + 1, i
-        return AffinePermutation(n, w)
-
     # -- the permutation of ZZ ------------------------------------------
 
     def act(self, x: int) -> int:
@@ -124,10 +112,6 @@ class AffinePermutation:
     def left_descents(self):
         """Residues i with ell(s_i w) < ell(w)."""
         return [i for i in range(self.n) if self.position(i) > self.position(i + 1)]
-
-    def right_descents(self):
-        """Residues i with ell(w s_i) < ell(w); w(i) > w(i+1)."""
-        return [i for i in range(self.n) if self.act(i) > self.act(i + 1)]
 
     def is_grassmannian(self) -> bool:
         """Minimal-length coset representative of ~S_n / S_n."""

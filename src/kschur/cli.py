@@ -244,7 +244,7 @@ def cmd_kf_table(args) -> int:
 
 
 def cmd_expand(args) -> int:
-    t_on = not args.t1
+    t_on = args.at_t != 1
     if args.basis in ("dualk", "k"):
         core = _core_from_args(args)
         f = dual_kschur(core, t_on) if args.basis == "dualk" else kschur(core, t_on)
@@ -253,10 +253,8 @@ def cmd_expand(args) -> int:
     else:
         bounded = parse_partition(args.bounded)
         f = ptilde_in_m(bounded) if args.basis == "ptilde" else h0t_in_m(bounded)
-        if args.t1:
-            f = f.at_t(1)
     if args.at_t is not None:
-        f = f.at_t(args.at_t)
+        f = f.map_coeffs(lambda c: TPoly.const(c(args.at_t)))
     terms = sorted(f.terms.items(), reverse=True)
     _emit(
         args,
@@ -441,7 +439,7 @@ def build_parser() -> Parser:
     p.add_argument("--basis", choices=("dualk", "k", "ptilde", "h0t"), required=True)
     core_or_bounded(p)
     specialize = p.add_mutually_exclusive_group()
-    specialize.add_argument("--t1", action="store_true", help="specialize t = 1")
+    specialize.add_argument("--t1", dest="at_t", action="store_const", const=1, help="same as --at-t 1")
     specialize.add_argument("--at-t", type=int, default=None)
     p.set_defaults(func=cmd_expand)
 

@@ -136,7 +136,7 @@ class NCore:
     default identity ones, run in C.
     """
 
-    __slots__ = ("n", "parts", "window", "_deg")
+    __slots__ = ("n", "parts", "window")
 
     def __new__(cls, n: int, parts):
         if n < 2:
@@ -152,9 +152,7 @@ class NCore:
 
     def degree(self) -> int:
         """Number of cells of hook length < n; equals ell(w_core)."""
-        if self._deg is None:
-            self._deg = w_core(self).length()
-        return self._deg
+        return sum(c_inverse(self))
 
     def __repr__(self):
         return f"NCore({self.n}, {list(self.parts)})"
@@ -319,7 +317,7 @@ def _core_of_window(n: int, window: tuple) -> NCore:
     low = min(window)
     beads = sorted((v - n - k for v in window for k in range(0, v - low + 1, n)), reverse=True)
     core = object.__new__(NCore)
-    core.n, core.window, core._deg = n, window, None
+    core.n, core.window = n, window
     core.parts = tuple(p for p in (b + i for i, b in enumerate(beads)) if p)
     return core
 

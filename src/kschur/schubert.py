@@ -313,7 +313,6 @@ def sh_preimage(lam, n: int):
     return _sh_inverse(n).get(lam)
 
 
-@lru_cache(maxsize=None)
 def _eta_of_monk_term(term_perm, d):
     """eta of the invariant attached to the quantum Monk term sigma_term q^d."""
     n = len(term_perm)

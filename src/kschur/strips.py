@@ -126,8 +126,7 @@ def _hss_from(lam: NCore, m: int):
     def walk(cur, chain, steps):
         # chain is descending from R(n-1, lam); bottom rows shrink.
         if len(chain) == m + 1:
-            if contains(cur.parts, lam.parts):
-                strips.append(_strip(lam, tuple(reversed(chain)), tuple(reversed(steps))))
+            strips.append(_strip(lam, tuple(reversed(chain)), tuple(reversed(steps))))
             return
         cur_bottom = cur.parts[0] if cur.parts else 0
         for mu, ribbons, _tau in strong_covers_down(cur):

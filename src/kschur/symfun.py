@@ -300,8 +300,9 @@ class SymF:
         return SymF(self.basis, self.degree, {p: f(c) for p, c in self.terms.items()}, self.n)
 
     def at_t(self, value: int) -> "SymF":
-        """Coefficients at t = value; at t = 1 a t-dependent basis becomes its value there."""
-        f = self.map_coeffs(lambda c: TPoly.const(c(value)))
+        """Coefficients at t = value; a t-dependent basis is renamed at t = 1, else expanded in m."""
+        f = self.in_m() if value != 1 and self.basis in _AT_T1 else self
+        f = f.map_coeffs(lambda c: TPoly.const(c(value)))
         if value == 1:
             f.basis = _AT_T1.get(f.basis, f.basis)
         return f
@@ -349,11 +350,6 @@ def m_sym(p) -> SymF:
 def schur(p) -> SymF:
     p = normalize(p)
     return SymF("s", sum(p), {p: ONE})
-
-
-def hom(p) -> SymF:
-    p = normalize(p)
-    return SymF("h", sum(p), {p: ONE})
 
 
 def ptilde_in_m(p) -> SymF:

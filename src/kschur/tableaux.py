@@ -64,14 +64,6 @@ class Tableau:
             sum(hi) - sum(lo) for lo, hi in zip(self.chain, self.chain[1:])
         )
 
-    def cells_with_letters(self):
-        out = []
-        for x, (lo, hi) in enumerate(zip(self.chain, self.chain[1:]), start=1):
-            for i, p in enumerate(hi, start=1):
-                q = lo[i - 1] if i <= len(lo) else 0
-                out.extend((i, j, x) for j in range(q + 1, p + 1))
-        return out
-
     def __repr__(self):
         return f"Tableau(chain={list(self.chain)})"
 

@@ -44,11 +44,6 @@ class TPoly:
     def const(v: int) -> "TPoly":
         return TPoly({0: v})
 
-    @staticmethod
-    def from_list(coeffs) -> "TPoly":
-        """Ascending coefficient list [a0, a1, ...] -> a0 + a1 t + ..."""
-        return TPoly({e: v for e, v in enumerate(coeffs)})
-
     # -- structure ----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -118,10 +113,6 @@ class TPoly:
             raise ValueError(f"{unit} is not a unit of ZZ[t, t^-1]")
         (e, v), = unit.c.items()
         return TPoly({e1 - e: v1 * v for e1, v1 in self.c.items()})
-
-    def subs_t_inverse(self) -> "TPoly":
-        """t -> 1/t."""
-        return TPoly({-e: v for e, v in self.c.items()})
 
     def __call__(self, value: int) -> int:
         """Evaluate at an integer; negative exponents need value = +-1."""

@@ -36,6 +36,7 @@ from kschur.affine import (
     AffinePermutation,
     cyclic_anchor_key,
     cyclically_decreasing_of_length,
+    from_word,
     is_cyclically_decreasing,
     transposition,
 )
@@ -76,7 +77,7 @@ from kschur.tpoly import TPoly
 @lru_cache(maxsize=None)
 def bfs_lengths(n: int, max_len: int):
     """dict window -> length for all elements of length <= max_len."""
-    simple = [AffinePermutation.simple(n, i) for i in range(n)]
+    simple = [from_word((i,), n) for i in range(n)]
     frontier = [AffinePermutation.identity(n)]
     lengths = {frontier[0].window: 0}
     for ell in range(1, max_len + 1):
@@ -101,7 +102,7 @@ def bfs_reduced_words(n: int, max_len: int):
         nxt = {}
         for w in frontier:
             for i in range(n):
-                u = AffinePermutation.simple(n, i) * w
+                u = from_word((i,), n) * w
                 if lengths.get(u.window) == ell:
                     bucket = nxt.setdefault(u.window, set())
                     bucket.update((i,) + word for word in words[w.window])
@@ -507,7 +508,8 @@ class MPoly:
         return out
 
     def subs_t_inverse(self):
-        return MPoly(self.nvars, {e: v.subs_t_inverse() for e, v in self.c.items()})
+        flip = lambda v: TPoly({-k: c for k, c in v.c.items()})  # t -> 1/t
+        return MPoly(self.nvars, {e: flip(v) for e, v in self.c.items()})
 
     def __eq__(self, other):
         return isinstance(other, MPoly) and self.nvars == other.nvars and self.c == other.c
@@ -544,7 +546,7 @@ def t_factorial(m: int) -> TPoly:
     """[m]_t! = prod_{i<=m} (1 + t + ... + t^{i-1})."""
     out = TPoly.one()
     for i in range(1, m + 1):
-        out = out * TPoly.from_list([1] * i)
+        out = out * TPoly(dict.fromkeys(range(i), 1))
     return out
 
 
@@ -749,13 +751,23 @@ def tableau_from_rows(rows) -> Tableau:
     return Tableau(chain)
 
 
+def cells_with_letters(tab: Tableau):
+    """(row, column, letter) of every cell, letter by letter, rows from the bottom."""
+    out = []
+    for x, (lo, hi) in enumerate(zip(tab.chain, tab.chain[1:]), start=1):
+        for i, p in enumerate(hi, start=1):
+            q = lo[i - 1] if i <= len(lo) else 0
+            out.extend((i, j, x) for j in range(q + 1, p + 1))
+    return out
+
+
 def set_scan_cocharge_index_vectors(tab: Tableau):
     """The index vectors of the successive standard-subword extractions."""
     weight = tab.weight
     if not is_partition(weight):
         raise ValueError(f"weight {weight} is not a partition")
     remaining = {}
-    for (i, j, x) in tab.cells_with_letters():
+    for (i, j, x) in cells_with_letters(tab):
         remaining.setdefault(x, set()).add((i, j))
     vectors = []
     while remaining.get(1):

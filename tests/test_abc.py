@@ -7,7 +7,7 @@ import pytest
 from kschur.abctab import (
     ABC,
     NonPartitionWeightError,
-    _ext_columns,
+    _ext_cells,
     count_abc,
     count_affine_factorizations,
     enumerate_abc,
@@ -78,7 +78,7 @@ def test_stored_strips_match_the_group_and_skew_routes():
                     for abc in enumerate_abc(lam, alpha):
                         chains = phi_strip_chains(abc)
                         assert abc.words() == quotient_words(abc)
-                        assert abc.strip_chains() == chains
+                        assert tuple(s.chain for s in abc.strips) == chains
                         assert abc.off() == skew_off(chains)
                         assert abc.letter_cells() == skew_letter_cells(chains)
                         for strip in abc.strips:
@@ -221,9 +221,11 @@ def test_ext_letter_has_one_cell_per_letter_of_its_strip():
             for lam in cores_of_degree(n, d):
                 for a in range(1, n):
                     for strip in horizontal_strong_strips_from(lam, n - 1 - a):
-                        cols = _ext_columns(strip)
-                        assert len(cols) == a
-                        assert sorted((c - 1) % n for c in cols) == sorted(psi(strip))
+                        cells = _ext_cells(strip)
+                        assert len(cells) == a
+                        assert sorted(res for res, _c in cells) == sorted(psi(strip))
+                        assert all(res == (c - 1) % n for res, c in cells)
+                        assert [c for _res, c in cells] == sorted(c for _res, c in cells)
 
 
 def test_standard_abc_cocharge_example():

@@ -71,7 +71,7 @@ def test_length_matches_bfs(n, max_len):
 
 def test_relations():
     for n in (3, 4, 5):
-        s = [AffinePermutation.simple(n, i) for i in range(n)]
+        s = [from_word((i,), n) for i in range(n)]
         e = AffinePermutation.identity(n)
         for i in range(n):
             assert s[i] * s[i] == e
@@ -100,7 +100,7 @@ def test_reduced_word_roundtrip():
 
 
 def test_transposition_examples():
-    assert transposition(0, 1, 4) == AffinePermutation.simple(4, 0)
+    assert transposition(0, 1, 4) == from_word((0,), 4)
     assert transposition(0, 2, 4) == from_word([0, 1, 0], 4)
     assert transposition(2, 0, 4) == transposition(0, 2, 4)
     # long translation-style transposition, factorization from the text
@@ -159,9 +159,10 @@ def test_grassmannian():
 
 def test_grassmannian_no_finite_right_descent():
     # w Grassmannian iff no reduced word ends in s_i with i != 0,
-    # equivalently no right descent in {1, ..., n-1}
+    # equivalently no right descent in {1, ..., n-1}: ell(w s_i) < ell(w)
+    # iff w(i) > w(i+1)
     for n in (3, 4, 5):
         for window in bfs_lengths(n, 6):
             w = AffinePermutation(n, window)
-            no_finite_descent = all(i not in w.right_descents() for i in range(1, n))
+            no_finite_descent = not any(w.act(i) > w.act(i + 1) for i in range(1, n))
             assert w.is_grassmannian() == no_finite_descent

@@ -65,11 +65,32 @@ def test_cores_default_max_deg(capsys):
 
 def test_expand_t1_is_at_t_one(capsys):
     # H_mu(x;0,1) = h_mu: the k-Schur function at t = 1 is labelled h either way
-    for basis, bounded in (("ptilde", "2,1"), ("ptilde", "2,1,1"), ("h0t", "3,1"), ("k", "3,1"), ("k", "2,2,1")):
+    for basis, bounded in (
+        ("ptilde", "2,1"), ("ptilde", "2,1,1"), ("h0t", "3,1"), ("k", "3,1"), ("k", "2,2,1"),
+        ("dualk", "3,1"), ("dualk", "2,2,1"),
+    ):
         for fmt in ((), ("--json",)):
             argv = ("expand", "--n", "5", "--basis", basis, "--bounded", bounded, *fmt)
             code, out = run(capsys, *argv, "--t1")
             assert (code, out) == run(capsys, *argv, "--at-t", "1"), argv
+
+
+def test_at_t_one_reads_kn_off_weak_pieri(capsys, monkeypatch):
+    # --at-t 1 is --t1: k and dualk read Kn(1) off weak Pieri and run no cocharge DP
+    from kschur import symfun
+
+    def no_dp(*args):
+        raise AssertionError("the cocharge DP ran at t = 1")
+
+    monkeypatch.setattr(symfun, "_cocharge_fiber", no_dp)
+    for cache in (symfun._kn_column, symfun._kschur_row, symfun._dualk_row):
+        cache.cache_clear()
+    for basis in ("k", "dualk"):
+        for shape in (("--bounded", "3,2,1"), ("--core", "4,2,1")):
+            argv = ("expand", "--n", "5", "--basis", basis, *shape, "--json")
+            code, out = run(capsys, *argv, "--t1")
+            assert code == 0
+            assert run(capsys, *argv, "--at-t", "1") == (code, out), argv
 
 
 def test_kf_table_weak_at_one(capsys):

@@ -28,7 +28,6 @@ from kschur.symfun import (
     ptilde_to_m_bounded,
     s_to_m,
     schur,
-    hom,
     weak_kostka_foulkes,
 )
 from kschur.tableaux import _kf_fiber, _kostka_fiber, kostka_foulkes
@@ -83,9 +82,9 @@ def test_ptilde_matches_symmetrization_oracle():
 
 
 def test_hall_pairing_examples():
-    assert hall_pairing(hom((2, 1)), m_sym((2, 1))) == TPoly.one()
-    assert hall_pairing(hom((2, 1)), m_sym((1, 1, 1))).is_zero()
-    assert hall_pairing(hom((2,)), m_sym((1,))).is_zero()  # degree mismatch
+    assert hall_pairing(SymF("h", 3, {(2, 1): 1}), m_sym((2, 1))) == TPoly.one()
+    assert hall_pairing(SymF("h", 3, {(2, 1): 1}), m_sym((1, 1, 1))).is_zero()
+    assert hall_pairing(SymF("h", 2, {(2,): 1}), m_sym((1,))).is_zero()  # degree mismatch
     for d in range(1, 6):
         for lam in partitions_of(d):
             assert hall_pairing(schur(lam), schur(lam)) == TPoly.one()
@@ -367,6 +366,31 @@ def test_at_t1_commutes_with_in_m_for_every_basis():
             P = bounded_partitions_of(d, n) if n else partitions_of(d)
             f = SymF(basis, d, {p: TPoly({-1: i, 0: 1, 2: -i}) for i, p in enumerate(P)}, n)
             assert f.at_t(1).in_m().terms == f.in_m().at_t(1).terms, (basis, d)
+
+
+def test_at_t_commutes_with_in_m_off_one():
+    # off t = 1 a t-dependent basis has no value, so at_t evaluates its
+    # m-expansion; where that has a negative t-power, both orders raise
+    def outcome(value):
+        try:
+            return value().terms
+        except ValueError:
+            return ValueError
+
+    evaluated = 0
+    for basis, n, values in (("H0t", None, (2, -1)), ("dualk", 4, (2, -1)), ("ptilde", None, (-1,))):
+        for d in range(0, 6):
+            P = bounded_partitions_of(d, n) if n else partitions_of(d)
+            f = SymF(basis, d, {p: TPoly({0: 1, 1: i}) for i, p in enumerate(P)}, n)
+            for v in values:
+                got = outcome(lambda: f.at_t(v).in_m())
+                assert got == outcome(lambda: f.in_m().at_t(v)), (basis, d, v)
+                evaluated += got is not ValueError
+                if got is not ValueError:
+                    assert f.at_t(v).basis == "m"
+    assert evaluated == 28  # all but dualk at t = 2 in degrees 4 and 5
+    with pytest.raises(ValueError):
+        SymF("ptilde", 3, {(2, 1): 1}).at_t(2)
 
 
 def test_multiplication_commutes_with_t1():
