@@ -1,20 +1,24 @@
 """Batch command line interface.
 
 Subcommands: cores, strips, abc, kf-table, expand, pieri, verify.
-Output is JSON (--json) or aligned text, byte-deterministic for fixed
-inputs; each command builds only the format it prints.  Exit codes: 0
-success, 1 usage error (including a verification sweep with no
-instances), 2 conjecture mismatch.  Every usage error prints an
-`error:` line to stderr.
+Options are read from one table, COMMANDS: `--opt value`, `--opt=value`
+and any unique prefix of an option (`--max 3` in `cores`) are accepted,
+the last of repeated options wins, and `-h` lists every command with its
+options (`kschur <command> -h` one command).  Output is JSON (--json) or
+aligned text, byte-deterministic for fixed inputs; each command builds
+only the format it prints.  Exit codes: 0 success, 1 usage error
+(including a verification sweep with no instances), 2 conjecture
+mismatch.  Every usage error prints an `error:` line to stderr.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import sys
-from functools import lru_cache
+from collections import namedtuple
+from types import SimpleNamespace
 
 from .abctab import count_affine_factorizations, enumerate_abc
 from .cores import (
@@ -53,12 +57,6 @@ from .symfun import (
 from .tpoly import TPoly
 
 
-class Parser(argparse.ArgumentParser):
-    def error(self, message):
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(1)
-
-
 def parse_composition(text: str) -> tuple:
     """Comma-separated integers in the order given, zeros dropped."""
     if text in ("", "-", "0"):
@@ -73,25 +71,10 @@ def parse_partition(text: str) -> tuple:
     return normalize(parse_composition(text))
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer no smaller than `low`."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-        return value
-
-    return parse
-
-
 def _core_from_args(args) -> NCore:
-    if getattr(args, "core", None) is not None:
+    if args.core is not None:
         return NCore(args.n, parse_partition(args.core))
-    if getattr(args, "bounded", None) is not None:
+    if args.bounded is not None:
         return c_map(parse_partition(args.bounded), args.n)
     raise ValueError("one of --core/--bounded is required")
 
@@ -260,7 +243,7 @@ def cmd_expand(args) -> int:
         args,
         lambda: {
             "basis": f.basis,
-            "n": getattr(args, "n", None),
+            "n": args.n,
             "terms": [{"partition": list(p), "coeff": tpoly_json(c, None)} for p, c in terms],
         },
         lambda: (f"{str(list(p)):<18} {c!r}" for p, c in terms),
@@ -386,93 +369,164 @@ def cmd_verify(args) -> int:
     return 0 if not failures else 2
 
 
-# -- parser ------------------------------------------------------------------
 
 
-def build_parser() -> Parser:
-    parser = Parser(prog="kschur", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+# -- options -----------------------------------------------------------------
 
-    count, modulus = _int_at_least(0), _int_at_least(2)
-
-    def common(p):
-        p.add_argument("--n", type=modulus, required=True)
-        p.add_argument("--json", action="store_true")
-
-    def core_or_bounded(p):
-        shape = p.add_mutually_exclusive_group()
-        shape.add_argument("--core", default=None)
-        shape.add_argument("--bounded", default=None)
-
-    p = sub.add_parser("cores", help="list n-cores by degree")
-    common(p)
-    degree = p.add_mutually_exclusive_group()
-    degree.add_argument("--deg", type=count, default=None)
-    degree.add_argument("--max-deg", type=count, default=None, help="default 6")
-    p.set_defaults(func=cmd_cores)
-
-    p = sub.add_parser("strips", help="enumerate strips")
-    common(p)
-    core_or_bounded(p)
-    p.add_argument("--kind", choices=("horizontal", "strong", "ribbon"), default="horizontal")
-    p.add_argument("--m", type=count, default=None, help="horizontal, strong; default 1")
-    p.add_argument("--to", default=None, help="target core for strong strips")
-    p.add_argument("--r", type=int, default=None, help="ribbon")
-    p.add_argument("--b", type=int, default=None, help="ribbon")
-    p.set_defaults(func=cmd_strips)
-
-    p = sub.add_parser("abc", help="enumerate affine Bruhat countertableaux")
-    common(p)
-    core_or_bounded(p)
-    p.add_argument("--weight", default=None, help="composition; default all partition weights")
-    p.set_defaults(func=cmd_abc)
-
-    p = sub.add_parser("kf-table", help="Kostka-Foulkes tables")
-    common(p)
-    p.add_argument("--deg", type=count, required=True)
-    p.add_argument("--weak", action="store_true")
-    p.add_argument("--at-t", type=int, default=None)
-    p.set_defaults(func=cmd_kf_table)
-
-    p = sub.add_parser("expand", help="basis expansions in m")
-    common(p)
-    p.add_argument("--basis", choices=("dualk", "k", "ptilde", "h0t"), required=True)
-    core_or_bounded(p)
-    specialize = p.add_mutually_exclusive_group()
-    specialize.add_argument("--t1", dest="at_t", action="store_const", const=1, help="same as --at-t 1")
-    specialize.add_argument("--at-t", type=int, default=None)
-    p.set_defaults(func=cmd_expand)
-
-    p = sub.add_parser("pieri", help="the three Pieri rules with agreement diff")
-    common(p)
-    core_or_bounded(p)
-    p.add_argument("--m", type=int, required=True)
-    p.set_defaults(func=cmd_pieri)
-
-    p = sub.add_parser("verify", help="conjecture verification sweeps")
-    p.add_argument("sweep", choices=tuple(SWEEPS))
-    p.add_argument("--n", type=modulus, default=4)
-    p.add_argument("--max-deg", type=count, default=None, help="prop-main, theta-bijection; default 6")
-    p.add_argument("--max-size", type=count, default=None, help="affine-monk, rect-pieri; default 6")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_verify)
-
-    return parser
+#: A subcommand: its handler, help line and options {name: (kind, help)}.  An
+#: option's flag is --name, and its field is the name with _ for -.  Its kind is
+#: str, int, the least integer it allows, a tuple of choices, or the dict of the
+#: fields a flag sets.  Fields are None unless `defaults` gives them a value;
+#: `positional` is the (name, choices) of the one positional.
+Command = namedtuple(
+    "Command", "func help options required exclusive defaults positional",
+    defaults=(("n",), (("core", "bounded"),), {"json": False}, ()),
+)
+_COUNT, _MODULUS = 0, 2
+_COMMON = {"n": (_MODULUS, "the modulus"), "json": ({"json": True}, "print one line of JSON")}
+_SHAPE = {"core": (str, "an n-core, as 3,1,1"), "bounded": (str, "a partition with parts below n")}
+COMMANDS = {
+    "cores": Command(cmd_cores, "list n-cores by degree", {
+        **_COMMON, "deg": (_COUNT, "one degree"), "max-deg": (_COUNT, "every degree up to this; default 6"),
+    }, exclusive=(("deg", "max-deg"),)),
+    "strips": Command(cmd_strips, "enumerate strips", {
+        **_COMMON, **_SHAPE, "kind": (("horizontal", "strong", "ribbon"), "the kind of strip"),
+        "m": (_COUNT, "horizontal, strong; default 1"), "to": (str, "target core for strong strips"),
+        "r": (int, "ribbon"), "b": (int, "ribbon"),
+    }, defaults={"json": False, "kind": "horizontal"}),
+    "abc": Command(cmd_abc, "enumerate affine Bruhat countertableaux", {
+        **_COMMON, **_SHAPE, "weight": (str, "composition; default all partition weights"),
+    }),
+    "kf-table": Command(cmd_kf_table, "Kostka-Foulkes tables", {
+        **_COMMON, "deg": (_COUNT, "the degree"), "weak": ({"weak": True}, "the weak table of n"),
+        "at-t": (int, "the value of t"),
+    }, ("n", "deg"), (), {"json": False, "weak": False}),
+    "expand": Command(cmd_expand, "basis expansions in m", {
+        **_COMMON, "basis": (("dualk", "k", "ptilde", "h0t"), "the basis"), **_SHAPE,
+        "t1": ({"at_t": 1}, "same as --at-t 1"), "at-t": (int, "the value of t"),
+    }, ("n", "basis"), (("core", "bounded"), ("t1", "at-t"))),
+    "pieri": Command(cmd_pieri, "the three Pieri rules with agreement diff", {
+        **_COMMON, **_SHAPE, "m": (int, "the degree of h_m"),
+    }, ("n", "m")),
+    "verify": Command(cmd_verify, "conjecture verification sweeps", {
+        **_COMMON, "max-deg": (_COUNT, "prop-main, theta-bijection; default 6"),
+        "max-size": (_COUNT, "affine-monk, rect-pieri; default 6"),
+    }, (), (), {"json": False, "n": 4}, ("sweep", tuple(SWEEPS))),
+}
+#: what _parse_args reads before the command: -h, or the command itself
+_TOP = Command(None, "", {}, (), (), {}, ("command", tuple(COMMANDS)))
 
 
-@lru_cache(maxsize=None)
-def _parser() -> Parser:
-    """The one parser of the process, built on the first call to main."""
-    return build_parser()
+def _help(commands) -> str:
+    """The usage of each command, read off COMMANDS."""
+    lines = []
+    for command in commands:
+        cmd = COMMANDS[command]
+        sweeps = " {" + ",".join(cmd.positional[1]) + "}" if cmd.positional else ""
+        lines.append(f"kschur {command}{sweeps}: {cmd.help}")
+        for name, (kind, text) in cmd.options.items():
+            value = " {" + ",".join(kind) + "}" if isinstance(kind, tuple) else " " + name.upper()
+            value = "" if isinstance(kind, dict) else value
+            notes = [text] + ["required"] * (name in cmd.required)
+            notes += [f"not with --{pair[pair[0] == name]}" for pair in cmd.exclusive if name in pair]
+            notes += [f"default {cmd.defaults[name]}"] if value and name in cmd.defaults else []
+            lines.append(f"  --{name + value:<28} {'; '.join(notes)}")
+    return "\n".join(lines)
+
+
+def _value(what: str, kind, token: str):
+    """token read as a value of this kind (see Command)."""
+    if kind is str or isinstance(kind, tuple) and token in kind:
+        return token
+    if isinstance(kind, tuple):
+        raise ValueError(f"argument {what}: invalid choice: {token!r} (choose from {', '.join(kind)})")
+    try:
+        value = int(token)
+    except ValueError:
+        raise ValueError(f"argument {what}: not an integer: {token!r}") from None
+    if kind is not int and value < kind:
+        raise ValueError(f"argument {what}: must be at least {kind}, got {value}")
+    return value
+
+
+def _option(token: str, flags: dict):
+    """(name, the value after = or None) if token is an option, else None.
+
+    flags maps each flag to its option name, and -h and --help to None.  A
+    unique prefix names its flag, an unknown option's name is "", and a
+    negative number is a value.
+    """
+    if token[:1] != "-" or token == "-":
+        return None
+    key, eq, value = token.partition("=")
+    matches = [key] if key in flags else [flag for flag in flags if token[1] == "-" and flag.startswith(key)]
+    if len(matches) > 1:
+        raise ValueError(f"ambiguous option: {token} could match {', '.join(matches)}")
+    if matches:
+        return flags[matches[0]], value if eq else None
+    return None if re.match(r"-\d+$|-\d*\.\d+$", token) or " " in token else ("", None)
+
+
+def _parse_args(argv):
+    """The namespace of a command line, or None once the help it asks for is printed.
+
+    One pass reads the tokens left to right: a bad value fails at once, an
+    unknown token or a missing option only at the end, so a later -h still
+    prints the help.
+    """
+    command, cmd, flags, fields = None, _TOP, {"-h": None, "--help": None}, {}
+    extra, seen, at, dashed, j = [], set(), None, False, 0
+    while j < len(argv):
+        token, j = argv[j], j + 1
+        if token == "--" and command and not dashed:
+            # the rest is positional; the -- itself is dropped only next to verify's sweep
+            dashed = True
+            if not cmd.positional or at not in (None, j - 2):
+                extra.append(token)
+            continue
+        opt = None if dashed or token == "--" else _option(token, flags)
+        if opt is None and command is None:  # the command: its options from here on
+            command, cmd = token, COMMANDS[_value("command", cmd.positional[1], token)]
+            flags = {"--" + name: name for name in cmd.options} | flags
+            fields = {name.replace("-", "_"): None for name, (kind, _) in cmd.options.items()
+                      if not isinstance(kind, dict)} | cmd.defaults | dict.fromkeys(cmd.positional[:1])
+        elif opt is None and cmd.positional and at is None:
+            fields[cmd.positional[0]], at = _value(*cmd.positional, token), j - 1
+        elif opt is None or opt[0] == "":  # a stray value or an unknown option
+            extra.append(token)
+        else:
+            name, value = opt
+            kind, flag = (cmd.options[name][0], "--" + name) if name else ({}, "-h/--help")
+            if isinstance(kind, dict) and value is not None:
+                raise ValueError(f"argument {flag}: ignored explicit argument {value!r}")
+            if name is None:
+                print(_help([command]) if command else __doc__ + "\n" + _help(COMMANDS))
+                return None
+            if isinstance(kind, dict):
+                fields.update(kind)
+            else:
+                if value is None:
+                    if j == len(argv) or argv[j] == "--" or _option(argv[j], flags) is not None:
+                        raise ValueError(f"argument {flag}: expected one argument")
+                    value, j = argv[j], j + 1
+                fields[name.replace("-", "_")] = _value(flag, kind, value)
+            for pair in cmd.exclusive:
+                if name in pair and (other := pair[pair[0] == name]) in seen:
+                    raise ValueError(f"argument {flag}: not allowed with argument --{other}")
+            seen.add(name)
+    missing = ["--" + name for name in cmd.required if name not in seen]
+    if missing or cmd.positional and at is None:
+        raise ValueError(f"the following arguments are required: {', '.join(missing or cmd.positional[:1])}")
+    if extra:
+        raise ValueError(f"unrecognized arguments: {' '.join(extra)}")
+    return SimpleNamespace(command=command, **fields)
 
 
 def main(argv=None) -> int:
     try:
         try:
-            args = _parser().parse_args(argv)
-            code = args.func(args)
-        except SystemExit as exc:
-            code = exc.code if isinstance(exc.code, int) else 1
+            args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+            code = 0 if args is None else COMMANDS[args.command].func(args)
         except (ValueError, KeyError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             code = 1

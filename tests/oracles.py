@@ -22,11 +22,13 @@ Kostka-Foulkes and weak Kostka-Foulkes polynomials are computed one
 from lam or by enumerating the tableaux or ABCs of that one shape, with
 cocharge picking each letter's cell by scanning the set of remaining
 cells and n-cocharge extracting one whole standard subword of ext(A)
-at a time.
+at a time.  The command line is parsed by the argparse parser that the
+CLI's option table replaced.
 """
 
 from __future__ import annotations
 
+import argparse
 from functools import lru_cache
 from itertools import permutations
 
@@ -40,6 +42,7 @@ from kschur.affine import (
     is_cyclically_decreasing,
     transposition,
 )
+from kschur.cli import SWEEPS
 from kschur.cores import (
     NCore,
     NoActionError,
@@ -891,3 +894,91 @@ def subword_scan_index_vectors(abc):
     if any(v for v in remaining.values()):
         raise AssertionError("extraction left non-empty rows without 1s")
     return vectors
+
+
+# -- command line oracle ------------------------------------------------------
+
+
+class OracleParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+def build_parser() -> OracleParser:
+    """The argparse parser of the CLI; a usage error raises ValueError, -h exits 0."""
+    parser = OracleParser(prog="kschur")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    count, modulus = _int_at_least(0), _int_at_least(2)
+
+    def common(p):
+        p.add_argument("--n", type=modulus, required=True)
+        p.add_argument("--json", action="store_true")
+
+    def core_or_bounded(p):
+        shape = p.add_mutually_exclusive_group()
+        shape.add_argument("--core", default=None)
+        shape.add_argument("--bounded", default=None)
+
+    p = sub.add_parser("cores")
+    common(p)
+    degree = p.add_mutually_exclusive_group()
+    degree.add_argument("--deg", type=count, default=None)
+    degree.add_argument("--max-deg", type=count, default=None)
+
+    p = sub.add_parser("strips")
+    common(p)
+    core_or_bounded(p)
+    p.add_argument("--kind", choices=("horizontal", "strong", "ribbon"), default="horizontal")
+    p.add_argument("--m", type=count, default=None)
+    p.add_argument("--to", default=None)
+    p.add_argument("--r", type=int, default=None)
+    p.add_argument("--b", type=int, default=None)
+
+    p = sub.add_parser("abc")
+    common(p)
+    core_or_bounded(p)
+    p.add_argument("--weight", default=None)
+
+    p = sub.add_parser("kf-table")
+    common(p)
+    p.add_argument("--deg", type=count, required=True)
+    p.add_argument("--weak", action="store_true")
+    p.add_argument("--at-t", type=int, default=None)
+
+    p = sub.add_parser("expand")
+    common(p)
+    p.add_argument("--basis", choices=("dualk", "k", "ptilde", "h0t"), required=True)
+    core_or_bounded(p)
+    specialize = p.add_mutually_exclusive_group()
+    specialize.add_argument("--t1", dest="at_t", action="store_const", const=1)
+    specialize.add_argument("--at-t", type=int, default=None)
+
+    p = sub.add_parser("pieri")
+    common(p)
+    core_or_bounded(p)
+    p.add_argument("--m", type=int, required=True)
+
+    p = sub.add_parser("verify")
+    p.add_argument("sweep", choices=tuple(SWEEPS))
+    p.add_argument("--n", type=modulus, default=4)
+    p.add_argument("--max-deg", type=count, default=None)
+    p.add_argument("--max-size", type=count, default=None)
+    p.add_argument("--json", action="store_true")
+
+    return parser

@@ -2,11 +2,14 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 
 import kschur
-from kschur.cli import main
+from kschur.cli import COMMANDS, SWEEPS, _parse_args, main
+
+from oracles import build_parser
 
 
 def run(capsys, *argv):
@@ -364,3 +367,138 @@ def test_cores_at_a_high_degree_builds_levels_without_recursion():
     assert (proc.returncode, proc.stderr) == (0, "")
     (entry,) = json.loads(proc.stdout)
     assert entry["degree"] == 600
+
+
+# -- the option table against the argparse parser it replaced ----------------
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _argv_corpus(name):
+    with open(os.path.join(ROOT, *name.split("/"))) as fh:
+        data = json.load(fh)
+    return [entry["argv"].split() for entry in (data["queries"] if "queries" in data else data)]
+
+
+def _flags():
+    return sorted({"--" + name for cmd in COMMANDS.values() for name in cmd.options})
+
+
+def _malformed(rng, count):
+    """Seeded argvs around the table: bad values, = forms, prefixes, strays and --.
+
+    No `--opt=--`: argparse read it as an empty list, a defect that
+    test_option_refusals covers.
+    """
+    values = ["4", "2", "1", "0", "-1", "-0", "1.5", "x", "", " 3", "3,1,1", "2,1", "-", "--", "-x",
+              "horizontal", "ribbon", "k", "ptilde", "prop-main", "rect-pieri", "nonsense"]
+    flags = _flags() + ["--bogus", "--max", "--b", "--t", "--=3", "-x"]
+    out = []
+    for _ in range(count):
+        argv = [rng.choice(list(COMMANDS) + ["bogus", "--n"])]
+        for _ in range(rng.randint(0, 6)):
+            flag = rng.choice(flags)
+            flag = flag[:rng.randint(3, len(flag))] if len(flag) > 3 and rng.random() < 0.2 else flag
+            shape = rng.random()
+            if shape < 0.3:
+                argv.append(flag + "=" + rng.choice([v for v in values if v != "--"]))
+            elif shape < 0.8:
+                argv += [flag, rng.choice(values)]
+            else:
+                argv.append(rng.choice(values + [flag]))
+        out.append(argv)
+    return out
+
+
+def _outcome(parse, argv):
+    try:
+        return vars(parse(list(argv)))
+    except ValueError:
+        return "error"
+
+
+def test_parser_matches_the_argparse_oracle():
+    # the same fields on success, a failure on both sides otherwise; -h is tested on its own
+    oracle = build_parser()
+    argvs = _argv_corpus("tests/golden/cases.json") + _argv_corpus("bench/session_pool.json")
+    argvs += _malformed(random.Random(23), 3000)
+    outcomes = {"error": 0, "ok": 0}
+    for argv in argvs:
+        want = _outcome(oracle.parse_args, argv)
+        assert _outcome(_parse_args, argv) == want, argv
+        outcomes["error" if want == "error" else "ok"] += 1
+    assert outcomes["ok"] > 2741 and outcomes["error"] > 1000
+
+
+def test_option_forms(capsys):
+    # = forms, unique prefixes, last-wins repeats, negative values and the sweep anywhere
+    same = [
+        ("cores --n 4 --max-deg 3", "cores --n=4 --max 3", "cores --n 5 --ma=3 --n 4"),
+        ("expand --n 4 --basis k --core 3,1,1 --t1", "expand --basis=k --co 3,1,1 --n 4 --at-t 1"),
+        ("verify prop-main --n 4 --max-deg 3", "verify --n 4 prop-main --max-d 3",
+         "verify --n 4 --max-deg 3 prop-main", "verify --n 4 --max-deg 3 -- prop-main"),
+    ]
+    for calls in same:
+        outs = {run(capsys, *call.split()) for call in calls}
+        assert len(outs) == 1 and next(iter(outs))[0] == 0, calls
+    assert _parse_args("expand --n 4 --basis k --core 1 --at-t -1".split()).at_t == -1
+    assert _parse_args("strips --n 5 --bounded 4,2 --kind ribbon --r -1 --b 2".split()).r == -1
+
+
+def test_option_refusals(capsys):
+    assert usage_error(capsys, "verify", "prop-main", "--max", "3") == 1  # ambiguous prefix
+    assert usage_error(capsys, "cores", "--n", "4", "--json=1") == 1
+    assert usage_error(capsys, "cores", "--n", "--json") == 1
+    assert usage_error(capsys, "cores", "--n", "4", "--bogus") == 1
+    assert usage_error(capsys, "cores", "--n", "4", "extra") == 1
+    assert usage_error(capsys, "cores", "--n", "4", "--") == 1
+    assert usage_error(capsys) == 1
+    # argparse read `--opt=--` as an empty list, which the commands then failed on
+    for argv in ("cores --n=--", "abc --n 4 --core=--", "strips --n 4 --core 3 --m=--"):
+        assert usage_error(capsys, *argv.split()) == 1
+    code = main(["cores", "--n", "four"])
+    assert (code, capsys.readouterr().err) == (1, "error: argument --n: not an integer: 'four'\n")
+    code = main(["cores", "--n", "1"])
+    assert (code, capsys.readouterr().err) == (1, "error: argument --n: must be at least 2, got 1\n")
+
+
+def test_help_lists_every_command_option_and_sweep(capsys):
+    code, out = run(capsys, "-h")
+    assert code == 0
+    for command, cmd in COMMANDS.items():
+        assert f"kschur {command}" in out
+        code, own = run(capsys, command, "--help")
+        assert code == 0 and own in out
+        for name in cmd.options:
+            assert f"--{name} " in own, (command, name)
+    for sweep in SWEEPS:
+        assert sweep in own  # verify comes last
+
+
+def test_fuzzed_command_lines_exit_cleanly(capsys):
+    # seeded small argvs: no exception escapes main, and exit 1 is an error line alone;
+    # half of them give every required option, so that they reach the commands
+    rng = random.Random(7)
+    values = ["-1", "0", "1", "2", "3", "4", "x", "", "-", "--", "3,1,1", "2,1", "1", "4,2", "2,1,1", "1,2"]
+    flags = _flags() + ["--bogus", "-h", "-x"]
+    codes = set()
+    for _ in range(2000):
+        command = rng.choice(list(COMMANDS) + ["bogus"])
+        cmd, argv = COMMANDS.get(command), [command]
+        if cmd and rng.random() < 0.5:
+            argv += [rng.choice(cmd.positional[1])] if cmd.positional else []
+            for name in cmd.required + tuple(rng.sample(list(cmd.options), 2)):
+                kind = cmd.options[name][0]
+                argv += ["--" + name] if isinstance(kind, dict) else [
+                    "--" + name, rng.choice(kind if isinstance(kind, tuple) else values[1:5])]
+        for _ in range(rng.randint(0, 3)):
+            flag = rng.choice(flags)
+            flag = flag[:rng.randint(3, len(flag))] if len(flag) > 3 and rng.random() < 0.2 else flag
+            argv += [flag + "=" + rng.choice(values)] if rng.random() < 0.3 else [flag, rng.choice(values)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2), argv
+        if code == 1:
+            assert captured.err.startswith("error:") and captured.out == "", argv
+        codes.add(code)
+    assert {0, 1} <= codes
