@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .affine import AffinePermutation
+from .affine import AffinePermutation, cyclically_decreasing_of_length
 from .cores import NCore, contains
 from .strips import _hss_from, horizontal_strong_strips_from, psi
 from .tableaux import _index_vectors
@@ -78,15 +78,10 @@ class ABC:
         return len(self.weight)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, ABC)
-            and self.n == other.n
-            and tuple(c.parts for c in self.chain)
-            == tuple(c.parts for c in other.chain)
-        )
+        return isinstance(other, ABC) and self.n == other.n and self.chain == other.chain
 
     def __hash__(self):
-        return hash((self.n, tuple(c.parts for c in self.chain)))
+        return hash((self.n, self.chain))
 
     def __repr__(self):
         return f"ABC({self.n}, {[list(c.parts) for c in self.chain]})"
@@ -307,8 +302,6 @@ def _count_factorizations(window, n: int, weight) -> int:
     leftmost factor v^r over all cyclically decreasing elements of
     length weight[-1] with ell(v^{-1} w) = ell(w) - weight[-1].
     """
-    from .affine import cyclically_decreasing_of_length
-
     w = AffinePermutation(n, window)
     if not weight:
         return 1 if w.is_identity() else 0

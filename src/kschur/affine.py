@@ -13,6 +13,7 @@ which the tests validate against BFS over reduced words.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 
 
 class InvalidLetterError(ValueError):
@@ -228,8 +229,6 @@ def is_cyclically_decreasing(w: AffinePermutation):
 @lru_cache(maxsize=None)
 def cyclically_decreasing_of_length(n: int, m: int):
     """All (letters, element) with |letters| = m, as canonical words."""
-    from itertools import combinations
-
     if not 0 <= m < n:
         return ()
     out = []

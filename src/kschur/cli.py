@@ -113,7 +113,7 @@ def cmd_cores(args) -> int:
         args,
         lambda: [
             {"degree": d, "core": core_json(core), "bounded": bounded,
-             "word": list(w_core(core).window)}
+             "word": list(core.window)}
             for d, core, bounded in rows
         ],
         lambda: (f"deg {d}: core {list(core.parts)} bounded {bounded}" for d, core, bounded in rows),
@@ -367,8 +367,6 @@ def cmd_verify(args) -> int:
               **(extra(results) if extra else {})}
     print(json.dumps(report, sort_keys=True))
     return 0 if not failures else 2
-
-
 
 
 # -- options -----------------------------------------------------------------

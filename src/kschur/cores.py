@@ -43,7 +43,8 @@ list its cells in content order.
 The weak cover s_i w_core is one degree up iff the entries a, b of residues
 i, i+1 have b < a; then a, b become a + 1, b - 1 in place: no length.
 Weak Pieri, h_m xi_core, takes such steps along the maximal cyclic runs
-of each m-subset of Z/n at once (`_weak_pieri_terms`).
+of each m-subset of Z/n at once (`_weak_pieri_terms`); `_h_times`
+applies a signed row sum_a c_a h_a by Horner, with no cache.
 """
 
 from __future__ import annotations
@@ -260,16 +261,26 @@ def _weak_pieri_terms(m: int, core: NCore) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _h_times(a: tuple, core: NCore) -> dict:
-    """h_a xi_core = h_{a_1}(h_{a_2}(...)) by weak Pieri, as dict core -> coefficient."""
-    if not a:
-        return {core: 1}
+def _h_times(row, core: NCore) -> dict:
+    """sum_a c_a h_a xi_core for a signed row of (a, c_a) pairs, as dict core -> coefficient.
+
+    h_a xi = h_{a_1}(h_{a_2}(...xi)) by weak Pieri.  Horner: the row is
+    sum_j h_j (sum_{a_1 = j} c_a h_{a_2...} xi_core), which needs h_j
+    linear, not the h's to commute; terms cancel before each weak Pieri
+    step, and zeros are left out.
+    """
     out: dict = {}
-    for gamma, c in _h_times(a[1:], core).items():
-        for nu in _weak_pieri_terms(a[0], gamma):
-            out[nu] = out.get(nu, 0) + c
-    return out
+    rests: dict = {}
+    for a, c in row:
+        if a:
+            rests.setdefault(a[0], []).append((a[1:], c))
+        else:
+            out[core] = out.get(core, 0) + c
+    for j, rest in rests.items():
+        for gamma, c in _h_times(rest, core).items():
+            for nu in _weak_pieri_terms(j, gamma):
+                out[nu] = out.get(nu, 0) + c
+    return {nu: c for nu, c in out.items() if c}
 
 
 def act_s(core: NCore, residue: int) -> NCore:

@@ -4,7 +4,8 @@ The homology product is computed in the nilCoxeter model, where h_m
 acts by the weak Pieri rule, read off the cyclic runs of each m-subset
 of Z/n on the core window (`cores._weak_pieri_terms`).  With
 s^(k)_mu(1) = sum_a c_a h_a for the lower-degree factor,
-xi_mu xi_lam = sum_a c_a h_{a_1}...h_{a_l} xi_lam (Lam, JAMS 2008).
+xi_mu xi_lam = sum_a c_a h_{a_1}...h_{a_l} xi_lam (Lam, JAMS 2008),
+applied as one Horner walk over the signed row (`cores._h_times`).
 The row c is a column of Kn(1)^{-1} (`symfun._kschur_row` at t = 1),
 and column a of Kn(1) is h_a xi_empty, so weak Pieri gives both.
 Every k-rectangle R_r = (r^{n-r}) is first peeled off both factors and
@@ -129,13 +130,8 @@ def _structure_constants(n: int, mu_b, lam_b) -> tuple:
     rects = mu_rects + lam_rects
     mu_b, lam_b = sorted((mu_b, lam_b), key=sum)
     lam = _core_of_bounded(lam_b, n)  # the callers checked both factors
-    prod: dict = {}
-    for a, ca in _kschur_h_row(n, mu_b):
-        for nu, c in _h_times(a, lam).items():
-            prod[nu] = prod.get(nu, 0) + ca * c
-    return tuple(
-        sorted(((union(c_inverse(nu), rects), c) for nu, c in prod.items() if c), reverse=True)
-    )
+    prod = _h_times(_kschur_h_row(n, mu_b), lam)
+    return tuple(sorted(((union(c_inverse(nu), rects), c) for nu, c in prod.items()), reverse=True))
 
 
 def homology_structure_constants(mu: NCore, lam: NCore) -> dict:

@@ -19,7 +19,7 @@ unit diagonal and invert exactly):
 Every read of Kn(t) or Kn(1) goes through one cached column,
 `_kn_column(n, mu, t_on)`.  With t on it is the weak-KF cocharge DP;
 at t = 1 it is h_mu xi_empty in the nilCoxeter model of homology (Lam,
-JAMS 2008), read off weak Pieri (`cores._h_times`).
+JAMS 2008), the one-term row (mu, 1) walked by weak Pieri (`cores._h_times`).
 
 Ptilde is the deformation t^{-n(lam)} P_lam(x; 1/t) of Macdonald's
 P-function; its monomial expansion genuinely uses negative powers of t,
@@ -32,7 +32,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .abctab import _strip_letters, _subword_picks
-from .cores import NCore, _h_times, c_inverse, dominance_leq, normalize
+from .cores import NCore, _h_times, c_inverse, dominance_leq, normalize, union
 from .tableaux import _cocharge_fiber, _kf_fiber, _kostka_fiber, _ptilde_fiber
 from .tpoly import TPoly
 
@@ -191,7 +191,7 @@ def _kn_column(n: int, mu, t_on: bool) -> dict:
 
         by_core = _cocharge_fiber(mu, empty, grow, _subword_picks)
     else:
-        by_core = {c: TPoly.const(v) for c, v in _h_times(mu, empty).items()}
+        by_core = {c: TPoly.const(v) for c, v in _h_times(((mu, 1),), empty).items()}
     col = {}
     for core, entry in by_core.items():
         lam = c_inverse(core)
@@ -399,8 +399,6 @@ def hall_pairing(f: SymF, g: SymF) -> TPoly:
 
 def multiply(f: SymF, g: SymF) -> SymF:
     """Product through the h basis (concatenation), back to m."""
-    from .cores import union
-
     fh, gh = f.in_h(), g.in_h()
     terms: dict = {}
     for p, c in fh.terms.items():

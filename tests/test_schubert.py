@@ -1,6 +1,7 @@
 """Pieri rules, structure constants, sh, quantum Monk, GW invariants."""
 
 import os
+import random
 import subprocess
 import sys
 from itertools import permutations, product
@@ -8,7 +9,16 @@ from itertools import permutations, product
 import pytest
 
 from kschur import schubert
-from kschur.cores import NCore, _weak_pieri_terms, c_inverse, c_map, cores_of_degree, rect, union
+from kschur.cores import (
+    NCore,
+    _h_times,
+    _weak_pieri_terms,
+    c_inverse,
+    c_map,
+    cores_of_degree,
+    rect,
+    union,
+)
 from kschur.schubert import (
     _peel,
     _structure_constants,
@@ -38,6 +48,7 @@ from kschur.symfun import (
 )
 
 from oracles import (
+    h_times_by_group,
     kn1_by_abc,
     matrix_structure_constants,
     unpeeled_structure_constants,
@@ -81,6 +92,33 @@ def test_weak_pieri_terms_match_group_oracle():
                     assert _weak_pieri_terms(m, lam) == weak_pieri_terms_by_group(m, lam), (m, lam)
                     pairs += 1
     assert pairs == 3477
+
+
+def test_h_times_walk_matches_group_oracle_on_signed_rows():
+    # seeded signed rows of compositions, not k-Schur rows: a repeated a whose
+    # coefficients cancel, the empty a, and rows that cancel completely
+    rng = random.Random(24)
+    rows = 0
+    for n in range(3, 7):
+        for d in range(6):
+            for core in cores_of_degree(n, d):
+                for _ in range(3):
+                    some = [tuple(rng.randrange(1, n) for _ in range(rng.randint(1, 3)))
+                            for _ in range(4)]
+                    row = [(a, rng.randint(-3, 3)) for a in some]
+                    row += [(some[0], 2), ((), rng.randint(-2, 2)), (some[0], -2)]
+                    rng.shuffle(row)
+                    want: dict = {}
+                    for a, c in row:
+                        for nu, e in h_times_by_group(a, core).items():
+                            want[nu] = want.get(nu, 0) + c * e
+                    assert _h_times(row, core) == {nu: c for nu, c in want.items() if c}
+                    assert _h_times(row + [(a, -c) for a, c in row], core) == {}
+                    # h_i h_j = h_j h_i, though the walk puts the two words in different groups
+                    i, j = rng.randrange(1, n), rng.randrange(1, n)
+                    assert _h_times((((i, j), 1), ((j, i), -1)), core) == {}
+                    rows += 1
+    assert rows == 3 * (12 + 16 + 18 + 19)
 
 
 def test_weak_pieri_returns_fresh_dict():
