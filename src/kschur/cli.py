@@ -237,7 +237,7 @@ def cmd_expand(args) -> int:
         bounded = parse_partition(args.bounded)
         f = ptilde_in_m(bounded) if args.basis == "ptilde" else h0t_in_m(bounded)
     if args.at_t is not None:
-        f = f.map_coeffs(lambda c: TPoly.const(c(args.at_t)))
+        f = f.map_coeffs(lambda c: c(args.at_t))
     terms = sorted(f.terms.items(), reverse=True)
     _emit(
         args,

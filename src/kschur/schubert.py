@@ -6,7 +6,7 @@ of Z/n on the core window (`cores._weak_pieri_terms`).  With
 s^(k)_mu(1) = sum_a c_a h_a for the lower-degree factor,
 xi_mu xi_lam = sum_a c_a h_{a_1}...h_{a_l} xi_lam (Lam, JAMS 2008),
 applied as one Horner walk over the signed row (`cores._h_times`).
-The row c is a column of Kn(1)^{-1} (`symfun._kschur_row` at t = 1),
+The row c is an integer column of Kn(1)^{-1} (`symfun._kschur_row` at t = 1),
 and column a of Kn(1) is h_a xi_empty, so weak Pieri gives both.
 Every k-rectangle R_r = (r^{n-r}) is first peeled off both factors and
 put back on each term, by the k-rectangle property
@@ -50,7 +50,7 @@ from .strips import (
     horizontal_strong_strips_from,
     marked_strong_covers,
 )
-from .symfun import _kschur_row, bounded_partitions_of
+from .symfun import _kschur_row
 
 
 # -- affine Pieri rules ---------------------------------------------------
@@ -95,13 +95,6 @@ def strong_pieri_cohomology(m: int, lam: NCore) -> dict:
 # -- homology structure constants -----------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _kschur_h_row(n: int, bounded) -> tuple:
-    # the k-Schur function of `bounded` at t=1 in h, (a, [h_a]) pairs: one column of Kn(1)^{-1}
-    row = zip(bounded_partitions_of(sum(bounded), n), _kschur_row(n, bounded, False))
-    return tuple((mu, c(1)) for mu, c in row if not c.is_zero())
-
-
 def _peel(bounded, n: int):
     """Split every k-rectangle R_r = (r^{n-r}) off a bounded partition.
 
@@ -130,7 +123,7 @@ def _structure_constants(n: int, mu_b, lam_b) -> tuple:
     rects = mu_rects + lam_rects
     mu_b, lam_b = sorted((mu_b, lam_b), key=sum)
     lam = _core_of_bounded(lam_b, n)  # the callers checked both factors
-    prod = _h_times(_kschur_h_row(n, mu_b), lam)
+    prod = _h_times(_kschur_row(n, mu_b, False).items(), lam)
     return tuple(sorted(((union(c_inverse(nu), rects), c) for nu, c in prod.items()), reverse=True))
 
 

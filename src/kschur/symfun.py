@@ -13,13 +13,15 @@ unit diagonal and invert exactly):
   * dual k-Schur: S_{c(lam)}(x;t) = sum_mu Kn_{lam,mu}(t) Ptilde_mu,
     with Kn(t) the weak Kostka-Foulkes matrix; one row of Kn(t) times
     the bounded Ptilde block, per function asked for
-  * k-Schur: the Hall-dual basis, one column of Kn^{-1} each, back
-    substituted over the columns of Kn up to it.
+  * k-Schur: the Hall-dual basis, one column of Kn^{-1} each, solved
+    lex-smallest first over the columns of Kn it needs (`_inverse_column`,
+    which also gives m_to_s from the Kostka fibers).
 
 Every read of Kn(t) or Kn(1) goes through one cached column,
 `_kn_column(n, mu, t_on)`.  With t on it is the weak-KF cocharge DP;
 at t = 1 it is h_mu xi_empty in the nilCoxeter model of homology (Lam,
-JAMS 2008), the one-term row (mu, 1) walked by weak Pieri (`cores._h_times`).
+JAMS 2008), the one-term row (mu, 1) walked by weak Pieri (`cores._h_times`),
+with integer entries, so the t = 1 k-Schur rows are integer too.
 
 Ptilde is the deformation t^{-n(lam)} P_lam(x; 1/t) of Macdonald's
 P-function; its monomial expansion genuinely uses negative powers of t,
@@ -74,7 +76,7 @@ def _dot(pairs) -> TPoly:
 
 def _row_times(row, B):
     """The row vector times the matrix B, skipping the row's zero entries."""
-    nz = [(a, Bk) for a, Bk in zip(row, B) if not a.is_zero()]
+    nz = [(a, Bk) for a, Bk in zip(row, B) if a != 0]
     return [_dot((a, Bk[j]) for a, Bk in nz) for j in range(len(B[0]) if B else 0)]
 
 
@@ -82,18 +84,31 @@ def _matmul(A, B):
     return [_row_times(Ai, B) for Ai in A]
 
 
-def _unitriangular_inverse(M):
-    """Inverse of an upper-triangular matrix with unit diagonal entries."""
-    return _transpose([_unitriangular_column(M, j) for j in range(len(M))])
+def _inverse_column(column, nu, t_on: bool) -> dict:
+    """Column nu of M^{-1}, M given by dict columns column(mu) = {lam: M_{lam,mu}}; zeros left out.
 
-
-def _unitriangular_column(M, j: int):
-    """Column j of that inverse, by back substitution; it reads M[:j+1][:j+1] only."""
-    x = [ZERO] * len(M)
-    x[j] = ONE.divide_unit(M[j][j])
-    for i in range(j - 1, -1, -1):
-        Mi = M[i]
-        x[i] = _dot(zip(Mi[i + 1 : j + 1], x[i + 1 : j + 1])).divide_unit(-Mi[i])
+    M_{lam,mu} is zero unless lam is lex at or above mu, and M_{mu,mu} is a
+    unit: +-t^k with t on, +-1 at t = 1, where the entries are ints.  The
+    lex-smallest partition still owed is solved next: x_lam = (delta_{lam,nu}
+    - sum_mu M_{lam,mu} x_mu) / M_{lam,lam}, one sum over the (x_mu, M_{lam,mu})
+    pairs that the solved columns mu handed on.  Only columns of nonzero x are read.
+    """
+    one, dot = (ONE, _dot) if t_on else (1, lambda pairs: sum(a * b for a, b in pairs))
+    x, owed = {}, {nu: []}
+    while owed:
+        lam = min(owed)
+        pairs = owed.pop(lam)
+        v = -dot(pairs) if lam != nu else one
+        if v == 0:
+            continue
+        col = column(lam)
+        unit = col[lam]
+        if not t_on and unit not in (1, -1):
+            raise ValueError(f"{unit} is not a unit of ZZ")
+        x[lam] = v = v.divide_unit(unit) if t_on else v * unit
+        for rho, entry in col.items():
+            if rho != lam:
+                owed.setdefault(rho, []).append((v, entry))
     return x
 
 
@@ -122,16 +137,20 @@ def _ptilde_block(P):
     return _block(P, lambda mu: _ptilde_fiber(mu, width))
 
 
+def _const_block(P, fiber):
+    """_block over integer columns fiber(mu), each entry wrapped as a constant."""
+    return _block(P, lambda mu: {lam: TPoly.const(c) for lam, c in fiber(mu).items()})
+
+
 @lru_cache(maxsize=None)
 def s_to_m(d: int):
-    return _block(
-        partitions_of(d), lambda mu: {lam: TPoly.const(c) for lam, c in _kostka_fiber(mu).items()}
-    )
+    return _const_block(partitions_of(d), _kostka_fiber)
 
 
 @lru_cache(maxsize=None)
 def m_to_s(d: int):
-    return _unitriangular_inverse(s_to_m(d))
+    """K^{-1}, one integer column per partition, solved over the Kostka fibers."""
+    return _const_block(partitions_of(d), lambda mu: _inverse_column(_kostka_fiber, mu, False))
 
 
 @lru_cache(maxsize=None)
@@ -191,7 +210,7 @@ def _kn_column(n: int, mu, t_on: bool) -> dict:
 
         by_core = _cocharge_fiber(mu, empty, grow, _subword_picks)
     else:
-        by_core = {c: TPoly.const(v) for c, v in _h_times(((mu, 1),), empty).items()}
+        by_core = _h_times(((mu, 1),), empty)
     col = {}
     for core, entry in by_core.items():
         lam = c_inverse(core)
@@ -228,27 +247,24 @@ def ptilde_to_m_bounded(n: int, d: int):
 def _dualk_row(n: int, lam, t_on: bool):
     """Dual k-Schur row lam in m: row lam of Kn(t) times the bounded Ptilde block, or of Kn(1).
 
-    Row lam is zero off the weights mu <= lam, so only the columns at or
-    after lam in lex order are read.
+    Row lam is zero off the weights mu <= lam, so only the columns at or after
+    lam in lex order are read.  At t = 1 its ints become TPolys, for SymF.in_m.
     """
     d = sum(lam)
     P = bounded_partitions_of(d, n)
     i = P.index(lam)
-    row = [ZERO] * i + [_kn_column(n, mu, t_on).get(lam, ZERO) for mu in P[i:]]
-    return _row_times(row, ptilde_to_m_bounded(n, d)) if t_on else row
+    row = [0] * i + [_kn_column(n, mu, t_on).get(lam, 0) for mu in P[i:]]
+    return _row_times(row, ptilde_to_m_bounded(n, d)) if t_on else [TPoly.const(c) for c in row]
 
 
 @lru_cache(maxsize=None)
-def _kschur_row(n: int, nu, t_on: bool):
+def _kschur_row(n: int, nu, t_on: bool) -> dict:
     """Row nu of the k-Schur functions in H(x;0,t), or in h at t=1: column nu of Kn^{-1}.
 
-    The back substitution reads only the leading block of Kn up to nu in
-    lex order; later partitions have coefficient 0.
+    A dict mu -> coefficient, zeros left out; at t = 1 the coefficients
+    are ints.  The solve reads only columns of Kn at or lex above nu.
     """
-    P = bounded_partitions_of(sum(nu), n)
-    j = P.index(nu)
-    lead = _block(P[: j + 1], lambda mu: _kn_column(n, mu, t_on))
-    return _unitriangular_column(lead, j) + [ZERO] * (len(P) - j - 1)
+    return _inverse_column(lambda mu: _kn_column(n, mu, t_on), nu, t_on)
 
 
 # -- symmetric function values -------------------------------------------
@@ -267,16 +283,14 @@ class SymF:
         self.degree = degree
         self.n = n
         self.terms = {
-            normalize(p): c
+            normalize(p): c if isinstance(c, TPoly) else TPoly.const(c)
             for p, c in terms.items()
-            if not (c.is_zero() if isinstance(c, TPoly) else c == 0)
+            if c != 0
         }
         bounded = basis in ("dualk", "dualkt1")
         if bounded and not isinstance(n, int):
             raise ValueError(f"basis {basis} needs an integer n, not {n!r}")
-        for p, c in list(self.terms.items()):
-            if not isinstance(c, TPoly):
-                self.terms[p] = TPoly.const(c)
+        for p in self.terms:
             if sum(p) != degree:
                 raise ValueError(f"{p} does not have degree {degree}")
             if bounded and p and p[0] >= n:
@@ -302,7 +316,7 @@ class SymF:
     def at_t(self, value: int) -> "SymF":
         """Coefficients at t = value; a t-dependent basis is renamed at t = 1, else expanded in m."""
         f = self.in_m() if value != 1 and self.basis in _AT_T1 else self
-        f = f.map_coeffs(lambda c: TPoly.const(c(value)))
+        f = f.map_coeffs(lambda c: c(value))
         if value == 1:
             f.basis = _AT_T1.get(f.basis, f.basis)
         return f
@@ -317,8 +331,6 @@ class SymF:
         return SymF(a.basis, self.degree, terms, a.n)
 
     def scale(self, c) -> "SymF":
-        if isinstance(c, int):
-            c = TPoly.const(c)
         return self.map_coeffs(lambda v: v * c)
 
     def in_m(self) -> "SymF":
@@ -378,23 +390,15 @@ def kschur(core: NCore, t_on: bool = True) -> SymF:
     the homogeneous basis.  Convert with .in_m() as needed.
     """
     nu = c_inverse(core)
-    d = sum(nu)
-    row = _kschur_row(core.n, nu, t_on)
-    return SymF("H0t" if t_on else "h", d, dict(zip(bounded_partitions_of(d, core.n), row)))
+    return SymF("H0t" if t_on else "h", sum(nu), _kschur_row(core.n, nu, t_on))
 
 
 def hall_pairing(f: SymF, g: SymF) -> TPoly:
     """<h_lam, m_mu> = delta: pair the h-expansion against the m-expansion."""
     if f.degree != g.degree:
         return ZERO
-    fh = f.in_h()
-    gm = g.in_m()
-    out = ZERO
-    for p, c in fh.terms.items():
-        other = gm.terms.get(p)
-        if other is not None:
-            out = out + c * other
-    return out
+    gm = g.in_m().terms
+    return _dot((c, gm[p]) for p, c in f.in_h().terms.items() if p in gm)
 
 
 def multiply(f: SymF, g: SymF) -> SymF:

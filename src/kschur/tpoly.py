@@ -8,8 +8,8 @@ power of t; `coeff_list` serves the plain polynomials, and the CLI
 prints the genuinely Laurent ones with their valuation.
 
 Unitriangular matrices over this ring have unit diagonal (+-t^k), so
-they invert exactly with no fractions, one column at a time by back
-substitution (`symfun._unitriangular_column`).
+they invert exactly with no fractions, one sparse column at a time
+(`symfun._inverse_column`).  A constant equals, and hashes as, its int.
 """
 
 from __future__ import annotations
@@ -131,6 +131,8 @@ class TPoly:
         return isinstance(other, TPoly) and self.c == other.c
 
     def __hash__(self):
+        if self.c.keys() <= {0}:
+            return hash(self.c.get(0, 0))
         return hash(frozenset(self.c.items()))
 
     def __repr__(self):

@@ -32,7 +32,6 @@ import argparse
 from functools import lru_cache
 from itertools import permutations
 
-from kschur import schubert
 from kschur.abctab import abc_counts, enumerate_abc
 from kschur.affine import (
     AffinePermutation,
@@ -61,9 +60,12 @@ from kschur.cores import (
 )
 from kschur.strips import _step_tail_ok, horizontal_strong_strips_from, phi
 from kschur.symfun import (
+    ONE,
+    ZERO,
+    _dot,
+    _kschur_row,
     _matmul,
     _transpose,
-    _unitriangular_inverse,
     bounded_partitions_of,
     kf_matrix,
     kn_matrix,
@@ -618,6 +620,21 @@ def expand_symf(f, nvars: int) -> MPoly:
 # -- whole-degree matrix routes -----------------------------------------------
 
 
+def _unitriangular_inverse(M):
+    """Inverse of an upper-triangular matrix with unit diagonal, by dense back substitution."""
+    return _transpose([_unitriangular_column(M, j) for j in range(len(M))])
+
+
+def _unitriangular_column(M, j: int):
+    """Column j of that inverse; it reads M[:j+1][:j+1] only."""
+    x = [ZERO] * len(M)
+    x[j] = ONE.divide_unit(M[j][j])
+    for i in range(j - 1, -1, -1):
+        Mi = M[i]
+        x[i] = _dot(zip(Mi[i + 1 : j + 1], x[i + 1 : j + 1])).divide_unit(-Mi[i])
+    return x
+
+
 @lru_cache(maxsize=None)
 def ptilde_to_s_by_inverse(d: int):
     """Ptilde in s, rows lam: the whole inverse of K(t), since s = K(t) Ptilde."""
@@ -733,7 +750,7 @@ def unpeeled_structure_constants(n: int, mu_b, lam_b) -> tuple:
     mu_b, lam_b = sorted((mu_b, lam_b), key=sum)
     lam = c_map(lam_b, n)
     prod: dict = {}
-    for a, ca in schubert._kschur_h_row(n, mu_b):
+    for a, ca in _kschur_row(n, mu_b, False).items():
         for nu, c in h_times_by_group(a, lam).items():
             prod[nu] = prod.get(nu, 0) + ca * c
     return tuple(sorted(((c_inverse(nu), c) for nu, c in prod.items() if c), reverse=True))

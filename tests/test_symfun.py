@@ -4,12 +4,12 @@ import pytest
 
 from kschur.abctab import abc_counts
 from kschur.cores import c_inverse, c_map, dominance_leq
-from kschur.schubert import _kschur_h_row
 from kschur.symfun import (
     ONE,
     ZERO,
     SymF,
     _dualk_row,
+    _inverse_column,
     _kn_column,
     _kschur_row,
     _matmul,
@@ -21,6 +21,7 @@ from kschur.symfun import (
     kn_matrix,
     kschur,
     m_sym,
+    m_to_s,
     multiply,
     partitions_of,
     ptilde_in_m,
@@ -34,6 +35,7 @@ from kschur.tableaux import _kf_fiber, _kostka_fiber, kostka_foulkes
 from kschur.tpoly import TPoly
 
 from oracles import (
+    _unitriangular_inverse,
     dualk_to_m_by_product,
     expand_symf,
     kn1_by_abc,
@@ -231,15 +233,41 @@ def test_kn1_columns_from_weak_pieri_match_abc_counts():
 
 
 def test_t1_kschur_rows_match_inverse_of_abc_block():
-    # the leading-block back substitution at t = 1 is the oracle's whole-inverse row
+    # the sparse integer solve at t = 1 is the oracle's whole-inverse row
     for n in range(3, 8):
         for d in range(0, 11):
             Pn = bounded_partitions_of(d, n)
             for nu, want in zip(Pn, kschur_rows_by_inverse(n, d, False)):
-                assert _kschur_row(n, nu, False) == want, (n, nu)
-                h_row = _kschur_h_row(n, nu)
-                assert h_row == tuple((mu, c(1)) for mu, c in zip(Pn, want) if not c.is_zero())
-                assert all(type(c) is int for _, c in h_row), (n, nu)
+                row = _kschur_row(n, nu, False)
+                assert row == {mu: c(1) for mu, c in zip(Pn, want) if not c.is_zero()}, (n, nu)
+                assert all(type(c) is int for c in row.values()), (n, nu)
+            for mu in Pn:
+                assert all(type(c) is int for c in _kn_column(n, mu, False).values()), (n, mu)
+
+
+def test_m_to_s_inverts_s_to_m_and_the_solve_divides_by_units():
+    # m_to_s is solved column by column over the Kostka fibers; K(t) has diagonal t^{n(lam)}
+    for d in range(0, 11):
+        size = len(partitions_of(d))
+        want = [[ONE if i == j else ZERO for j in range(size)] for i in range(size)]
+        assert _matmul(m_to_s(d), s_to_m(d)) == want, d
+        assert _matmul(s_to_m(d), m_to_s(d)) == want, d
+    for d in range(0, 10):
+        P = partitions_of(d)
+        dense = _unitriangular_inverse(kf_matrix(d))
+        for j, mu in enumerate(P):
+            col = _inverse_column(_kf_fiber, mu, True)
+            assert col == {lam: row[j] for lam, row in zip(P, dense) if not row[j].is_zero()}, mu
+    with pytest.raises(ValueError, match="not a unit"):
+        _inverse_column(lambda mu: {mu: 2}, (1,), False)
+
+
+def test_tpoly_constants_hash_as_their_ints():
+    # a t = 1 row holds ints where a t row holds TPoly constants; equal values must hash alike
+    for k in range(-2, 3):
+        assert TPoly.const(k) == k and hash(TPoly.const(k)) == hash(k), k
+        assert len({TPoly.const(k), k}) == 1, k
+    assert len({TPoly.zero(), 0}) == 1
 
 
 def test_first_kschur_and_last_dualk_build_one_kn_column():
