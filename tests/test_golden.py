@@ -96,6 +96,8 @@ CASES = [
     ("expand-ptilde-n4-deg8-json", "expand --n 4 --basis ptilde --bounded 3,2,2,1 --json"),
     ("expand-k-at-t2-json", "expand --n 3 --basis k --bounded 2,1 --at-t 2 --json"),
     ("expand-k-laurent-at-t2", "expand --n 4 --basis k --core 3,1,1 --at-t 2"),
+    ("expand-h0t-n5-deg9-json", "expand --n 5 --basis h0t --bounded 3,3,2,1 --json"),
+    ("expand-ptilde-n5-deg10-json", "expand --n 5 --basis ptilde --bounded 3,3,2,1,1 --json"),
 ]
 
 
