@@ -1,32 +1,39 @@
 """Symmetric functions of bounded degree over ZZ[t, t^-1], exactly.
 
-Every basis is expanded against the monomial basis, per degree d, with
-partitions of d listed in lex-descending order (a linear extension of
-dominance, so all the transition matrices below are triangular with
-unit diagonal and invert exactly):
+A symmetric function is a basis-tagged dict of coefficients.  Every
+change of basis reads sparse dict rows, zeros left out, cached per
+partition, and never a whole degree.  Partitions of d are listed in
+lex-descending order, a linear extension of dominance, so each change
+is triangular with unit diagonal:
 
-  * s_lam   = sum_mu K_{lam,mu} m_mu                  (Kostka numbers)
-  * s_lam   = sum_mu K_{lam,mu}(t) Ptilde_mu          (cocharge KF)
+  * s_lam = sum_mu K_{lam,mu} m_mu, the Kostka row of lam, read off the
+    weight fibers `tableaux._kostka_fiber(mu)` at or after lam
+  * h_mu = sum_lam K_{lam,mu} s_lam and H_mu(x;0,t) = sum_lam
+    K_{lam,mu}(t) s_lam, the fibers of mu (cocharge KF for H), then s to m
   * Ptilde_lam in m, read off Macdonald's psi-tableaux one weight at a
     time (`tableaux._ptilde_fiber`), with no K(t) inverted
-  * H_mu(x;0,t) = sum_lam K_{lam,mu}(t) s_lam
   * dual k-Schur: S_{c(lam)}(x;t) = sum_mu Kn_{lam,mu}(t) Ptilde_mu,
-    with Kn(t) the weak Kostka-Foulkes matrix; one row of Kn(t) times
-    the bounded Ptilde block, per function asked for
-  * k-Schur: the Hall-dual basis, one column of Kn^{-1} each, solved
-    lex-smallest first over the columns of Kn it needs (`_inverse_column`,
-    which also gives m_to_s from the Kostka fibers).
+    with Kn(t) the weak Kostka-Foulkes matrix: row lam of Kn(t) times
+    the Ptilde rows of its weights, per function asked for
+  * k-Schur: the Hall-dual basis, one column of Kn^{-1} each.
+
+The way back is one sparse solve, `_inverse_column`, which reads only
+the columns of nonzero coefficients: m to s solves K^T from the
+lex-largest partition, s to h solves K, and a k-Schur row solves Kn,
+each from the lex-smallest.  The Hall pairing pairs Schur expansions,
+and products go through the homogeneous basis, where multiplication
+is concatenation.
 
 Every read of Kn(t) or Kn(1) goes through one cached column,
 `_kn_column(n, mu, t_on)`.  With t on it is the weak-KF cocharge DP;
 at t = 1 it is h_mu xi_empty in the nilCoxeter model of homology (Lam,
 JAMS 2008), the one-term row (mu, 1) walked by weak Pieri (`cores._h_times`),
 with integer entries, so the t = 1 k-Schur rows are integer too.
+`kf_matrix` and `kn_matrix` build the two tables that `kf-table` prints.
 
 Ptilde is the deformation t^{-n(lam)} P_lam(x; 1/t) of Macdonald's
 P-function; its monomial expansion genuinely uses negative powers of t,
-which is why TPoly is a Laurent type.  Products are computed through
-the homogeneous basis, where multiplication is concatenation.
+which is why TPoly is a Laurent type.
 """
 
 from __future__ import annotations
@@ -65,126 +72,78 @@ def bounded_partitions_of(d: int, n: int):
 
 
 def _dot(pairs) -> TPoly:
-    """sum of a * b over the (a, b) pairs, summed in one exponent -> coefficient dict."""
+    """sum of a * b over the (a, b) pairs, b a TPoly or an int, in one exponent -> count dict."""
     acc: dict = {}
     for a, b in pairs:
-        for e1, v1 in a.c.items():
-            for e2, v2 in b.c.items():
+        for e2, v2 in b.c.items() if isinstance(b, TPoly) else ((0, b),):
+            for e1, v1 in a.c.items():
                 acc[e1 + e2] = acc.get(e1 + e2, 0) + v1 * v2
     return TPoly(acc)
 
 
-def _row_times(row, B):
-    """The row vector times the matrix B, skipping the row's zero entries."""
-    nz = [(a, Bk) for a, Bk in zip(row, B) if a != 0]
-    return [_dot((a, Bk[j]) for a, Bk in nz) for j in range(len(B[0]) if B else 0)]
+def _inverse_column(column, rhs: dict, t_on: bool, first=min) -> dict:
+    """x with M x = rhs, M given by dict columns column(mu) = {lam: M_{lam,mu}}; zeros left out.
 
-
-def _matmul(A, B):
-    return [_row_times(Ai, B) for Ai in A]
-
-
-def _inverse_column(column, nu, t_on: bool) -> dict:
-    """Column nu of M^{-1}, M given by dict columns column(mu) = {lam: M_{lam,mu}}; zeros left out.
-
-    M_{lam,mu} is zero unless lam is lex at or above mu, and M_{mu,mu} is a
-    unit: +-t^k with t on, +-1 at t = 1, where the entries are ints.  The
-    lex-smallest partition still owed is solved next: x_lam = (delta_{lam,nu}
-    - sum_mu M_{lam,mu} x_mu) / M_{lam,lam}, one sum over the (x_mu, M_{lam,mu})
-    pairs that the solved columns mu handed on.  Only columns of nonzero x are read.
+    With rhs = {nu: 1} this is column nu of M^{-1}.  The solve walks from
+    the `first` end: M_{lam,mu} is zero unless lam is at or after mu in
+    that walk (lex above mu for min, lex below for max), and M_{mu,mu} is
+    a unit, +-t^k or +-1.  The first partition still owed is solved next:
+    x_lam = (rhs_lam - sum_mu M_{lam,mu} x_mu) / M_{lam,lam}, one sum over
+    the (x_mu, M_{lam,mu}) pairs that the solved columns mu handed on.
+    Only columns of nonzero x are read.  With t on x is in TPoly and M in
+    TPoly or ints; at t = 1 both are ints.
     """
-    one, dot = (ONE, _dot) if t_on else (1, lambda pairs: sum(a * b for a, b in pairs))
-    x, owed = {}, {nu: []}
+    zero, dot = (ZERO, _dot) if t_on else (0, lambda pairs: sum(a * b for a, b in pairs))
+    x, owed = {}, {lam: [] for lam in rhs}
     while owed:
-        lam = min(owed)
-        pairs = owed.pop(lam)
-        v = -dot(pairs) if lam != nu else one
+        lam = first(owed)
+        v = rhs.get(lam, zero) - dot(owed.pop(lam))
         if v == 0:
             continue
         col = column(lam)
         unit = col[lam]
-        if not t_on and unit not in (1, -1):
+        if isinstance(unit, TPoly):
+            v = v.divide_unit(unit)
+        elif unit in (1, -1):
+            v = v * unit
+        else:
             raise ValueError(f"{unit} is not a unit of ZZ")
-        x[lam] = v = v.divide_unit(unit) if t_on else v * unit
+        x[lam] = v
         for rho, entry in col.items():
             if rho != lam:
                 owed.setdefault(rho, []).append((v, entry))
     return x
 
 
-def _expand(terms, row_of, cols) -> dict:
-    """sum_p c_p * row_of(p), as a dict over the column labels (zeros included)."""
-    rows = [(c, row_of(p)) for p, c in terms.items()]
-    return {mu: _dot((c, row[j]) for c, row in rows) for j, mu in enumerate(cols)}
+def _expand(terms, row_of) -> dict:
+    """sum_p c_p * row_of(p) over the terms p -> c_p, each entry summed once; zeros left out."""
+    pairs: dict = {}
+    for p, c in terms.items():
+        for mu, entry in row_of(p).items():
+            pairs.setdefault(mu, []).append((c, entry))
+    return {mu: v for mu, ps in pairs.items() if (v := _dot(ps)) != 0}
 
 
-def _transpose(M):
-    return [list(col) for col in zip(*M)] if M else []
-
-
-# -- full-degree transition matrices (coefficients of m) -----------------
-
-
-def _block(P, fiber):
-    """Row lam, column mu: fiber(mu) at lam, over the partitions P."""
-    cols = [fiber(mu) for mu in P]
-    return [[col.get(lam, ZERO) for col in cols] for lam in P]
-
-
-def _ptilde_block(P):
-    """[m_mu] Ptilde_lam over P, lex descending: psi fibers no wider than P's first partition."""
-    width = P[0][0] if P and P[0] else 0
-    return _block(P, lambda mu: _ptilde_fiber(mu, width))
-
-
-def _const_block(P, fiber):
-    """_block over integer columns fiber(mu), each entry wrapped as a constant."""
-    return _block(P, lambda mu: {lam: TPoly.const(c) for lam, c in fiber(mu).items()})
+# -- sparse rows in m ------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
-def s_to_m(d: int):
-    return _const_block(partitions_of(d), _kostka_fiber)
+def _s_row(lam) -> dict:
+    """s_lam in m: mu -> K_{lam,mu} over the mu at or after lam in lex order, zeros left out."""
+    P = partitions_of(sum(lam))
+    return {mu: k for mu in P[P.index(lam):] if (k := _kostka_fiber(mu).get(lam, 0))}
 
 
-@lru_cache(maxsize=None)
-def m_to_s(d: int):
-    """K^{-1}, one integer column per partition, solved over the Kostka fibers."""
-    return _const_block(partitions_of(d), lambda mu: _inverse_column(_kostka_fiber, mu, False))
+def _ptilde_row(lam, width: int) -> dict:
+    """Ptilde_lam in m over the mu at or after lam in lex order, zeros left out.
+
+    Read off the psi fibers no wider than width, which must be at least lam_1.
+    """
+    P = bounded_partitions_of(sum(lam), width + 1)
+    return {mu: c for mu in P[P.index(lam):] if (c := _ptilde_fiber(mu, width).get(lam, 0)) != 0}
 
 
-@lru_cache(maxsize=None)
-def kf_matrix(d: int):
-    """K(t): rows lam, columns mu; upper triangular, diagonal t^{n(lam)}."""
-    return _block(partitions_of(d), _kf_fiber)
-
-
-@lru_cache(maxsize=None)
-def ptilde_to_m(d: int):
-    """[m_mu] Ptilde_lam: rows lam, columns mu; upper triangular, diagonal t^{-n(lam)}."""
-    return _ptilde_block(partitions_of(d))
-
-
-@lru_cache(maxsize=None)
-def h0t_to_m(d: int):
-    """H_mu(x;0,t) = sum_lam K_{lam,mu}(t) s_lam, rows mu."""
-    return _matmul(_transpose(kf_matrix(d)), s_to_m(d))
-
-
-@lru_cache(maxsize=None)
-def h_to_m(d: int):
-    """h_mu = sum_lam K_{lam,mu} s_lam, rows mu."""
-    return _matmul(_transpose(s_to_m(d)), s_to_m(d))
-
-
-@lru_cache(maxsize=None)
-def m_to_h(d: int):
-    """m -> s -> h; with K the Kostka matrix this is K^{-1} (K^{-1})^T."""
-    s_to_h = _transpose(m_to_s(d))
-    return _matmul(m_to_s(d), s_to_h)
-
-
-# -- weak Kostka-Foulkes and the n-restricted matrices --------------------
+# -- weak Kostka-Foulkes, dual k-Schur and k-Schur rows -------------------
 
 
 @lru_cache(maxsize=None)
@@ -232,29 +191,16 @@ def weak_kostka_foulkes(lam, mu, n: int) -> TPoly:
 
 
 @lru_cache(maxsize=None)
-def kn_matrix(n: int, d: int):
-    """Kn(t) over bounded partitions of d, by the weak-KF DP."""
-    return _block(bounded_partitions_of(d, n), lambda mu: _kn_column(n, mu, True))
+def _dualk_row(n: int, lam, t_on: bool) -> dict:
+    """Dual k-Schur row lam in m: row lam of Kn(t) times the Ptilde rows, or row lam of Kn(1).
 
-
-@lru_cache(maxsize=None)
-def ptilde_to_m_bounded(n: int, d: int):
-    """Rows/columns of ptilde_to_m restricted to bounded partitions, from their fibers alone."""
-    return _ptilde_block(bounded_partitions_of(d, n))
-
-
-@lru_cache(maxsize=None)
-def _dualk_row(n: int, lam, t_on: bool):
-    """Dual k-Schur row lam in m: row lam of Kn(t) times the bounded Ptilde block, or of Kn(1).
-
-    Row lam is zero off the weights mu <= lam, so only the columns at or after
-    lam in lex order are read.  At t = 1 its ints become TPolys, for SymF.in_m.
+    Row lam is zero off the weights mu <= lam, so only the mu at or after
+    lam in lex order are read.  Their Ptilde rows come from the psi fibers
+    no wider than n - 1, which prunes the DP.  At t = 1 the entries are ints.
     """
-    d = sum(lam)
-    P = bounded_partitions_of(d, n)
-    i = P.index(lam)
-    row = [0] * i + [_kn_column(n, mu, t_on).get(lam, 0) for mu in P[i:]]
-    return _row_times(row, ptilde_to_m_bounded(n, d)) if t_on else [TPoly.const(c) for c in row]
+    P = bounded_partitions_of(sum(lam), n)
+    row = {mu: c for mu in P[P.index(lam):] if (c := _kn_column(n, mu, t_on).get(lam, 0)) != 0}
+    return _expand(row, lambda mu: _ptilde_row(mu, n - 1)) if t_on else row
 
 
 @lru_cache(maxsize=None)
@@ -264,13 +210,37 @@ def _kschur_row(n: int, nu, t_on: bool) -> dict:
     A dict mu -> coefficient, zeros left out; at t = 1 the coefficients
     are ints.  The solve reads only columns of Kn at or lex above nu.
     """
-    return _inverse_column(lambda mu: _kn_column(n, mu, t_on), nu, t_on)
+    return _inverse_column(lambda mu: _kn_column(n, mu, t_on), {nu: ONE if t_on else 1}, t_on)
+
+
+# -- the two tables that kf-table prints -----------------------------------
+
+
+def _block(P, fiber):
+    """Row lam, column mu: fiber(mu) at lam, over the partitions P."""
+    cols = [fiber(mu) for mu in P]
+    return [[col.get(lam, ZERO) for col in cols] for lam in P]
+
+
+@lru_cache(maxsize=None)
+def kf_matrix(d: int):
+    """K(t): rows lam, columns mu; upper triangular, diagonal t^{n(lam)}."""
+    return _block(partitions_of(d), _kf_fiber)
+
+
+@lru_cache(maxsize=None)
+def kn_matrix(n: int, d: int):
+    """Kn(t) over bounded partitions of d, by the weak-KF DP."""
+    return _block(bounded_partitions_of(d, n), lambda mu: _kn_column(n, mu, True))
 
 
 # -- symmetric function values -------------------------------------------
 
 #: H_mu(x;0,1) = h_mu, Ptilde_lam(x;1) = m_lam, and the dual k-Schur basis at t = 1
 _AT_T1 = {"H0t": "h", "ptilde": "m", "dualk": "dualkt1"}
+
+#: the bases whose functions are one weight fiber in s: h_mu and H_mu(x;0,t)
+_S_FIBERS = {"h": _kostka_fiber, "H0t": _kf_fiber}
 
 
 class SymF:
@@ -330,28 +300,35 @@ class SymF:
             terms[p] = terms.get(p, ZERO) + c
         return SymF(a.basis, self.degree, terms, a.n)
 
-    def scale(self, c) -> "SymF":
-        return self.map_coeffs(lambda v: v * c)
-
     def in_m(self) -> "SymF":
-        if self.basis == "m":
+        basis, n = self.basis, self.n
+        if basis == "m":
             return self
-        d, n = self.degree, self.n
-        whole = {"s": s_to_m, "h": h_to_m, "ptilde": ptilde_to_m, "H0t": h0t_to_m}
-        if self.basis in whole:
-            P = partitions_of(d)
-            row_of = dict(zip(P, whole[self.basis](d))).__getitem__
-        elif self.basis in ("dualk", "dualkt1"):
-            P, t_on = bounded_partitions_of(d, n), self.basis == "dualk"
-            row_of = lambda p: _dualk_row(n, p, t_on)
+        if basis == "s" or basis in _S_FIBERS:
+            terms, row_of = self.in_s().terms, _s_row
+        elif basis == "ptilde":
+            terms, row_of = self.terms, lambda lam: _ptilde_row(lam, lam[0] if lam else 0)
+        elif basis in ("dualk", "dualkt1"):
+            terms, row_of = self.terms, lambda lam: _dualk_row(n, lam, basis == "dualk")
         else:
-            raise ValueError(f"unknown basis {self.basis}")
-        return SymF("m", d, _expand(self.terms, row_of, P))
+            raise ValueError(f"unknown basis {basis}")
+        return SymF("m", self.degree, _expand(terms, row_of))
+
+    def in_s(self) -> "SymF":
+        """h_mu and H_mu(x;0,t) are the fibers of mu; any other basis is solved from m on K^T."""
+        if self.basis == "s":
+            return self
+        if self.basis in _S_FIBERS:
+            terms = _expand(self.terms, _S_FIBERS[self.basis])
+        else:
+            terms = _inverse_column(_s_row, self.in_m().terms, True, max)
+        return SymF("s", self.degree, terms)
 
     def in_h(self) -> "SymF":
-        d = self.degree
-        P = partitions_of(d)
-        return SymF("h", d, _expand(self.in_m().terms, dict(zip(P, m_to_h(d))).__getitem__, P))
+        """Solved from s on K, whose columns are the Kostka fibers."""
+        if self.basis == "h":
+            return self
+        return SymF("h", self.degree, _inverse_column(_kostka_fiber, self.in_s().terms, True))
 
 
 def m_sym(p) -> SymF:
@@ -394,11 +371,11 @@ def kschur(core: NCore, t_on: bool = True) -> SymF:
 
 
 def hall_pairing(f: SymF, g: SymF) -> TPoly:
-    """<h_lam, m_mu> = delta: pair the h-expansion against the m-expansion."""
+    """<s_lam, s_mu> = delta: pair the Schur expansions."""
     if f.degree != g.degree:
         return ZERO
-    gm = g.in_m().terms
-    return _dot((c, gm[p]) for p, c in f.in_h().terms.items() if p in gm)
+    gs = g.in_s().terms
+    return _dot((c, gs[p]) for p, c in f.in_s().terms.items() if p in gs)
 
 
 def multiply(f: SymF, g: SymF) -> SymF:

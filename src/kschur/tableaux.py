@@ -238,6 +238,7 @@ def _psi_strips(lo, m) -> tuple:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def _ptilde_fiber(mu, width: int) -> dict:
     """shape -> [m_mu] Ptilde_shape over the shapes with first row <= width.
 

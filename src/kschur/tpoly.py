@@ -2,7 +2,7 @@
 
 Coefficient arithmetic for the graded bases: everything downstream
 (Kostka-Foulkes polynomials, weak Kostka-Foulkes polynomials, basis
-transition matrices) lives over ZZ[t, t^-1].  Negative exponents are
+changes) lives over ZZ[t, t^-1].  Negative exponents are
 needed because the deformation of Macdonald's P-function divides by a
 power of t; `coeff_list` serves the plain polynomials, and the CLI
 prints the genuinely Laurent ones with their valuation.
@@ -45,9 +45,6 @@ class TPoly:
         return TPoly({0: v})
 
     # -- structure ----------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.c
 
     def is_polynomial(self) -> bool:
         return all(e >= 0 for e in self.c)

@@ -11,7 +11,9 @@ composing c_inverse, the union with R_r and c_map,
 the words, strip chains and offsets of an ABC through the quotients
 w_core(hi) w_core(lo)^{-1} and skew shapes, the deformed P-functions by exact symmetrization in finitely many
 variables and in m through the whole inverse K(t)^{-1} K (dual k-Schur
-rows as the whole product of Kn(t) with its bounded slice), monomial products by expanding in as many variables as
+rows as the whole product of Kn(t) with its bounded slice), every basis
+change as a dense whole-degree matrix and products of whole matrices,
+k-conjugation by transposing the core, monomial products by expanding in as many variables as
 the degree, and homology structure constants by multiplying k-Schur
 functions in the h basis and reading the product back through the
 dual basis at the product degree, or by weak Pieri without peeling
@@ -47,6 +49,7 @@ from kschur.cores import (
     NoActionError,
     c_inverse,
     c_map,
+    conjugate,
     contains,
     core_of,
     is_partition,
@@ -62,17 +65,15 @@ from kschur.strips import _step_tail_ok, horizontal_strong_strips_from, phi
 from kschur.symfun import (
     ONE,
     ZERO,
+    _block,
     _dot,
     _kschur_row,
-    _matmul,
-    _transpose,
     bounded_partitions_of,
     kf_matrix,
     kn_matrix,
     partitions_of,
-    s_to_m,
 )
-from kschur.tableaux import Tableau, semistandard_tableaux
+from kschur.tableaux import Tableau, _kostka_fiber, _ptilde_fiber, semistandard_tableaux
 from kschur.tpoly import TPoly
 
 
@@ -193,6 +194,11 @@ def composed_rect_translation(core: NCore, r: int) -> NCore:
     """R(r, core) by its definition: c_map of c_inverse(core) union R_r."""
     n = core.n
     return c_map(union(c_inverse(core), rect(r, n)), n)
+
+
+def k_conjugate(bounded, n: int) -> tuple:
+    """bounded^{omega_k} = c^{-1}(c(bounded)'): the n-core transposed (Lapointe-Morse, JCTA 2005)."""
+    return c_inverse(NCore(n, conjugate(c_map(bounded, n).parts)))
 
 
 def brute_covers_down(core: NCore):
@@ -437,7 +443,7 @@ class MPoly:
         self.c = {}
         if coeffs:
             for e, v in coeffs.items():
-                if not v.is_zero():
+                if v != 0:
                     self.c[tuple(e)] = v
 
     @staticmethod
@@ -452,7 +458,7 @@ class MPoly:
         c = dict(self.c)
         for e, v in other.c.items():
             s = c.get(e, TPoly.zero()) + v
-            if s.is_zero():
+            if s == 0:
                 c.pop(e, None)
             else:
                 c[e] = s
@@ -525,13 +531,13 @@ class MPoly:
 
 def tpoly_exact_div(a: TPoly, b: TPoly) -> TPoly:
     """Exact division in ZZ[t, t^-1]; the divisor must have unit lead."""
-    if b.is_zero():
+    if b == 0:
         raise ZeroDivisionError
     quot = TPoly.zero()
     rem = a
     lead_e = b.degree()
     lead_c = b.coeff(lead_e)
-    while not rem.is_zero():
+    while rem != 0:
         e = rem.degree()
         c = rem.coeff(e)
         if c % lead_c != 0:
@@ -618,6 +624,73 @@ def expand_symf(f, nvars: int) -> MPoly:
 
 
 # -- whole-degree matrix routes -----------------------------------------------
+#
+# Every basis change as a dense list of TPoly lists over all partitions of
+# d, lex descending, and products of whole matrices: the reference for the
+# sparse rows of `symfun`.
+
+
+def _row_times(row, B):
+    """The row vector times the matrix B, skipping the row's zero entries."""
+    nz = [(a, Bk) for a, Bk in zip(row, B) if a != 0]
+    return [_dot((a, Bk[j]) for a, Bk in nz) for j in range(len(B[0]) if B else 0)]
+
+
+def _matmul(A, B):
+    return [_row_times(Ai, B) for Ai in A]
+
+
+def _transpose(M):
+    return [list(col) for col in zip(*M)] if M else []
+
+
+def _ptilde_block(P):
+    """[m_mu] Ptilde_lam over P, lex descending: psi fibers no wider than P's first partition."""
+    width = P[0][0] if P and P[0] else 0
+    return _block(P, lambda mu: _ptilde_fiber(mu, width))
+
+
+@lru_cache(maxsize=None)
+def s_to_m(d: int):
+    """K: rows lam, columns mu, each Kostka fiber wrapped as TPoly constants."""
+    const = lambda mu: {lam: TPoly.const(c) for lam, c in _kostka_fiber(mu).items()}
+    return _block(partitions_of(d), const)
+
+
+@lru_cache(maxsize=None)
+def m_to_s(d: int):
+    """K^{-1}, by dense back substitution."""
+    return _unitriangular_inverse(s_to_m(d))
+
+
+@lru_cache(maxsize=None)
+def ptilde_to_m(d: int):
+    """[m_mu] Ptilde_lam: rows lam, columns mu; upper triangular, diagonal t^{-n(lam)}."""
+    return _ptilde_block(partitions_of(d))
+
+
+@lru_cache(maxsize=None)
+def ptilde_to_m_bounded(n: int, d: int):
+    """The rows and columns of ptilde_to_m at bounded partitions, from their fibers alone."""
+    return _ptilde_block(bounded_partitions_of(d, n))
+
+
+@lru_cache(maxsize=None)
+def h0t_to_m(d: int):
+    """H_mu(x;0,t) = sum_lam K_{lam,mu}(t) s_lam, rows mu."""
+    return _matmul(_transpose(kf_matrix(d)), s_to_m(d))
+
+
+@lru_cache(maxsize=None)
+def h_to_m(d: int):
+    """h_mu = sum_lam K_{lam,mu} s_lam, rows mu."""
+    return _matmul(_transpose(s_to_m(d)), s_to_m(d))
+
+
+@lru_cache(maxsize=None)
+def m_to_h(d: int):
+    """m -> s -> h; with K the Kostka matrix this is K^{-1} (K^{-1})^T."""
+    return _matmul(m_to_s(d), _transpose(m_to_s(d)))
 
 
 def _unitriangular_inverse(M):
@@ -690,7 +763,7 @@ def _kschur_h_row(n: int, bounded) -> dict:
     d = sum(bounded)
     Pn = bounded_partitions_of(d, n)
     row = kschur_rows_by_inverse(n, d, False)[Pn.index(bounded)]
-    return {mu: c for mu, c in zip(Pn, row) if not c.is_zero()}
+    return {mu: c for mu, c in zip(Pn, row) if c != 0}
 
 
 def matrix_structure_constants(n: int, mu_b, lam_b) -> tuple:

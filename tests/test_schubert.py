@@ -49,6 +49,7 @@ from kschur.symfun import (
 
 from oracles import (
     h_times_by_group,
+    k_conjugate,
     kn1_by_abc,
     matrix_structure_constants,
     unpeeled_structure_constants,
@@ -510,3 +511,20 @@ def test_ribbon_strips_match_products_small():
                     for b in range(1, r):
                         rep = rect_pieri_check(r, b, lam, n)
                         assert rep["match"], (n, r, b, lam)
+
+
+def test_structure_constants_commute_with_k_conjugation():
+    # omega is a ring automorphism, so c^nu_{lam,mu} = c^{nu^omega}_{lam^omega, mu^omega},
+    # with nu^omega = c^{-1}(c(nu)') (Lapointe-Morse, JCTA 2005)
+    checked = 0
+    for n in range(3, 7):
+        P = [p for d in range(1, 10) for p in bounded_partitions_of(d, n)]
+        for i, lam in enumerate(P):
+            for mu in P[i:]:
+                if sum(lam) + sum(mu) > 10:
+                    continue
+                want = {k_conjugate(nu, n): c for nu, c in _structure_constants(n, lam, mu)}
+                got = _structure_constants(n, k_conjugate(lam, n), k_conjugate(mu, n))
+                assert dict(got) == want, (n, lam, mu)
+                checked += 1
+    assert checked == 1235
