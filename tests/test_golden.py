@@ -98,6 +98,8 @@ CASES = [
     ("expand-k-laurent-at-t2", "expand --n 4 --basis k --core 3,1,1 --at-t 2"),
     ("expand-h0t-n5-deg9-json", "expand --n 5 --basis h0t --bounded 3,3,2,1 --json"),
     ("expand-ptilde-n5-deg10-json", "expand --n 5 --basis ptilde --bounded 3,3,2,1,1 --json"),
+    ("expand-h0t-n6-deg15-json", "expand --n 6 --basis h0t --bounded 5,4,3,2,1 --json"),
+    ("expand-ptilde-n7-deg16-json", "expand --n 7 --basis ptilde --bounded 6,4,3,2,1 --json"),
 ]
 
 
