@@ -37,7 +37,7 @@ from functools import lru_cache
 from .affine import AffinePermutation, cyclically_decreasing_of_length
 from .cores import NCore, contains
 from .strips import _hss_from, horizontal_strong_strips_from, psi
-from .tableaux import _index_vectors
+from .tableaux import _count_fiber, _index_vectors
 
 
 class NonPartitionWeightError(ValueError):
@@ -274,15 +274,9 @@ def enumerate_abc(shape: NCore, weight):
 
 @lru_cache(maxsize=None)
 def abc_counts(n: int, weight) -> dict:
-    """dict shape -> |ABC(shape, weight)| for the full weight fiber."""
-    counts = {NCore(n, ()): 1}
-    for a in weight:
-        nxt: dict = {}
-        for lam, mult in counts.items():
-            for strip in horizontal_strong_strips_from(lam, n - 1 - a):
-                nxt[strip.nu] = nxt.get(strip.nu, 0) + mult
-        counts = nxt
-    return counts
+    """dict shape -> |ABC(shape, weight)| for the full weight fiber, by counting strip chains."""
+    grow = lambda lam, m: (strip.nu for strip in horizontal_strong_strips_from(lam, m))
+    return _count_fiber(NCore(n, ()), [n - 1 - a for a in weight], grow)
 
 
 def count_abc(shape: NCore, weight) -> int:

@@ -235,6 +235,8 @@ def cmd_expand(args) -> int:
         raise ValueError(f"--bounded is required for --basis {args.basis}")
     else:
         bounded = parse_partition(args.bounded)
+        if any(p >= args.n for p in bounded):
+            raise ValueError(f"parts must be < {args.n}")
         f = ptilde_in_m(bounded) if args.basis == "ptilde" else h0t_in_m(bounded)
     if args.at_t is not None:
         f = f.map_coeffs(lambda c: c(args.at_t))

@@ -1,7 +1,9 @@
 """Semi-standard tableaux, cocharge, Kostka-Foulkes polynomials and P-tilde in m.
 
 A tableau of shape lam and weight mu is a chain of partitions growing
-by horizontal strips; the filling puts i on the i-th strip.  Cocharge
+by horizontal strips; the filling puts i on the i-th strip.  Every
+strip comes from one cached table, `_strips(lo, m)`, which the tableaux,
+the `Tableau` check and every weight fiber below read.  Cocharge
 extracts standard sequences (rightmost 1 first, successors chosen
 south-easternmost above the current cell, else south-easternmost
 overall) and sums their index vectors, where the index stays flat
@@ -10,8 +12,9 @@ exactly when the content increases.
 K_{lam,mu}(t) = sum over SSYT(lam, mu) of t^cocharge; at t = 1 it is
 the Kostka number.  Note K_{lam,lam}(t) = t^{n(lam)} in this cocharge
 normalization.  Both are read off the weight's fiber, grown once over
-all shapes: Kostka numbers count its horizontal-strip chains, and the
-KF polynomials come from a DP over the chain prefixes that runs the
+all shapes: Kostka numbers count its horizontal-strip chains by the
+count DP `_count_fiber` (which also counts the ABCs of `abctab`), and
+the KF polynomials come from a DP over the chain prefixes that runs the
 extraction letter by letter, merging prefixes that agree on the shape
 and on each open subword's last cell.
 
@@ -43,13 +46,13 @@ class Tableau:
         if not chain or chain[0] != ():
             raise ValueError("chain must start empty")
         for lo, hi in zip(chain, chain[1:]):
-            if not is_horizontal_strip(hi, lo):
+            if all(hi != p for p, _ks in _strips(lo, sum(hi) - sum(lo))):
                 raise ValueError(f"{hi}/{lo} is not a horizontal strip")
         self.chain = tuple(chain)
 
     @classmethod
     def _unchecked(cls, chain: tuple) -> "Tableau":
-        """The tableau of a chain grown by `horizontal_strip_additions`."""
+        """The tableau of a chain grown from the strip table `_strips`."""
         tab = object.__new__(cls)
         tab.chain = chain
         return tab
@@ -68,41 +71,34 @@ class Tableau:
         return f"Tableau(chain={list(self.chain)})"
 
 
-def is_horizontal_strip(outer, inner) -> bool:
-    """At most one cell per column: outer_i <= inner_{i-1} row by row."""
-    outer, inner = tuple(outer), tuple(inner)
-    if not contains(outer, inner):
-        return False
-    for i in range(1, len(outer)):
-        prev = inner[i - 1] if i - 1 < len(inner) else 0
-        if outer[i] > prev:
-            return False
-    return True
+@lru_cache(maxsize=None)
+def _strips(lo, m: int) -> tuple:
+    """(hi, ks) per horizontal m-strip hi/lo, with psi_{hi/lo}(u) = prod over ks of (1 - u^k).
 
-
-def horizontal_strip_additions(parts, m: int):
-    """All partitions obtained by adding a horizontal m-strip."""
-    parts = tuple(parts)
-    rows = len(parts) + 1
+    Rows are filled top row down, so the strip condition is row-local.
+    The strip's cells fill the columns (lo_i, hi_i] of each row i.  Each
+    column j >= 1 that holds no cell while column j + 1 holds one gives
+    k = m_j(lo); the row of that cell ends at j in lo, so k >= 1.
+    """
+    low = lo + (0,)
     out = []
 
     def place(i, remaining, cur):
-        # fill top row down so the strip condition is row-local; only
-        # the new top row can stay empty
+        # only the new top row can stay empty
         if i == 0:
             if remaining == 0:
-                out.append(tuple(cur) if cur[-1] else tuple(cur[:-1]))
+                hi = tuple(cur) if cur[-1] else tuple(cur[:-1])
+                cols = {c for p, q in zip(cur, low) for c in range(q + 1, p + 1)}
+                out.append((hi, tuple(lo.count(c - 1) for c in cols if c > 1 and c - 1 not in cols)))
             return
-        lo = parts[i - 1] if i <= len(parts) else 0
-        hi = parts[i - 2] if i >= 2 else lo + remaining
-        for new in range(lo, hi + 1):
-            if new - lo <= remaining:
-                cur[i - 1] = new
-                place(i - 1, remaining - (new - lo), cur)
-        cur[i - 1] = lo
+        base = low[i - 1]
+        top = lo[i - 2] if i >= 2 else base + remaining
+        for new in range(base, min(top, base + remaining) + 1):
+            cur[i - 1] = new
+            place(i - 1, remaining - (new - base), cur)
 
-    place(rows, m, [0] * rows)
-    return out
+    place(len(low), m, list(low))
+    return tuple(out)
 
 
 def semistandard_tableaux(shape, weight):
@@ -115,7 +111,7 @@ def semistandard_tableaux(shape, weight):
     for m in weight:
         nxt = []
         for chain in chains:
-            for p in horizontal_strip_additions(chain[-1], m):
+            for p, _ks in _strips(chain[-1], m):
                 if contains(shape, p):
                     nxt.append(chain + (p,))
         chains = nxt
@@ -217,25 +213,9 @@ def _kf_fiber(mu) -> dict:
     """shape -> K_{shape,mu}(t) over every shape, by the cocharge DP over the SSYT of weight mu."""
 
     def grow(lo, m):
-        return ((hi, (lo, hi), 0) for hi in horizontal_strip_additions(lo, m))
+        return ((hi, (lo, hi), 0) for hi, _ks in _strips(lo, m))
 
     return _cocharge_fiber(mu, (), grow, _letter_picks)
-
-
-@lru_cache(maxsize=None)
-def _psi_strips(lo, m) -> tuple:
-    """(hi, ks) per horizontal m-strip hi/lo, with psi_{hi/lo}(u) = prod over ks of (1 - u^k).
-
-    The strip's cells fill the columns (lo_i, hi_i] of each row i.  Each
-    column j >= 1 that holds no cell while column j + 1 holds one gives
-    k = m_j(lo); the row of that cell ends at j in lo, so k >= 1.
-    """
-    out = []
-    for hi in horizontal_strip_additions(lo, m):
-        low = lo + (0,) * (len(hi) - len(lo))
-        cols = {c for p, q in zip(hi, low) for c in range(q + 1, p + 1)}
-        out.append((hi, tuple(lo.count(c - 1) for c in cols if c > 1 and c - 1 not in cols)))
-    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -251,7 +231,7 @@ def _ptilde_fiber(mu, width: int) -> dict:
     for m in mu:
         nxt: dict = {}
         for lo, poly in layer.items():
-            for hi, ks in _psi_strips(lo, m):
+            for hi, ks in _strips(lo, m):
                 if hi[0] > width:
                     continue
                 p = poly
@@ -271,17 +251,25 @@ def _ptilde_fiber(mu, width: int) -> dict:
     return out
 
 
+def _count_fiber(start, sizes, grow) -> dict:
+    """shape -> number of chains from start whose step x goes to one of `grow(shape, sizes[x])`.
+
+    One layer of shapes is kept at a time, each with its chain count.
+    """
+    counts = {start: 1}
+    for m in sizes:
+        nxt: dict = {}
+        for shape, mult in counts.items():
+            for new in grow(shape, m):
+                nxt[new] = nxt.get(new, 0) + mult
+        counts = nxt
+    return counts
+
+
 @lru_cache(maxsize=None)
 def _kostka_fiber(mu) -> dict:
     """shape -> K_{shape,mu} over every shape, by counting horizontal-strip chains."""
-    counts = {(): 1}
-    for m in mu:
-        nxt: dict = {}
-        for shape, mult in counts.items():
-            for p in horizontal_strip_additions(shape, m):
-                nxt[p] = nxt.get(p, 0) + mult
-        counts = nxt
-    return counts
+    return _count_fiber((), mu, lambda lo, m: (hi for hi, _ks in _strips(lo, m)))
 
 
 @lru_cache(maxsize=None)

@@ -18,7 +18,10 @@ the degree, and homology structure constants by multiplying k-Schur
 functions in the h basis and reading the product back through the
 dual basis at the product degree, or by weak Pieri without peeling
 off the k-rectangles, each h_m applied by the group product v w_core
-over the cyclically decreasing v and a full length.  Kostka numbers,
+over the cyclically decreasing v and a full length.  The quantum
+product of a Grassmannian comes from the Schur product by the rim-hook
+rule, beside the homology product read by ribbons.  Horizontal strips
+are tested row by row.  Kostka numbers,
 Kostka-Foulkes and weak Kostka-Foulkes polynomials are computed one
 (lam, mu) pair at a time, by counting horizontal-strip removals down
 from lam or by enumerating the tableaux or ABCs of that one shape, with
@@ -61,6 +64,7 @@ from kschur.cores import (
     union,
     w_core,
 )
+from kschur.schubert import _structure_constants
 from kschur.strips import _step_tail_ok, horizontal_strong_strips_from, phi
 from kschur.symfun import (
     ONE,
@@ -71,7 +75,9 @@ from kschur.symfun import (
     bounded_partitions_of,
     kf_matrix,
     kn_matrix,
+    multiply,
     partitions_of,
+    schur,
 )
 from kschur.tableaux import Tableau, _kostka_fiber, _ptilde_fiber, semistandard_tableaux
 from kschur.tpoly import TPoly
@@ -829,7 +835,84 @@ def unpeeled_structure_constants(n: int, mu_b, lam_b) -> tuple:
     return tuple(sorted(((c_inverse(nu), c) for nu, c in prod.items() if c), reverse=True))
 
 
+# -- quantum cohomology of Grassmannians by rim hooks ---------------------------
+
+
+def _rim_hooks(parts, length: int, N: int):
+    """(head row, height, rest) per N-rim hook removable from parts, read on `length` beta-numbers.
+
+    With beta_i = parts_i + length - 1 - i (rows from 0), lowering beta_i
+    by N onto a free bead >= 0 removes the N-rim hook headed in row i;
+    its height is one more than the beads it passes.
+    """
+    beta = [p + length - 1 - i for i, p in enumerate(parts + (0,) * (length - len(parts)))]
+    for i, b in enumerate(beta):
+        if b >= N and b - N not in beta:
+            rest = sorted(beta[:i] + beta[i + 1:] + [b - N], reverse=True)
+            nu = tuple(x - (length - 1 - j) for j, x in enumerate(rest))
+            yield i, 1 + sum(b - N < x < b for x in beta), normalize(nu)
+
+
+def bcf_quantum_product(lam, mu, a: int, N: int) -> dict:
+    """(nu, d) -> [q^d sigma_nu] sigma_lam * sigma_mu in QH*(Gr(a, N)), zeros left out.
+
+    The rim-hook rule of Bertram-Ciocan-Fontanine-Fulton (J. Algebra
+    1999): expand s_lam s_mu, keep the nu with at most a rows, and while
+    nu_1 > N - a remove the N-rim hook headed in row 1, that is lower the
+    first of the a beta-numbers by N, with sign (-1)^{a - height} and one
+    power of q; a collision or a negative bead gives 0.
+    """
+    out: dict = {}
+    for nu, c in multiply(schur(lam), schur(mu)).in_s().terms.items():
+        c, d = c(1) if len(nu) <= a else 0, 0
+        while c and nu and nu[0] > N - a:
+            heads = [(h, rest) for i, h, rest in _rim_hooks(nu, a, N) if i == 0]
+            if not heads:
+                c = 0
+                continue
+            (height, nu), d = heads[0], d + 1
+            c *= (-1) ** (a - height)
+        if c:
+            out[nu, d] = out.get((nu, d), 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def ribbon_quantum_product(lam, mu, a: int, N: int) -> dict:
+    """(nu, d) -> coefficient, read off xi_lam xi_mu at k = N - 1 by N-ribbons; zeros left out.
+
+    A term rho with rho_1 > N - a is dropped.  While rho has more than a
+    rows, its N-ribbon of height exactly a + 1 is removed, with one power
+    of q and no sign; rho is dropped if there is none, and two such
+    ribbons raise AssertionError.
+    """
+    out: dict = {}
+    for rho, c in _structure_constants(N, lam, mu):
+        if rho[0] > N - a:
+            continue
+        d = 0
+        while rho is not None and len(rho) > a:
+            hooks = [rest for _i, h, rest in _rim_hooks(rho, len(rho), N) if h == a + 1]
+            if len(hooks) > 1:
+                raise AssertionError(f"{rho} has {len(hooks)} {N}-ribbons of height {a + 1}")
+            rho, d = (hooks[0] if hooks else None), d + 1
+        if rho is not None:
+            out[rho, d] = out.get((rho, d), 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
 # -- Kostka, Kostka-Foulkes and weak Kostka-Foulkes, one (lam, mu) at a time --
+
+
+def is_horizontal_strip(outer, inner) -> bool:
+    """At most one cell per column: outer_i <= inner_{i-1} row by row."""
+    outer, inner = tuple(outer), tuple(inner)
+    if not contains(outer, inner):
+        return False
+    for i in range(1, len(outer)):
+        prev = inner[i - 1] if i - 1 < len(inner) else 0
+        if outer[i] > prev:
+            return False
+    return True
 
 
 def tableau_from_rows(rows) -> Tableau:

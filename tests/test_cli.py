@@ -460,6 +460,10 @@ def test_option_refusals(capsys):
     assert (code, capsys.readouterr().err) == (1, "error: argument --n: not an integer: 'four'\n")
     code = main(["cores", "--n", "1"])
     assert (code, capsys.readouterr().err) == (1, "error: argument --n: must be at least 2, got 1\n")
+    # --bounded takes parts < n for every basis, as c_map refuses them
+    for basis in ("ptilde", "h0t", "dualk", "k"):
+        code = main(["expand", "--n", "3", "--basis", basis, "--bounded", "5,1"])
+        assert (code, capsys.readouterr()) == (1, ("", "error: parts must be < 3\n")), basis
 
 
 def test_help_lists_every_command_option_and_sweep(capsys):

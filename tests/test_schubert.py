@@ -48,10 +48,13 @@ from kschur.symfun import (
 )
 
 from oracles import (
+    bcf_quantum_product,
     h_times_by_group,
     k_conjugate,
     kn1_by_abc,
     matrix_structure_constants,
+    ribbon_quantum_product,
+    subpartitions,
     unpeeled_structure_constants,
     weak_pieri_terms_by_group,
 )
@@ -528,3 +531,21 @@ def test_structure_constants_commute_with_k_conjugation():
                 assert dict(got) == want, (n, lam, mu)
                 checked += 1
     assert checked == 1235
+
+
+def test_quantum_grassmannian_rim_hooks_match_kschur_ribbons():
+    # QH*(Gr(a, N)) by the Bertram-Ciocan-Fontanine-Fulton rim-hook rule against the
+    # homology product at k = N - 1 read by N-ribbons of height a + 1 (Lapointe-Morse,
+    # Adv. Math. 2008), over every unordered pair of nonempty partitions in the a x (N - a) box
+    pairs = 0
+    for N in range(3, 6):
+        for a in range(1, N):
+            box = [p for p in subpartitions((N - a,) * a) if p]
+            for i, lam in enumerate(box):
+                for mu in box[i:]:
+                    want = bcf_quantum_product(lam, mu, a, N)
+                    assert ribbon_quantum_product(lam, mu, a, N) == want, (a, N, lam, mu)
+                    pairs += 1
+    assert pairs == 143
+    assert bcf_quantum_product((1,), (2, 1), 2, 4) == {((2, 2), 0): 1, ((), 1): 1}
+    assert bcf_quantum_product((2,), (2,), 2, 4) == {((2, 2), 0): 1}  # -q from s_4 cancels +q from s_31

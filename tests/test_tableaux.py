@@ -2,7 +2,10 @@
 
 import pytest
 
+from kschur.cores import conjugate, contains
 from kschur.tableaux import (
+    Tableau,
+    _strips,
     cocharge,
     cocharge_index_vectors,
     kostka_foulkes,
@@ -13,6 +16,7 @@ from kschur.tpoly import TPoly
 from kschur.symfun import kf_matrix, partitions_of
 
 from oracles import (
+    is_horizontal_strip,
     n_stat,
     pair_kostka_foulkes,
     pair_kostka_number,
@@ -78,6 +82,40 @@ def test_kostka_triangularity():
 def test_tableau_from_rows_validates():
     with pytest.raises(ValueError):
         tableau_from_rows([[1, 2], [1]])  # column not strict
+
+
+def _column(p, j):
+    return p[j - 1] if j <= len(p) else 0
+
+
+def test_strip_table_matches_row_predicate_and_macdonald_j_set():
+    # each hi of size |lo| + m over lo is in the table exactly when hi/lo is a horizontal strip,
+    # once, and ks is m_j(lo) over Macdonald's J = {j >= 1: theta'_j = 0, theta'_{j+1} = 1},
+    # theta' = hi' - lo' (III (5.8')); the Tableau check refuses every other hi
+    pairs = 0
+    for size in range(9):
+        for lo in partitions_of(size):
+            lc = conjugate(lo)
+            for m in range(7):
+                table = dict(_strips(lo, m))
+                assert len(table) == len(_strips(lo, m))
+                found = 0
+                for hi in partitions_of(size + m):
+                    if not contains(hi, lo):
+                        continue
+                    assert (hi in table) == is_horizontal_strip(hi, lo), (lo, m, hi)
+                    if hi not in table:
+                        with pytest.raises(ValueError):
+                            Tableau([(), lo, hi])
+                        continue
+                    hc = conjugate(hi)
+                    theta = [None] + [_column(hc, j) - _column(lc, j) for j in range(1, len(hc) + 1)]
+                    J = [j for j in range(1, len(hc)) if theta[j] == 0 and theta[j + 1] == 1]
+                    assert sorted(table[hi]) == sorted(_column(lc, j) - _column(lc, j + 1) for j in J)
+                    found += 1
+                assert found == len(table)
+                pairs += found
+    assert pairs == 2172
 
 
 def test_kf_and_kostka_matrices_match_per_pair_oracles():
