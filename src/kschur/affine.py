@@ -120,11 +120,16 @@ class AffinePermutation:
         return all(w[i] < w[i + 1] for i in range(self.n - 1))
 
 
-def from_word(word, n: int) -> AffinePermutation:
-    """The product s_{i_1} ... s_{i_l} (rightmost letter acts first)."""
+def check_letters(word, n: int) -> None:
+    """Raise InvalidLetterError unless every letter is in 0..n-1."""
     for i in word:
         if not 0 <= i < n:
             raise InvalidLetterError(f"letter {i} not in 0..{n - 1}")
+
+
+def from_word(word, n: int) -> AffinePermutation:
+    """The product s_{i_1} ... s_{i_l} (rightmost letter acts first)."""
+    check_letters(word, n)
     w = AffinePermutation.identity(n)
     for i in reversed(list(word)):
         w = _simple_times(n, i, w)

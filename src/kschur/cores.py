@@ -52,7 +52,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from .affine import AffinePermutation, reduced_word
+from .affine import AffinePermutation, check_letters, reduced_word
 
 
 class NonReducedWordError(ValueError):
@@ -293,8 +293,10 @@ def act_s(core: NCore, residue: int) -> NCore:
 
 def a_map(word, n: int) -> NCore:
     """The core s_{i_1} ... s_{i_l}(empty), innermost letter first."""
+    word = list(word)
+    check_letters(word, n)
     core = NCore(n, ())
-    for i in reversed(list(word)):
+    for i in reversed(word):
         core = _weak_cover(core, i)
         if core is None:
             raise NonReducedWordError(f"letter {i} adds no corner: not a reduced Grassmannian word")

@@ -16,16 +16,16 @@ word of w_nu w_lam^{-1}.
 Ribbon strong strips generalize to the translation R(r, lam): chains
 whose per-step ribbon heads sit in the bottom row or directly above an
 older cell, with a ribbon tail in the marked columns col_r(lam).  The
-ribbon and marked-tail walks down from R(r, lam) record every length up
-to a depth in one walk: their pruning does not read the length b, so
-level b holds what a walk cut at b finds, in its DFS order.  A rect-Pieri
-sweep reads every b < r of one (lam, r) off one walk to depth r - 1.
-The ribbon walk drops a chain once a head is in neither the bottom row
-nor above a cell of the current shape: every shape below it is smaller,
-so no longer chain through it qualifies, and the walk visits no dead
-subtree at any depth.  It carries the largest head column of each row,
-so that test reads one bound a row.  Both walks take the down covers
-with a tail in the marked columns from one memo, `_tail_covers`.
+ribbon and marked-tail walks down from R(r, lam) go one layer per
+length up to a depth, and their pruning does not read the length b, so
+layer b holds what a walk cut at b finds: a rect-Pieri sweep reads
+every b < r of one (lam, r) off one walk to depth r - 1.  A layer merges
+the prefixes that share their continuations, keyed by core and head
+rows (ribbon) or by core and last head content (marked tail).  The
+ribbon walk drops a cover once a head is in neither the bottom row nor
+above a cell of the shape below it: every shape further down is
+smaller, so no longer chain through it qualifies.  Both walks take the
+down covers with a tail in the marked columns from `_tail_covers`.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .affine import cyclic_anchor_key, is_word_cyclically_decreasing
+from .affine import check_letters, cyclically_decreasing_word, is_word_cyclically_decreasing
 from .cores import (
     NCore,
     c_inverse,
@@ -160,8 +160,7 @@ def psi(strip: HorizontalStrongStrip):
     n = strip.lam.n
     x = _anchor(strip.lam)
     tails = {(ribbon_tail(step[-1])[1] - 1) % n for step in strip.ribbons}
-    letters = set(range(n)) - {x} - tails
-    return tuple(sorted(letters, key=cyclic_anchor_key(x, n), reverse=True))
+    return cyclically_decreasing_word(set(range(n)) - {x} - tails, n, x)
 
 
 def phi(word, lam: NCore) -> HorizontalStrongStrip:
@@ -174,27 +173,27 @@ def phi(word, lam: NCore) -> HorizontalStrongStrip:
     n = lam.n
     x = _anchor(lam)
     word = tuple(word)
+    check_letters(word, n)
     if x in word:
         raise ValueError(f"word may not contain the residue {x}")
     if not is_word_cyclically_decreasing(word, n):
         raise ValueError("word is not cyclically decreasing")
-    key = cyclic_anchor_key(x, n)
-    a_list = sorted(set(range(n)) - {x} - set(word), key=key, reverse=True)
+    a_list = cyclically_decreasing_word(set(range(n)) - {x} - set(word), n, x)
     chain = [rect_translation(lam, n - 1)]
     steps = []
-    prev = [x] + a_list
-    for k, a in enumerate(a_list):
-        tau = (a, a + (prev[k] - a) % n)
+    for before, a in zip((x,) + a_list, a_list):
+        tau = (a, a + (before - a) % n)
         cover = next(((mu, ribbons) for mu, ribbons, t in strong_covers_down(chain[-1])
                       if t == tau), None)
         if cover is None:
-            raise AssertionError("phi: ribbon deletion is not a strong cover")
+            break
         chain.append(cover[0])
         steps.append(cover[1])
-    desc = tuple(reversed(chain))
-    if not contains(desc[0].parts, lam.parts):
-        raise AssertionError("phi: resulting shape does not contain lam")
-    return _strip(lam, desc, tuple(reversed(steps)))
+    else:
+        desc = tuple(reversed(chain))
+        if contains(desc[0].parts, lam.parts):
+            return _strip(lam, desc, tuple(reversed(steps)))
+    raise ValueError(f"word {word} names no horizontal strong strip of {lam.parts}")
 
 
 # -- ribbon strong strips ------------------------------------------------
@@ -252,78 +251,65 @@ def _tail_covers(core: NCore, columns) -> tuple:
     )
 
 
-def ribbon_strong_strip_chains(lam: NCore, r: int, b: int):
-    """All horizontal ribbon strip chains of length b down from R(r, lam).
-
-    A chain qualifies when every step has a ribbon tail in col_r(lam)
-    and every ribbon head lies in the bottom row or directly above a
-    cell of nu, the smallest shape of the chain.  Returns a dict
-    mapping nu to its list of ascending chains.
-    """
-    if b < 0:
-        raise ValueError("strip length must be nonnegative")
-    level = _ribbon_levels(*_marked_top(lam, r), b).get(b, {})
-    return {nu: list(chains) for nu, chains in level.items()}
-
-
 @lru_cache(maxsize=1)
 def _ribbon_levels(top: NCore, columns, depth: int) -> dict:
-    """b <= depth -> {nu: its ascending chains of length b down from top}; no key if none.
+    """b <= depth -> {nu: its first ascending chain of length b down from top}; no key if none.
 
-    Only the last walk is kept: a sweep asks for every b of one (lam, r) in a row.
+    A chain qualifies when every step has a ribbon tail in the marked
+    columns and every ribbon head lies in the bottom row or directly
+    above a cell of nu, its smallest shape.  A layer keeps each state
+    (core, head rows) once, with the chain of its first prefix.  States
+    are taken in layer order and covers in `_tail_covers` order, so by
+    induction a layer's insertion order is the lexicographic order of
+    first paths: a state's first path extends the first path of its
+    earliest parent.  Each kept chain and each level's nu order are
+    thus what a depth-first walk over every path finds first.  Only the
+    last walk is kept: a sweep asks for every b of one (lam, r) in a row.
     """
-    levels: dict = {}
-
-    def walk(cur, chain, rows):
-        # rows holds the head columns of the covers taken so far (`_head_rows`);
-        # a head off row 1 and above no cell of cur is so for every smaller shape: prune
-        parts = cur.parts
-        if len(rows) > len(parts) or any(p < j for p, j in zip(parts, rows)):
-            return
-        levels.setdefault(len(chain) - 1, {}).setdefault(cur, []).append(tuple(reversed(chain)))
-        if len(chain) - 1 == depth:
-            return
-        for mu, ribbons in _tail_covers(cur, columns):
-            walk(mu, chain + [mu], _head_rows(rows, ribbons))
-
-    walk(top, [top], ())
+    layer = {(top, ()): (top,)}
+    levels = {0: {top: (top,)}}
+    for b in range(1, depth + 1):
+        nxt: dict = {}
+        for (core, rows), chain in layer.items():
+            for mu, ribbons in _tail_covers(core, columns):
+                # a head off row 1 and above no cell of mu is so for every smaller shape: prune
+                heads = _head_rows(rows, ribbons)
+                if len(heads) <= len(mu.parts) and all(p >= j for p, j in zip(mu.parts, heads)):
+                    nxt.setdefault((mu, heads), (mu,) + chain)
+        if not nxt:
+            break
+        layer = nxt
+        level = levels[b] = {}
+        for (core, _rows), chain in layer.items():
+            level.setdefault(core, chain)
     return levels
 
 
 def ribbon_strong_strips(lam: NCore, r: int, b: int):
     """All ribbon strong strips (lam, nu) of length b with respect to r."""
-    found = ribbon_strong_strip_chains(lam, r, b)
-    strips = [RibbonStrongStrip(lam, nu, r, chains[0]) for nu, chains in found.items()]
-    return sorted(strips, key=lambda s: s.nu.parts, reverse=True)
-
-
-def marked_tail_strips(lam: NCore, r: int, b: int):
-    """nu admitting a strong b-strip to R(r, lam) with tails in col_r.
-
-    The strong-strip reading of the closing conjecture: saturated chains
-    carrying a strictly increasing content vector, every step with a
-    ribbon tail in the marked columns (no head condition).
-    """
     if b < 0:
         raise ValueError("strip length must be nonnegative")
-    ends = _marked_tail_levels(*_marked_top(lam, r), b).get(b, ())
-    return sorted(ends, key=lambda c: c.parts, reverse=True)
+    level = _ribbon_levels(*_marked_top(lam, r), b).get(b, {})
+    strips = [RibbonStrongStrip(lam, nu, r, chain) for nu, chain in level.items()]
+    return sorted(strips, key=lambda s: s.nu.parts, reverse=True)
 
 
 @lru_cache(maxsize=1)
 def _marked_tail_levels(top: NCore, columns, depth: int) -> dict:
-    """b <= depth -> the set of ends of the marked-tail chains of length b down from top."""
-    levels: dict = {}
+    """b <= depth -> the set of ends of the marked-tail chains of length b down from top.
 
-    def walk(cur, floor_content, steps):
-        levels.setdefault(steps, set()).add(cur)
-        if steps == depth:
-            return
-        for mu, ribbons in _tail_covers(cur, columns):
-            marks = {j - i for i, j in map(ribbon_head, ribbons)}
-            for c in marks:
-                if floor_content is None or c < floor_content:
-                    walk(mu, c, steps + 1)
-
-    walk(top, None, 0)
+    The strong-strip reading of the closing conjecture: saturated chains
+    carrying a strictly increasing content vector, every step with a
+    ribbon tail in the marked columns (no head condition).  A layer
+    holds each (core, last head content) once, the state over which
+    `strong_pieri_cohomology` counts strong strips upward.
+    """
+    layer = {(top, None)}
+    levels = {0: {top}}
+    for b in range(1, depth + 1):
+        layer = {(mu, j - i) for core, floor in layer for mu, ribbons in _tail_covers(core, columns)
+                 for i, j in map(ribbon_head, ribbons) if floor is None or j - i < floor}
+        if not layer:
+            break
+        levels[b] = {core for core, _floor in layer}
     return levels

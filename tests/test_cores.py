@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from kschur.affine import from_word, reduced_word, transposition
+from kschur.affine import InvalidLetterError, from_word, reduced_word, transposition
 from kschur.cores import (
     NCore,
     NonReducedWordError,
@@ -79,6 +79,9 @@ def test_a_map_examples():
         a_map([0, 0], 4)
     with pytest.raises(NonReducedWordError):
         a_map([1], 4)  # no addable corner of residue 1 on the empty core
+    for letter in (4, -1):
+        with pytest.raises(InvalidLetterError):
+            a_map([letter], 4)  # not read mod n: from_word refuses it too
 
 
 def test_core_to_word_examples():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from kschur.affine import cyclically_decreasing_of_length, is_cyclically_decreasing
+from kschur.affine import InvalidLetterError, cyclically_decreasing_of_length, is_cyclically_decreasing
 from kschur.cores import (
     NCore,
     c_inverse,
@@ -20,10 +20,8 @@ from kschur.strips import (
     col_r,
     horizontal_strong_strips_from,
     marked_strong_covers,
-    marked_tail_strips,
     phi,
     psi,
-    ribbon_strong_strip_chains,
     ribbon_strong_strips,
     strong_strips,
 )
@@ -138,6 +136,12 @@ def test_phi_rejects_bad_words():
         phi((2,), lam)
     with pytest.raises(ValueError):
         phi((0, 1), lam)  # not cyclically decreasing
+    for letter in (4, 7, -1):
+        with pytest.raises(InvalidLetterError):
+            phi((letter,), lam)
+    # cyclically decreasing and avoiding x = 1, yet no strip of (2, 1) has this word
+    with pytest.raises(ValueError, match=r"word \(3,\) names no horizontal strong strip of \(2, 1\)"):
+        phi((3,), c_map((2, 1), 4))
 
 
 def test_prop_main_small():
@@ -218,9 +222,13 @@ def test_rss_with_r_equal_nminus1_is_hss(n):
     # rule for the rect-Pieri failure at n=7 must keep this
     for d in range(0, 11):
         for lam in cores_of_degree(n, d):
+            top, columns = _marked_top(lam, n - 1)
             for b in range(0, n):
-                chains = ribbon_strong_strip_chains(lam, n - 1, b)
-                assert chains == {s.nu: [s.chain] for s in horizontal_strong_strips_from(lam, b)}
+                hss = horizontal_strong_strips_from(lam, b)
+                want = ribbon_chains_of_length(top, columns, b)
+                assert want == {s.nu: [s.chain] for s in hss}
+                got = ribbon_strong_strips(lam, n - 1, b)
+                assert [(s.nu, s.chain) for s in got] == [(s.nu, s.chain) for s in hss]
 
 
 def test_closing_conjecture_comparison_reported():
@@ -232,7 +240,8 @@ def test_closing_conjecture_comparison_reported():
                 for r in range(2, n):
                     for b in range(1, r):
                         A = {s.nu.parts for s in ribbon_strong_strips(lam, r, b)}
-                        B = {c.parts for c in marked_tail_strips(lam, r, b)}
+                        top, columns = _marked_top(lam, r)
+                        B = {c.parts for c in _marked_tail_levels(top, columns, b).get(b, ())}
                         if A == B:
                             agree += 1
                         else:
@@ -242,21 +251,26 @@ def test_closing_conjecture_comparison_reported():
     assert agree > 0
 
 
+def _assert_levels_match_oracles(top, columns, depth, lengths):
+    """Each level's nu order and first chain, and its tail set, as the walks cut at that length find them."""
+    chains = _ribbon_levels(top, columns, depth)
+    tails = _marked_tail_levels(top, columns, depth)
+    for b in lengths:
+        want = ribbon_chains_of_length(top, columns, b)
+        got = chains.get(b, {})
+        assert list(got) == list(want), b
+        assert all(got[nu] == found[0] for nu, found in want.items()), b
+        assert tails.get(b, set()) == marked_tails_of_length(top, columns, b), b
+
+
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_walk_levels_match_the_walk_of_each_length(n):
-    # one walk per (lam, r) to depth r - 1, as rect_pieri_check reads it:
-    # each level keeps the nu order, the chain order and the tail set of
-    # the walk cut at that length
+    # one walk per (lam, r) to depth r - 1, as rect_pieri_check reads it
     for d in range(9):
         for lam in cores_of_degree(n, d):
             for r in range(1, n):
                 top, columns = _marked_top(lam, r)
-                chains = _ribbon_levels(top, columns, r - 1)
-                tails = _marked_tail_levels(top, columns, r - 1)
-                for b in range(r):
-                    want = ribbon_chains_of_length(top, columns, b)
-                    assert list(chains.get(b, {}).items()) == list(want.items()), (lam, r, b)
-                    assert tails.get(b, set()) == marked_tails_of_length(top, columns, b)
+                _assert_levels_match_oracles(top, columns, r - 1, range(r))
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -266,28 +280,42 @@ def test_public_walks_at_b0_and_past_r(n):
             for r in range(1, n):
                 top, columns = _marked_top(lam, r)
                 for b in (0, r, r + 1):
+                    # ribbon_strong_strips walks to depth b, so each b is its own walk
+                    _assert_levels_match_oracles(top, columns, b, (b,))
                     want = ribbon_chains_of_length(top, columns, b)
-                    got = ribbon_strong_strip_chains(lam, r, b)
-                    assert list(got.items()) == list(want.items()), (lam, r, b)
-                    tails = sorted(marked_tails_of_length(top, columns, b),
-                                   key=lambda c: c.parts, reverse=True)
-                    assert marked_tail_strips(lam, r, b) == tails, (lam, r, b)
+                    got = ribbon_strong_strips(lam, r, b)
+                    assert [(s.nu, s.chain) for s in got] == sorted(
+                        ((nu, found[0]) for nu, found in want.items()),
+                        key=lambda pair: pair[0].parts, reverse=True), (lam, r, b)
                 # a level with no chain gets no key, so a deep walk stores only what it finds
                 assert all(_ribbon_levels(top, columns, 64).values())
                 assert all(_marked_tail_levels(top, columns, 64).values())
 
 
-def test_ribbon_chains_return_fresh_dicts():
+@pytest.mark.parametrize("n", [10, 12])
+def test_walks_merge_the_lambda1_equal_lambda2_families(n):
+    # the three families where the ribbon reading finds extra nu; several
+    # chains reach one nu there, so keeping only the first is exercised
+    for bounded, r in (((4, 4) + (1,) * (n - 5), 4), ((5, 5) + (1,) * (n - 6), 5),
+                       ((4, 4, 2) + (1,) * (n - 6), 4)):
+        top, columns = _marked_top(c_map(bounded, n), r)
+        _assert_levels_match_oracles(top, columns, r - 1, range(r))
+        assert sum(map(len, ribbon_chains_of_length(top, columns, 3).values())) > len(
+            _ribbon_levels(top, columns, r - 1)[3])
+
+
+def test_ribbon_strips_return_fresh_lists():
     lam = c_map((4, 2), 5)
-    got = ribbon_strong_strip_chains(lam, 3, 2)
-    want = {nu: list(chains) for nu, chains in got.items()}
-    next(iter(got.values())).clear()
-    got[lam] = [(lam,)]
-    assert ribbon_strong_strip_chains(lam, 3, 2) == want
+    got = ribbon_strong_strips(lam, 3, 2)
+    want = list(got)
+    got.clear()
+    assert ribbon_strong_strips(lam, 3, 2) == want
 
 
 def test_negative_strip_length_is_rejected():
     lam = c_map((4, 2), 5)
-    for walk in (ribbon_strong_strip_chains, marked_tail_strips):
-        with pytest.raises(ValueError):
-            walk(lam, 3, -1)
+    with pytest.raises(ValueError):
+        ribbon_strong_strips(lam, 3, -1)
+    # the sweep's walks start at length 0 and never hold a negative level
+    top, columns = _marked_top(lam, 3)
+    assert min(_ribbon_levels(top, columns, 2)) == min(_marked_tail_levels(top, columns, 2)) == 0
