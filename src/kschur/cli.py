@@ -20,6 +20,7 @@ import sys
 from collections import namedtuple
 from types import SimpleNamespace
 
+from . import schubert
 from .abctab import count_affine_factorizations, enumerate_abc
 from .cores import (
     NCore,
@@ -30,13 +31,7 @@ from .cores import (
     normalize,
     w_core,
 )
-from .schubert import (
-    affine_monk_check,
-    horizontal_pieri,
-    rect_pieri_check,
-    strong_pieri_cohomology,
-    weak_pieri,
-)
+from .schubert import horizontal_pieri, strong_pieri_cohomology, weak_pieri
 from .strips import (
     horizontal_strong_strips_from,
     phi,
@@ -325,8 +320,17 @@ def _theta_check(lam):
     return not bad, bad
 
 
-def _verdict(report):
-    return report["match"], report
+def _monk_check(case):
+    """The verdict off the core sides; the public checker renders the report of a failure only."""
+    match = schubert._verdict(*schubert._affine_monk_sides(*case))
+    return match, None if match else schubert.affine_monk_check(*case)
+
+
+def _rect_pieri_check(case):
+    """As `_monk_check`, and whether the ribbon and marked-tail readings agree."""
+    lhs, ribbons, tails = schubert._rect_pieri_sides(*case)
+    match = schubert._verdict(lhs, ribbons)
+    return match, None if match else schubert.rect_pieri_check(*case), ribbons == tails
 
 
 def _monk_cases(n: int, max_size: int):
@@ -338,13 +342,14 @@ def _rect_pieri_cases(n: int, max_size: int):
     return [(r, b, lam, n) for lam in lams for r in range(2, n) for b in range(1, r)]
 
 
-#: sweep -> (the bound it reads, instances(n, bound), check(instance) -> (match, failure),
-#: None or the extra report fields read off all the results); lambdas find checkers per call
+#: sweep -> (the bound it reads, instances(n, bound), check(instance) -> (match, failure,
+#: anything else the extras read), None or the extra report fields read off all the results);
+#: the homology checks find the schubert functions per call
 SWEEPS = {
-    "affine-monk": ("max_size", _monk_cases, lambda i: _verdict(affine_monk_check(*i)), None),
+    "affine-monk": ("max_size", _monk_cases, _monk_check, None),
     "rect-pieri": (
-        "max_size", _rect_pieri_cases, lambda i: _verdict(rect_pieri_check(*i)),
-        lambda results: {"reading_disagreements": sum(not r["readings_agree"] for _, r in results)},
+        "max_size", _rect_pieri_cases, _rect_pieri_check,
+        lambda results: {"reading_disagreements": sum(not agree for _, _, agree in results)},
     ),
     "prop-main": ("max_deg", _cores_up_to, _prop_main_check, None),
     "theta-bijection": ("max_deg", _cores_up_to, _theta_check, None),
@@ -363,7 +368,7 @@ def cmd_verify(args) -> int:
     if not cases:
         raise ValueError(f"the {args.sweep} sweep has no instances at {instance}")
     results = [check(case) for case in cases]
-    failures = [failure for match, failure in results if not match]
+    failures = [failure for match, failure, *_ in results if not match]
     report = {"conjecture": args.sweep, "instance": instance, "match": not failures,
               "instances": len(cases), "lhs": [], "rhs": [], "failures": failures,
               **(extra(results) if extra else {})}

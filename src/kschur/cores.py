@@ -34,23 +34,26 @@ beads:
 
 Strong (Bruhat) covers on cores are containment plus degree difference
 one; tau_{i,i+s} w_core moves one window entry up by s and one down by s,
-so covers are read off the window.  The length change comes from the
-moved pair and the entries between them alone; up covers raise the
-higher entry, down covers the lower one, and every cover has s < n.  Its
-skew is made of s-cell ribbon copies n contents apart, so each copy is a
-run of consecutive content, and its rows, read from the last one down,
-list its cells in content order.
+so covers are read off the window.  A candidate (i, s) is a cover iff the
+window stays sorted and no residue i+1..i+s-1 sits strictly between the
+two moved entries: an O(1) test per candidate, with no length computed.
+Up covers raise the higher entry, down covers the lower one, and every
+cover has s < n.  Its skew is made of s-cell ribbon copies n contents
+apart, so each copy is a run of consecutive content, and its rows, read
+from the last one down, list its cells in content order.
 The weak cover s_i w_core is one degree up iff the entries a, b of residues
 i, i+1 have b < a; then a, b become a + 1, b - 1 in place: no length.
 Weak Pieri, h_m xi_core, takes such steps along the maximal cyclic runs
 of each m-subset of Z/n at once (`_weak_pieri_terms`); `_h_times`
-applies a signed row sum_a c_a h_a by Horner, with no cache.
+applies a signed row sum_a c_a h_a by Horner on the smallest part, so
+the largest h acts on the core first, with no cache.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from operator import add
 
 from .affine import AffinePermutation, check_letters, reduced_word
 
@@ -264,16 +267,17 @@ def _weak_pieri_terms(m: int, core: NCore) -> tuple:
 def _h_times(row, core: NCore) -> dict:
     """sum_a c_a h_a xi_core for a signed row of (a, c_a) pairs, as dict core -> coefficient.
 
-    h_a xi = h_{a_1}(h_{a_2}(...xi)) by weak Pieri.  Horner: the row is
-    sum_j h_j (sum_{a_1 = j} c_a h_{a_2...} xi_core), which needs h_j
-    linear, not the h's to commute; terms cancel before each weak Pieri
-    step, and zeros are left out.
+    h_a xi = h_{a_1} ... h_{a_l} xi by weak Pieri, and Lambda is
+    commutative, so the h's may act in any order.  Horner on the last
+    (smallest) part: the row is sum_j h_j (sum_{a_l = j} c_a h_{a_1...a_{l-1}} xi_core),
+    so the largest part acts on the core first, where the fewest terms
+    are; terms cancel before each weak Pieri step, and zeros are left out.
     """
     out: dict = {}
     rests: dict = {}
     for a, c in row:
         if a:
-            rests.setdefault(a[0], []).append((a[1:], c))
+            rests.setdefault(a[-1], []).append((a[:-1], c))
         else:
             out[core] = out.get(core, 0) + c
     for j, rest in rests.items():
@@ -394,6 +398,16 @@ def rect_translation(core: NCore, r: int) -> NCore:
     return _core_of_window(n, tuple(v - n + r for v in w[:r]) + tuple(v + r for v in w[r:]))
 
 
+def _rect_shift(n: int, rects) -> tuple:
+    """The window shifts of `rect_translation` for every r of rects, added up; r unchecked."""
+    return tuple(map(sum, zip((0,) * n, *((r - n,) * r + (r,) * (n - r) for r in rects))))
+
+
+def _shifted(core: NCore, shift) -> NCore:
+    """The core of the window moved by a `_rect_shift`: a sum of translations keeps it Grassmannian."""
+    return _core_of_window(core.n, tuple(map(add, core.window, shift)))
+
+
 # -- ribbons -----------------------------------------------------------
 
 
@@ -434,60 +448,57 @@ def ribbon_tail(comp):
 # -- strong covers ------------------------------------------------------
 
 
-def _tau_step(n: int, window, p: int, q: int, s: int):
-    """The window of tau_{i,i+s} w and its length change, or None if not Grassmannian.
-
-    w is Grassmannian with residues i, i+s at positions p, q, so window[p]
-    goes up by s and window[q] down by s.  Only the raised entry's upper
-    neighbour and the lowered entry's lower one can fall out of order: an
-    O(1) test.  A sorted window has length sum_{a<b} (v_b - v_a) // n
-    (Shi; Bjorner-Brenti 8.3).  The moved entries swap residues,
-    up = v_q and down = v_p mod n, and up + down = v_p + v_q, so an entry
-    x below both or above both has the same two terms before and after:
-    only the (p, q) pair and the entries strictly between them change.
-    """
-    up, down = window[p] + s, window[q] - s
-    above = down if q == p + 1 else window[p + 1] if p + 1 < n else up
-    below = up if q == p + 1 else window[q - 1] if q > 0 else down
-    if up > above or below > down:
-        return None
-    u = list(window)
-    u[p], u[q] = up, down
-    lo, hi = (p, q) if p < q else (q, p)
-    bot, top = window[lo], window[hi]
-    new_bot, new_top = u[lo], u[hi]
-    change = (new_top - new_bot) // n - (top - bot) // n
-    for x in window[lo + 1:hi]:
-        change += (new_top - x) // n + (x - new_bot) // n - (top - x) // n - (x - bot) // n
-    return tuple(u), change
-
-
 def _covers(core: NCore, step: int):
     """Strong covers one degree up (step 1) or down (step -1), in (i, s) order.
 
-    Every term of the `_tau_step` change has the sign of the pair term.
-    When q < p the higher entry goes up and the lower one down, so the pair
-    and each entry between them move apart: every term is >= 0.  When q > p
-    they move together: every term is <= 0.  So up covers have q < p and
-    down covers q > p.  The pair term alone is at least 2s // n in size, so
-    a change of +-1 needs s < n; and a raised entry that reaches its upper
-    neighbour stays out of order for every larger s.  So the scan of
-    residue i stops at min(upper-neighbour gap, n).
+    tau_{i,i+s} w_core, 0 < s < n, raises v_p, the window entry of residue
+    i at position p, by s and lowers v_q, that of residue i+s, by s.  It
+    is Grassmannian iff the window stays sorted: only the raised entry's
+    upper neighbour and the lowered entry's lower one can fall out of
+    order.  A sorted window has length sum_{a<b} (v_b - v_a) // n (Shi;
+    Bjorner-Brenti 8.3).  The moved entries swap residues and keep their
+    sum, so an entry x below both or above both has the same two terms
+    before and after: only the (p, q) pair and the entries strictly
+    between them change.
+      * Down step, q > p: v_q - v_p = s + kn, and the pair term goes from k
+        to k - 1.  An entry x between them adds
+        (x - v_p - s) // n - (x - v_p) // n + (v_q - s - x) // n - (v_q - x) // n,
+        which is 0 iff (x - v_p) mod n > s, else -2.
+      * Up step, q < p: v_p - v_q = n - s + kn, and the pair term goes from
+        k to k + 1.  An entry x between them adds
+        (x - v_q + s) // n - (x - v_q) // n + (v_p + s - x) // n - (v_p - x) // n,
+        which is 0 iff (x - v_q) mod n < n - s, else +2.
+    Both say that x has no residue in i+1..i+s-1 (x has neither residue i
+    nor i+s).  So the length changes by -1 or +1 and then 2 for each such
+    residue between p and q: a Grassmannian step is a cover iff there is
+    none, up covers have q < p and down covers q > p.  For s >= n the pair
+    term alone moves by at least 2s // n, so every cover has s < n; and a
+    raised entry that reaches its upper neighbour stays out of order for
+    every larger s, so the scan of residue i stops at min(that gap, n).
+    Below that gap, a down step with q = p + 1 has v_q - v_p >= s + n, so
+    the moved pair stays in order too.  While s grows the scan keeps
+    `near`, the slot of residues i+1..i+s-1 nearest p on the cover's side,
+    so the test is O(1), and it stops once that slot is next to p.  Only
+    an accepted cover copies the window.
     """
     n, parts, window = core.n, core.parts, core.window
     slot = _slots(window, n)
     out = []
     for i in range(n):
         p = slot[i]
+        near = -1 if step > 0 else n
         for s in range(1, min(window[p + 1] - window[p], n) if p < n - 1 else n):
+            if near == p - step:
+                break
             q = slot[(i + s) % n]
-            if (q < p) != (step > 0):
-                continue
-            moved = _tau_step(n, window, p, q, s)
-            if moved is not None and moved[1] == step:
-                other = _core_of_window(n, moved[0])
-                outer, inner = (other.parts, parts) if step > 0 else (parts, other.parts)
-                out.append((other, _cover_ribbons(outer, inner), (i, i + s)))
+            if (near < q < p) if step > 0 else (p < q < near):
+                near, low = q, window[q] - s
+                if q == 0 or window[q - 1] < low:
+                    u = list(window)
+                    u[p], u[q] = window[p] + s, low
+                    other = _core_of_window(n, tuple(u))
+                    outer, inner = (other.parts, parts) if step > 0 else (parts, other.parts)
+                    out.append((other, _cover_ribbons(outer, inner), (i, i + s)))
     return tuple(out)
 
 

@@ -9,8 +9,12 @@ applied as one Horner walk over the signed row (`cores._h_times`).
 The row c is an integer column of Kn(1)^{-1} (`symfun._kschur_row` at t = 1),
 and column a of Kn(1) is h_a xi_empty, so weak Pieri gives both.
 Every k-rectangle R_r = (r^{n-r}) is first peeled off both factors and
-put back on each term, by the k-rectangle property
-s^(k)_{R_r union mu} = s_{R_r} s^(k)_mu.
+put back on each term's window by one shift, the `cores.rect_translation`
+of every rectangle at once, by the k-rectangle property
+s^(k)_{R_r union mu} = s_{R_r} s^(k)_mu.  Products are keyed on cores
+from the Horner walk to the verdict: a conjecture's two sides are core
+sets (`_affine_monk_sides`, `_rect_pieri_sides`), and only the public
+checkers render them as bounded partitions.
 The weak (cyclically decreasing) and horizontal strong strip Pieri
 rules are implemented independently and must agree.
 
@@ -18,8 +22,9 @@ On the finite side, sh maps a permutation of S_n to a partition with
 parts < n; the quantum Monk formula and the identification of
 Gromov-Witten invariants with structure constants c^eta give the
 cross-validation targets for the affine Monk and rectangle-Pieri
-conjecture checkers.  sh is computed once per permutation and eta
-once per (permutation, d); validation stays at the public boundary.
+conjecture checkers.  sh is computed once per permutation and eta, with
+its core and degree, once per (permutation, d); validation stays at the
+public boundary.
 """
 
 from __future__ import annotations
@@ -33,6 +38,8 @@ from .cores import (
     NCore,
     _core_of_bounded,
     _h_times,
+    _rect_shift,
+    _shifted,
     _weak_pieri_terms,
     c_inverse,
     c_map,
@@ -98,25 +105,26 @@ def strong_pieri_cohomology(m: int, lam: NCore) -> dict:
 def _peel(bounded, n: int):
     """Split every k-rectangle R_r = (r^{n-r}) off a bounded partition.
 
-    Returns (peeled, removed): the parts left, which contain no R_r, and
-    the removed parts, a union of rectangles; both descending.
+    Returns (peeled, rects): the parts left, which contain no R_r, and
+    one r for each R_r removed; both descending.
     """
-    peeled, removed = [], []
+    peeled, rects = [], []
     for part, run in groupby(bounded):
-        count = len(list(run))
-        keep = count % (n - part)
+        copies, keep = divmod(len(list(run)), n - part)
         peeled += [part] * keep
-        removed += [part] * (count - keep)
-    return tuple(peeled), tuple(removed)
+        rects += [part] * copies
+    return tuple(peeled), tuple(rects)
 
 
 @lru_cache(maxsize=None)
-def _structure_constants(n: int, mu_b, lam_b) -> tuple:
-    """xi_mu xi_lam = sum_a [h_a]s^(k)_mu(1) h_a xi_lam, mu the lower degree.
+def _structure_constants(n: int, mu_b, lam_b) -> dict:
+    """xi_mu xi_lam = sum_a [h_a]s^(k)_mu(1) h_a xi_lam as {core nu: c^nu}, mu the lower degree.
 
     By the k-rectangle property s^(k)_{R_r union mu} = s_{R_r} s^(k)_mu,
     c^{R union nu}_{R union mu, lam} = c^nu_{mu, lam}: the rectangles of
-    both factors are peeled off first and put back on every nu.
+    both factors are peeled off first and put back on every nu by one
+    window shift, their `rect_translation`s added up.  Callers must not
+    change the cached dict.
     """
     mu_b, mu_rects = _peel(mu_b, n)
     lam_b, lam_rects = _peel(lam_b, n)
@@ -124,18 +132,19 @@ def _structure_constants(n: int, mu_b, lam_b) -> tuple:
     mu_b, lam_b = sorted((mu_b, lam_b), key=sum)
     lam = _core_of_bounded(lam_b, n)  # the callers checked both factors
     prod = _h_times(_kschur_row(n, mu_b, False).items(), lam)
-    return tuple(sorted(((union(c_inverse(nu), rects), c) for nu, c in prod.items()), reverse=True))
+    if not rects:
+        return prod
+    shift = _rect_shift(n, rects)
+    return {_shifted(nu, shift): c for nu, c in prod.items()}
 
 
 def homology_structure_constants(mu: NCore, lam: NCore) -> dict:
-    """Coefficients c^nu in xi_mu xi_lam = sum c^nu xi_nu (cores as keys)."""
+    """Coefficients c^nu in xi_mu xi_lam = sum c^nu xi_nu, keyed on the cores nu.
+
+    A copy of the cached product, so a caller may change it."""
     if mu.n != lam.n:
         raise ValueError("mismatched moduli")
-    n = mu.n
-    return {
-        c_map(nu, n): c
-        for nu, c in _structure_constants(n, c_inverse(mu), c_inverse(lam))
-    }
+    return dict(_structure_constants(mu.n, c_inverse(mu), c_inverse(lam)))
 
 
 # -- finite permutations and the sh map ------------------------------------
@@ -253,21 +262,29 @@ def gw_invariant(u, v, w, d) -> int:
     if eta is None:
         eta_invalid_count += 1
         return 0
-    if sum(eta) != sum(sh_u) + sum(sh_v):
+    core, degree = eta
+    if degree != sum(sh_u) + sum(sh_v):
         return 0
-    return next((c for nu, c in _structure_constants(n, sh_u, sh_v) if nu == eta), 0)
+    return _structure_constants(n, sh_u, sh_v).get(core, 0)
 
 
 @lru_cache(maxsize=None)
 def _gw_eta(w: tuple, d: tuple):
-    """eta of <., ., w>_d, or None for invalid column data; checks w, then d.
+    """The core of eta of <., ., w>_d and its degree, or None for invalid column data; checks w, then d.
 
-    A raise is not cached, so a bad d raises on every call."""
+    eta has at most n - 1 columns, so its parts are below n; its core is
+    read off its peeled parts and one window translation per rectangle,
+    as the products put theirs back.  A raise is not cached, so a bad d
+    raises on every call."""
     check_permutation(w)
     n = len(w)
     if len(d) != n - 1 or any(x < 0 for x in d):
         raise ValueError("d must have n-1 nonnegative entries")
-    return _eta_of_monk_term(perm_mult(w0(n), w), d)
+    eta = _eta_of_monk_term(perm_mult(w0(n), w), d)
+    if eta is None:
+        return None
+    peeled, rects = _peel(eta, n)
+    return _shifted(_core_of_bounded(peeled, n), _rect_shift(n, rects)), sum(eta)
 
 
 # -- conjecture checkers -----------------------------------------------------
@@ -277,18 +294,24 @@ def _pad(parts, length):
     return tuple(parts) + (0,) * (length - len(parts))
 
 
-def monk_cover_terms(r: int, lam, n: int):
-    """Covers of R(r, lam) dropping a row where lam union R_r has length r."""
-    core = c_map(lam, n)
-    top = rect_translation(core, r)
-    eta = union(lam, rect(r, n))
-    rows = {i for i, p in enumerate(eta, start=1) if p == r}
-    out = []
+def _monk_covers(r: int, lam, n: int) -> set:
+    """The down covers of R(r, lam) that drop a row where lam union R_r has length r, as cores.
+
+    lam is a checked bounded partition."""
+    top = rect_translation(_core_of_bounded(lam, n), r)
+    rows = [i for i, p in enumerate(union(lam, rect(r, n)), start=1) if p == r]
+    out = set()
     for mu, _ribbons, _tau in strong_covers_down(top):
         mu_p = _pad(mu.parts, len(top.parts))
         if any(mu_p[i - 1] < top.parts[i - 1] for i in rows):
-            out.append(c_inverse(mu))
-    return sorted(out, reverse=True)
+            out.add(mu)
+    return out
+
+
+def monk_cover_terms(r: int, lam, n: int):
+    """Covers of R(r, lam) dropping a row where lam union R_r has length r."""
+    c_map(lam, n)  # checks lam
+    return _bounded(_monk_covers(r, normalize(lam), n))
 
 
 @lru_cache(maxsize=None)
@@ -330,18 +353,39 @@ def q_monomials_via_sh(r: int, lam, n: int):
     w = sh_preimage(lam, n)
     if w is None:
         return None
-    others = Counter(p for p in box_shape(n) if p != r)  # each R_rr, rr != r, once
+    others = Counter(rr for rr in range(1, n) if rr != r)  # each R_rr, rr != r, once
     out: dict = {}
     for term, d in quantum_monk(r, w):
         eta = _eta_of_monk_term(term, d)
         if eta is None:
             continue
-        peeled, removed = _peel(eta, n)
-        rects = Counter(removed)
+        peeled, rects = _peel(eta, n)
+        rects = Counter(rects)
         if rects >= others:
-            nu = union(peeled, tuple((rects - others).elements()))
+            nu = union(peeled, sum((rect(rr, n) for rr in (rects - others).elements()), ()))
             out.setdefault(nu, []).append(d)
     return out
+
+
+def _bounded(cores) -> list:
+    """The bounded partitions of cores, lex descending."""
+    return sorted(map(c_inverse, cores), reverse=True)
+
+
+def _verdict(lhs: dict, rhs) -> bool:
+    """A conjecture holds on an instance iff every coefficient is 1 and the two core sets are equal."""
+    return lhs.keys() == rhs and all(c == 1 for c in lhs.values())
+
+
+def _terms_json(lhs: dict) -> list:
+    """A product's [bounded nu, c] pairs, lex descending."""
+    return [[list(p), c] for p, c in sorted(((c_inverse(nu), c) for nu, c in lhs.items()), reverse=True)]
+
+
+def _affine_monk_sides(r: int, lam, n: int):
+    """xi_{R'_r} xi_lam as {core: c} and the set of `_monk_covers`; r and lam checked by the caller."""
+    rp = normalize((r,) * (n - r - 1) + (r - 1,))
+    return _structure_constants(n, rp, lam), _monk_covers(r, lam, n)
 
 
 def affine_monk_check(r: int, lam, n: int) -> dict:
@@ -349,19 +393,31 @@ def affine_monk_check(r: int, lam, n: int) -> dict:
     lam = normalize(lam)
     if not 1 <= r < n:
         raise ValueError(f"need 1 <= r < n, got r={r}")
-    rp = normalize((r,) * (n - r - 1) + (r - 1,))
-    rhs = monk_cover_terms(r, lam, n)
-    lhs = _structure_constants(n, rp, lam)
-    match = [p for p, c in lhs if c == 1] == rhs and all(c == 1 for _, c in lhs)
+    c_map(lam, n)  # checks lam
+    lhs, rhs = _affine_monk_sides(r, lam, n)
     return {
         "conjecture": "affine-monk",
         "n": n,
         "r": r,
         "lambda": list(lam),
-        "match": match,
-        "lhs": [[list(p), c] for p, c in lhs],
-        "rhs": [list(p) for p in rhs],
+        "match": _verdict(lhs, rhs),
+        "lhs": _terms_json(lhs),
+        "rhs": [list(p) for p in _bounded(rhs)],
     }
+
+
+def _rect_pieri_sides(r: int, b: int, lam, n: int):
+    """xi_mu xi_lam as {core: c}, and the ribbon and marked-tail readings as core sets.
+
+    mu = (r^{n-1-r}, r-b); r, b and lam are checked by the caller.
+    R(r, lam) and col_r are built once for both readings, and each walk
+    serves every b < r of one (lam, r).
+    """
+    mu = normalize((r,) * (n - 1 - r) + (r - b,))
+    top, columns = _marked_top(_core_of_bounded(lam, n), r)
+    ribbons = _ribbon_levels(top, columns, r - 1).get(b, {}).keys()
+    tails = _marked_tail_levels(top, columns, r - 1).get(b, set())
+    return _structure_constants(n, mu, lam), ribbons, tails
 
 
 def rect_pieri_check(r: int, b: int, lam, n: int) -> dict:
@@ -369,24 +425,17 @@ def rect_pieri_check(r: int, b: int, lam, n: int) -> dict:
     lam = normalize(lam)
     if not 1 <= b < r < n:
         raise ValueError(f"need 1 <= b < r < n, got r={r}, b={b}")
-    mu = normalize((r,) * (n - 1 - r) + (r - b,))
-    core = c_map(lam, n)
-    lhs = _structure_constants(n, mu, lam)
-    # R(r, core) and col_r built once for both readings; each walk serves every b < r
-    top, columns = _marked_top(core, r)
-    rhs = sorted(map(c_inverse, _ribbon_levels(top, columns, r - 1).get(b, ())), reverse=True)
-    tails = _marked_tail_levels(top, columns, r - 1).get(b, ())
-    tail_reading = sorted(map(c_inverse, tails), reverse=True)
-    match = [p for p, c in lhs if c == 1] == rhs and all(c == 1 for _, c in lhs)
+    c_map(lam, n)  # checks lam
+    lhs, ribbons, tails = _rect_pieri_sides(r, b, lam, n)
     return {
         "conjecture": "rect-pieri",
         "n": n,
         "r": r,
         "b": b,
         "lambda": list(lam),
-        "match": match,
-        "lhs": [[list(p), c] for p, c in lhs],
-        "rhs": [list(p) for p in rhs],
-        "strong_strip_reading": [list(p) for p in tail_reading],
-        "readings_agree": rhs == tail_reading,
+        "match": _verdict(lhs, ribbons),
+        "lhs": _terms_json(lhs),
+        "rhs": [list(p) for p in _bounded(ribbons)],
+        "strong_strip_reading": [list(p) for p in _bounded(tails)],
+        "readings_agree": ribbons == tails,
     }

@@ -3,7 +3,8 @@
 These deliberately avoid the production code paths: reduced words by
 breadth-first search, the core test, degree and bounded-partition
 bijection by hook lengths instead of the abacus, Bruhat covers by brute
-force over subdiagrams and by the transposition action on w_core, their
+force over subdiagrams and by the transposition action on w_core, the
+length change of one transposition summed over the entries it passes, their
 ribbon copies as rookwise components by breadth-first search over the
 cells of the skew, the ribbon and marked-tail strip walks one length at
 a time, act_s by scanning the rows for addable corners, R(r, core) by
@@ -280,6 +281,33 @@ def ribbon_components(cells_list):
                     stack.append(nb)
         comps.append(tuple(sorted(comp, key=lambda c: c[1] - c[0])))
     return sorted(comps, key=lambda comp: comp[-1][1] - comp[-1][0])
+
+
+def _tau_step(n: int, window, p: int, q: int, s: int):
+    """The window of tau_{i,i+s} w and its length change, or None if not Grassmannian.
+
+    w is Grassmannian with residues i, i+s at positions p, q, so window[p]
+    goes up by s and window[q] down by s.  Only the raised entry's upper
+    neighbour and the lowered entry's lower one can fall out of order.  A
+    sorted window has length sum_{a<b} (v_b - v_a) // n (Shi; Bjorner-Brenti
+    8.3), and only the (p, q) pair and the entries strictly between them
+    change their terms: the length change is summed over them.  The
+    O(1) cover test of `cores._covers` replaced this sum.
+    """
+    up, down = window[p] + s, window[q] - s
+    above = down if q == p + 1 else window[p + 1] if p + 1 < n else up
+    below = up if q == p + 1 else window[q - 1] if q > 0 else down
+    if up > above or below > down:
+        return None
+    u = list(window)
+    u[p], u[q] = up, down
+    lo, hi = (p, q) if p < q else (q, p)
+    bot, top = window[lo], window[hi]
+    new_bot, new_top = u[lo], u[hi]
+    change = (new_top - new_bot) // n - (top - bot) // n
+    for x in window[lo + 1:hi]:
+        change += (new_top - x) // n + (x - new_bot) // n - (top - x) // n - (x - bot) // n
+    return tuple(u), change
 
 
 def transposition_covers(n: int, parts, step: int):
@@ -886,7 +914,8 @@ def ribbon_quantum_product(lam, mu, a: int, N: int) -> dict:
     ribbons raise AssertionError.
     """
     out: dict = {}
-    for rho, c in _structure_constants(N, lam, mu):
+    for core, c in _structure_constants(N, lam, mu).items():
+        rho = c_inverse(core)
         if rho[0] > N - a:
             continue
         d = 0

@@ -8,6 +8,7 @@ import sys
 
 import kschur
 from kschur.cli import COMMANDS, SWEEPS, _parse_args, main
+from kschur.cores import NCore
 
 from oracles import build_parser
 
@@ -241,31 +242,26 @@ def test_parallel_sweep_env(capsys, monkeypatch):
 
 
 def test_verify_mismatch_exits_two(capsys, monkeypatch):
-    import kschur.cli as cli
+    # the sweeps read the core sides; a failure's report is rendered from the same sides
+    from kschur import schubert
 
-    def failing_check(r, lam, n):
-        return {
-            "conjecture": "affine-monk",
-            "n": n,
-            "r": r,
-            "lambda": list(lam),
-            "match": False,
-            "lhs": [[[1], 2]],
-            "rhs": [[1]],
-        }
+    def failing_sides(r, lam, n):
+        one = NCore(n, (1,))
+        return {one: 2}, {one}
 
-    monkeypatch.setattr(cli, "affine_monk_check", failing_check)
+    monkeypatch.setattr(schubert, "_affine_monk_sides", failing_sides)
     code, out = run(capsys, "verify", "affine-monk", "--n", "3", "--max-size", "1")
     assert code == 2
     report = json.loads(out)
     assert report["match"] is False
     assert report["failures"]  # witnesses carried through
+    assert report["failures"][0]["lhs"] == [[[1], 2]]
 
-    def failing_rect_check(r, b, lam, n):
-        return {"conjecture": "rect-pieri", "r": r, "b": b, "lambda": list(lam), "match": False,
-                "readings_agree": r == 2}
+    def failing_rect_sides(r, b, lam, n):
+        one = NCore(n, (1,))
+        return {}, {one}, {one} if r == 2 else set()
 
-    monkeypatch.setattr(cli, "rect_pieri_check", failing_rect_check)
+    monkeypatch.setattr(schubert, "_rect_pieri_sides", failing_rect_sides)
     code, out = run(capsys, "verify", "rect-pieri", "--n", "4", "--max-size", "1")
     assert code == 2
     report = json.loads(out)

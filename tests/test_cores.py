@@ -11,7 +11,6 @@ from kschur.cores import (
     NonReducedWordError,
     NoActionError,
     _cover_ribbons,
-    _tau_step,
     _weak_cover,
     a_map,
     act_s,
@@ -34,6 +33,7 @@ from kschur.cores import (
 from kschur.symfun import bounded_partitions_of, partitions_of, weak_kostka_foulkes
 
 from oracles import (
+    _tau_step,
     brute_covers_down,
     composed_rect_translation,
     corner_scan_act_s,
@@ -250,6 +250,27 @@ def test_tau_step_is_the_transposition_action():
                             want = (u.window, u.length() - d) if u.is_grassmannian() else None
                             got = _tau_step(n, core.window, slot.index(i), slot.index((i + s) % n), s)
                             assert got == want, (core, i, s)
+
+
+def test_cover_criterion_matches_tau_step_oracle():
+    # the O(1) test keeps a candidate (i, s < n) exactly when the summed
+    # length change of the oracle is +-1, on every candidate
+    candidates = 0
+    for n in range(2, 9):
+        for d in range(11):
+            for core in cores_of_degree(n, d):
+                slot = [v % n for v in core.window]
+                got = {(i, j - i, 1) for _, _, (i, j) in strong_covers_up(core)}
+                got |= {(i, j - i, -1) for _, _, (i, j) in strong_covers_down(core)}
+                want = set()
+                for i in range(n):
+                    for s in range(1, n):
+                        moved = _tau_step(n, core.window, slot.index(i), slot.index((i + s) % n), s)
+                        if moved is not None and moved[1] in (1, -1):
+                            want.add((i, s, moved[1]))
+                        candidates += 1
+                assert got == want, core
+    assert candidates == 18954
 
 
 def test_covers_raise_on_their_side_by_less_than_n():

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from itertools import permutations, product
+from math import comb
 
 import pytest
 
@@ -15,6 +16,7 @@ from kschur.cores import (
     _weak_pieri_terms,
     c_inverse,
     c_map,
+    conjugate,
     cores_of_degree,
     rect,
     union,
@@ -188,6 +190,12 @@ def test_strong_pieri_matches_quotient_products(n):
                 assert got == strong_pieri_oracle(m, lam)
 
 
+def bounded_constants(n, mu_b, lam_b) -> tuple:
+    """`_structure_constants` as (bounded nu, c) pairs, lex descending, as the oracles give them."""
+    prod = _structure_constants(n, mu_b, lam_b)
+    return tuple(sorted(((c_inverse(nu), c) for nu, c in prod.items()), reverse=True))
+
+
 def test_structure_constants_pieri_consistency():
     for n in (3, 4):
         for d in range(0, 5):
@@ -215,7 +223,7 @@ def test_structure_constants_match_matrix_oracle():
         for mu_b in P:
             for lam_b in P:
                 want = matrix_structure_constants(n, mu_b, lam_b)
-                assert _structure_constants(n, mu_b, lam_b) == want, (n, mu_b, lam_b)
+                assert bounded_constants(n, mu_b, lam_b) == want, (n, mu_b, lam_b)
                 pairs += 1
     assert pairs == 904
 
@@ -233,7 +241,7 @@ def test_structure_constants_match_unpeeled_oracle():
                 if not (_peel(mu_b, n)[1] or _peel(lam_b, n)[1]):
                     continue
                 want = unpeeled_structure_constants(n, mu_b, lam_b)
-                assert _structure_constants(n, mu_b, lam_b) == want, (n, mu_b, lam_b)
+                assert bounded_constants(n, mu_b, lam_b) == want, (n, mu_b, lam_b)
                 pairs += 1
     assert pairs == 739
 
@@ -384,6 +392,31 @@ def test_gw_invariant_counts_every_invalid_eta(monkeypatch):
     assert schubert.eta_invalid_count == 2
 
 
+def test_gw_eta_core_is_read_off_an_n_bounded_eta():
+    # eta has at most n - 1 columns, so its parts are below n.  Column i is
+    # >= 0 only while d_i <= (its other terms) / (n - i + 1), given d_{i-1}:
+    # that bound reaches every (w, d) whose eta is valid
+    valid = 0
+    for n in range(2, 6):
+        for w in permutations(range(1, n + 1)):
+            base = conjugate(sh_map(perm_mult(w0(n), w))) + (0,) * n
+            ds = [()]
+            for i in range(1, n):
+                free = base[i - 1] + comb(n + 1 - i, 2)
+                ds = [d + (x,) for d in ds
+                      for x in range((free + (n - i) * (d[-1] if d else 0)) // (n - i + 1) + 1)]
+            for d in ds:
+                eta = schubert._eta_of_monk_term(perm_mult(w0(n), w), d)
+                got = schubert._gw_eta.__wrapped__(w, d)
+                if eta is None:
+                    assert got is None, (w, d)
+                else:
+                    assert all(p < n for p in eta), (w, d)
+                    assert got == (c_map(eta, n), sum(eta)), (w, d)
+                    valid += 1
+    assert valid == 3304
+
+
 def test_gw_invariant_validation():
     with pytest.raises(ValueError):
         gw_invariant((1, 2, 3), (1, 2, 3), (1, 2, 3), (0,))
@@ -501,6 +534,35 @@ def test_rect_pieri_n7_counterexample():
         assert [tuple(p) for p in rep["rhs"] if p not in lhs] == extra, (n, lam, r, b)
 
 
+def rendered_match(rep) -> bool:
+    """The match read off a report's bounded lists: every coefficient 1, both sides the same."""
+    return [p for p, c in rep["lhs"] if c == 1] == rep["rhs"] and all(c == 1 for _, c in rep["lhs"])
+
+
+def test_sweep_verdicts_off_the_core_sides_match_the_checkers():
+    # the sweeps read match and readings_agree off the core sides; the reports
+    # say the same, and so do their rendered bounded lists; the listed failures say False
+    instances = 0
+    for n in range(2, 7):
+        for size in range(9):
+            for lam in bounded_partitions_of(size, n):
+                for r in range(1, n):
+                    verdict = schubert._verdict(*schubert._affine_monk_sides(r, lam, n))
+                    rep = affine_monk_check(r, lam, n)
+                    assert verdict == rep["match"] == rendered_match(rep), (n, r, lam)
+                    for b in range(1, r) if size <= 7 else ():
+                        lhs, ribbons, tails = schubert._rect_pieri_sides(r, b, lam, n)
+                        rep = rect_pieri_check(r, b, lam, n)
+                        got = (schubert._verdict(lhs, ribbons), ribbons == tails)
+                        assert got == (rep["match"], rep["readings_agree"]), (n, r, b, lam)
+                        want = (rendered_match(rep), rep["rhs"] == rep["strong_strip_reading"])
+                        assert got == want, (n, r, b, lam)
+                        instances += 1
+    for n, lam, r, b, _extra in RECT_PIERI_FAILURES:
+        assert not schubert._verdict(*schubert._rect_pieri_sides(r, b, lam, n)[:2])
+    assert instances == 761
+
+
 def test_rect_pieri_parameter_validation():
     with pytest.raises(ValueError):
         rect_pieri_check(2, 2, (1,), 4)
@@ -526,8 +588,8 @@ def test_structure_constants_commute_with_k_conjugation():
             for mu in P[i:]:
                 if sum(lam) + sum(mu) > 10:
                     continue
-                want = {k_conjugate(nu, n): c for nu, c in _structure_constants(n, lam, mu)}
-                got = _structure_constants(n, k_conjugate(lam, n), k_conjugate(mu, n))
+                want = {k_conjugate(nu, n): c for nu, c in bounded_constants(n, lam, mu)}
+                got = bounded_constants(n, k_conjugate(lam, n), k_conjugate(mu, n))
                 assert dict(got) == want, (n, lam, mu)
                 checked += 1
     assert checked == 1235
