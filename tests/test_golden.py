@@ -102,6 +102,7 @@ CASES = [
     ("expand-ptilde-n7-deg16-json", "expand --n 7 --basis ptilde --bounded 6,4,3,2,1 --json"),
     ("strips-ribbon-n10-json", "strips --n 10 --bounded 4,4,1,1,1,1,1 --kind ribbon --r 4 --b 3 --json"),
     ("verify-rect-pieri-n8-counterexample", "verify rect-pieri --n 8 --max-size 11"),
+    ("verify-rect-pieri-n8-size12-counterexample", "verify rect-pieri --n 8 --max-size 12"),
 ]
 
 
