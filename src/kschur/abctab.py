@@ -225,15 +225,9 @@ def _counterclockwise_choice(res: int, options, n: int) -> int:
     option; such occurrences are counted in `distance_zero_skips`.
     """
     global distance_zero_skips
-    if options == {res}:
-        return res
-    if res in options:
+    if res in options and len(options) > 1:
         distance_zero_skips += 1
-    best = min(
-        (opt for opt in options if opt != res),
-        key=lambda opt: (res - opt) % n,
-    )
-    return best
+    return min(options, key=lambda opt: (res - opt - 1) % n)
 
 
 # -- enumeration ---------------------------------------------------------

@@ -301,11 +301,11 @@ def _prop_main_check(lam):
         hss = {s.nu.parts for s in strips}
         weak = {nu.parts for nu in _weak_pieri_terms(n - 1 - m, lam)}
         if hss != weak:
-            return False, ("mismatch", lam.parts, m, sorted(hss), sorted(weak))
+            return [(False, ("mismatch", lam.parts, m, sorted(hss), sorted(weak)))]
         for s in strips:
             if phi(psi(s), lam) != s:
-                return False, ("roundtrip", lam.parts, m, list(psi(s)))
-    return True, None
+                return [(False, ("roundtrip", lam.parts, m, list(psi(s))))]
+    return [(True, None)]
 
 
 def _theta_check(lam):
@@ -317,20 +317,23 @@ def _theta_check(lam):
         nf = count_affine_factorizations(w, alpha)
         if na != nf:
             bad.append((lam.parts, list(alpha), na, nf))
-    return not bad, bad
+    return [(not bad, bad)]
 
 
 def _monk_check(case):
     """The verdict off the core sides; the public checker renders the report of a failure only."""
     match = schubert._verdict(*schubert._affine_monk_sides(*case))
-    return match, None if match else schubert.affine_monk_check(*case)
+    return [(match, None if match else schubert.affine_monk_check(*case))]
 
 
 def _rect_pieri_check(case):
-    """As `_monk_check`, and whether the ribbon and marked-tail readings agree."""
-    lhs, ribbons, tails = schubert._rect_pieri_sides(*case)
-    match = schubert._verdict(lhs, ribbons)
-    return match, None if match else schubert.rect_pieri_check(*case), ribbons == tails
+    """As `_monk_check` for each b < r of one (r, lam), and whether the ribbon and marked-tail readings agree."""
+    r, lam, n = case
+    results = []
+    for b, (lhs, ribbons, tails) in enumerate(schubert._rect_pieri_sides(*case), start=1):
+        match = schubert._verdict(lhs, ribbons)
+        results.append((match, None if match else schubert.rect_pieri_check(r, b, lam, n), ribbons == tails))
+    return results
 
 
 def _monk_cases(n: int, max_size: int):
@@ -338,12 +341,12 @@ def _monk_cases(n: int, max_size: int):
 
 
 def _rect_pieri_cases(n: int, max_size: int):
-    lams = _bounded_up_to(n, max_size)
-    return [(r, b, lam, n) for lam in lams for r in range(2, n) for b in range(1, r)]
+    return [(r, lam, n) for lam in _bounded_up_to(n, max_size) for r in range(2, n)]
 
 
-#: sweep -> (the bound it reads, instances(n, bound), check(instance) -> (match, failure,
-#: anything else the extras read), None or the extra report fields read off all the results);
+#: sweep -> (the bound it reads, cases(n, bound), check(case) -> the results of the instances
+#: of the case, each (match, failure, anything else the extras read), None or the extra report
+#: fields read off all the results); a rect-Pieri case is one (r, lam) and holds every b < r;
 #: the homology checks find the schubert functions per call
 SWEEPS = {
     "affine-monk": ("max_size", _monk_cases, _monk_check, None),
@@ -358,19 +361,19 @@ SWEEPS = {
 
 def cmd_verify(args) -> int:
     """Run one sweep; a sweep that checks nothing is a usage error."""
-    bound, instances, check, extra = SWEEPS[args.sweep]
+    bound, list_cases, check, extra = SWEEPS[args.sweep]
     for opt in ("max_deg", "max_size"):
         if opt != bound and getattr(args, opt) is not None:
             raise ValueError(f"the {args.sweep} sweep does not read --{opt.replace('_', '-')}")
     limit = 6 if getattr(args, bound) is None else getattr(args, bound)
     instance = {"n": args.n, bound: limit}
-    cases = instances(args.n, limit)
+    cases = list_cases(args.n, limit)
     if not cases:
         raise ValueError(f"the {args.sweep} sweep has no instances at {instance}")
-    results = [check(case) for case in cases]
+    results = [result for case in cases for result in check(case)]
     failures = [failure for match, failure, *_ in results if not match]
     report = {"conjecture": args.sweep, "instance": instance, "match": not failures,
-              "instances": len(cases), "lhs": [], "rhs": [], "failures": failures,
+              "instances": len(results), "lhs": [], "rhs": [], "failures": failures,
               **(extra(results) if extra else {})}
     print(json.dumps(report, sort_keys=True))
     return 0 if not failures else 2

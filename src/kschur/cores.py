@@ -28,7 +28,8 @@ beads:
     of the bounded partition counting the gaps in (b_i - n, b_i);
     c_map walks the cells' residues as weak covers (Lapointe-Morse 2005)
     and rect_translation translates the window (Lapointe-Morse 2008),
-    both checked through n = 10;
+    by the one shift that adds any multiset of rectangles R_r, both
+    checked through n = 10;
   * a_map: reduced words -> n-cores; core_to_word is a reduced word of
     w_core.
 
@@ -385,26 +386,31 @@ def rect(r: int, n: int) -> tuple:
     return (r,) * (n - r)
 
 
+def _rect_rows(bounded, r: int, n: int) -> range:
+    """The rows of bounded union R_r of length r: its parts equal to r, then the n - r of R_r."""
+    return range(sum(p > r for p in bounded) + 1, sum(p >= r for p in bounded) + n - r + 1)
+
+
 def rect_translation(core: NCore, r: int) -> NCore:
-    """R(r, core) = c_map(c_inverse(core) union R_r), a translation of the window.
+    """R(r, core) = c_map(c_inverse(core) union R_r), the window moved by `_rect_shift`.  Checked through n = 10."""
+    rect(r, core.n)
+    return _shifted(core, _rect_shift(core.n, (r,)))
+
+
+def _rect_shift(n: int, rects) -> tuple:
+    """The window shift that adds R_r for every r of rects, added up; r unchecked.
 
     Adding R_r translates w_core (Lapointe-Morse, Adv. Math. 2008): the
     first r window entries go down by n - r, the other n - r up by r.  The
     shift grows with the position, so the window stays sorted, and moves
-    every residue by r, so residues stay distinct.  Checked through n = 10.
+    every residue by r, so residues stay distinct; a sum of such shifts
+    does both too.
     """
-    n, w = core.n, core.window
-    rect(r, n)
-    return _core_of_window(n, tuple(v - n + r for v in w[:r]) + tuple(v + r for v in w[r:]))
-
-
-def _rect_shift(n: int, rects) -> tuple:
-    """The window shifts of `rect_translation` for every r of rects, added up; r unchecked."""
     return tuple(map(sum, zip((0,) * n, *((r - n,) * r + (r,) * (n - r) for r in rects))))
 
 
 def _shifted(core: NCore, shift) -> NCore:
-    """The core of the window moved by a `_rect_shift`: a sum of translations keeps it Grassmannian."""
+    """The core of the window moved by a `_rect_shift`."""
     return _core_of_window(core.n, tuple(map(add, core.window, shift)))
 
 

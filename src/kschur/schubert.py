@@ -38,6 +38,7 @@ from .cores import (
     NCore,
     _core_of_bounded,
     _h_times,
+    _rect_rows,
     _rect_shift,
     _shifted,
     _weak_pieri_terms,
@@ -45,10 +46,8 @@ from .cores import (
     c_map,
     conjugate,
     normalize,
-    rect,
     rect_translation,
     strong_covers_down,
-    union,
 )
 from .strips import (
     _marked_tail_levels,
@@ -290,22 +289,14 @@ def _gw_eta(w: tuple, d: tuple):
 # -- conjecture checkers -----------------------------------------------------
 
 
-def _pad(parts, length):
-    return tuple(parts) + (0,) * (length - len(parts))
-
-
 def _monk_covers(r: int, lam, n: int) -> set:
-    """The down covers of R(r, lam) that drop a row where lam union R_r has length r, as cores.
+    """The down covers of R(r, lam) with a ribbon cell in a row where lam union R_r has length r, as cores.
 
     lam is a checked bounded partition."""
+    rows = _rect_rows(lam, r, n)
     top = rect_translation(_core_of_bounded(lam, n), r)
-    rows = [i for i, p in enumerate(union(lam, rect(r, n)), start=1) if p == r]
-    out = set()
-    for mu, _ribbons, _tau in strong_covers_down(top):
-        mu_p = _pad(mu.parts, len(top.parts))
-        if any(mu_p[i - 1] < top.parts[i - 1] for i in rows):
-            out.add(mu)
-    return out
+    return {mu for mu, ribbons, _tau in strong_covers_down(top)
+            if any(i in rows for comp in ribbons for i, _j in comp)}
 
 
 def monk_cover_terms(r: int, lam, n: int):
@@ -328,7 +319,7 @@ def sh_preimage(lam, n: int):
 def _eta_of_monk_term(term_perm, d):
     """eta of the invariant attached to the quantum Monk term sigma_term q^d."""
     n = len(term_perm)
-    base = _pad(conjugate(_sh(term_perm)), n - 1)
+    base = conjugate(_sh(term_perm)) + (0,) * (n - 1)  # padded: cols reads columns 1..n-1
     cols = []
     for i in range(1, n):
         di = d[i - 1]
@@ -346,7 +337,8 @@ def q_monomials_via_sh(r: int, lam, n: int):
 
     Only defined when lam = sh(w) for some w in S_n; each quantum Monk
     term sigma_{w tau} q^d names eta = nu union (all rectangles except
-    R_r), and peeling the rectangles recovers the affine term nu.
+    R_r), and peeling the rectangles recovers the affine term nu: the
+    rest go back on the peeled core by one `_rect_shift`, as in `_gw_eta`.
     Multiple or missing d-vectors are reported as found.
     """
     lam = normalize(lam)
@@ -362,8 +354,8 @@ def q_monomials_via_sh(r: int, lam, n: int):
         peeled, rects = _peel(eta, n)
         rects = Counter(rects)
         if rects >= others:
-            nu = union(peeled, sum((rect(rr, n) for rr in (rects - others).elements()), ()))
-            out.setdefault(nu, []).append(d)
+            nu = _shifted(_core_of_bounded(peeled, n), _rect_shift(n, (rects - others).elements()))
+            out.setdefault(c_inverse(nu), []).append(d)
     return out
 
 
@@ -406,18 +398,18 @@ def affine_monk_check(r: int, lam, n: int) -> dict:
     }
 
 
-def _rect_pieri_sides(r: int, b: int, lam, n: int):
-    """xi_mu xi_lam as {core: c}, and the ribbon and marked-tail readings as core sets.
+def _rect_pieri_sides(r: int, lam, n: int) -> list:
+    """One entry per b = 1..r-1: xi_mu xi_lam as {core: c}, and the ribbon and marked-tail readings as core sets.
 
-    mu = (r^{n-1-r}, r-b); r, b and lam are checked by the caller.
-    R(r, lam) and col_r are built once for both readings, and each walk
-    serves every b < r of one (lam, r).
+    mu = (r^{n-1-r}, r-b); r and lam are checked by the caller.
+    R(r, lam) and col_r are built once, and each reading is walked once,
+    to depth r - 1, for every b.
     """
-    mu = normalize((r,) * (n - 1 - r) + (r - b,))
     top, columns = _marked_top(_core_of_bounded(lam, n), r)
-    ribbons = _ribbon_levels(top, columns, r - 1).get(b, {}).keys()
-    tails = _marked_tail_levels(top, columns, r - 1).get(b, set())
-    return _structure_constants(n, mu, lam), ribbons, tails
+    ribbons = _ribbon_levels(top, columns, r - 1)
+    tails = _marked_tail_levels(top, columns, r - 1)
+    return [(_structure_constants(n, normalize((r,) * (n - 1 - r) + (r - b,)), lam),
+             ribbons.get(b, {}).keys(), tails.get(b, set())) for b in range(1, r)]
 
 
 def rect_pieri_check(r: int, b: int, lam, n: int) -> dict:
@@ -426,7 +418,7 @@ def rect_pieri_check(r: int, b: int, lam, n: int) -> dict:
     if not 1 <= b < r < n:
         raise ValueError(f"need 1 <= b < r < n, got r={r}, b={b}")
     c_map(lam, n)  # checks lam
-    lhs, ribbons, tails = _rect_pieri_sides(r, b, lam, n)
+    lhs, ribbons, tails = _rect_pieri_sides(r, lam, n)[b - 1]
     return {
         "conjecture": "rect-pieri",
         "n": n,

@@ -18,10 +18,11 @@ whose per-step ribbon heads sit in the bottom row or directly above an
 older cell, with a ribbon tail in the marked columns col_r(lam).  The
 ribbon and marked-tail walks down from R(r, lam) go one layer per
 length up to a depth, and their pruning does not read the length b, so
-layer b holds what a walk cut at b finds: a rect-Pieri sweep reads
-every b < r of one (lam, r) off one walk to depth r - 1.  A layer merges
-the prefixes that share their continuations, keyed by core and head
-rows (ribbon) or by core and last head content (marked tail).  The
+layer b holds what a walk cut at b finds: `schubert._rect_pieri_sides`
+builds R(r, lam) and col_r once per (lam, r) and reads every b < r off
+one walk of each to depth r - 1.  A layer merges the prefixes that
+share their continuations, keyed by core and head rows (ribbon) or by
+core and last head content (marked tail).  The
 ribbon walk drops a cover once a head is in neither the bottom row nor
 above a cell of the shape below it: every shape further down is
 smaller, so no longer chain through it qualifies.  Both walks take the
@@ -36,15 +37,14 @@ from typing import NamedTuple
 from .affine import check_letters, cyclically_decreasing_word, is_word_cyclically_decreasing
 from .cores import (
     NCore,
+    _rect_rows,
     c_inverse,
     contains,
-    rect,
     rect_translation,
     ribbon_head,
     ribbon_tail,
     strong_covers_down,
     strong_covers_up,
-    union,
 )
 
 
@@ -205,9 +205,7 @@ def _marked_top(lam: NCore, r: int):
     if not 1 <= r < n:
         raise ValueError(f"need 1 <= r < n, got r={r}")
     top = rect_translation(lam, r)
-    eta = union(c_inverse(lam), rect(r, n))
-    m = max(i for i, p in enumerate(eta, start=1) if p == r)
-    row_len = top.parts[m - 1]
+    row_len = top.parts[_rect_rows(c_inverse(lam), r, n)[-1] - 1]
     return top, tuple(range(row_len - r + 1, row_len + 1))
 
 
@@ -215,8 +213,8 @@ def col_r(lam: NCore, r: int):
     """The r marked columns used by ribbon strong strips.
 
     With eta = c_inverse(lam) union R_r and m the highest row of eta of
-    length r, these are the columns of the last r cells in row m of
-    c_map(eta) = R(r, lam).
+    length r, the last of `_rect_rows`, these are the columns of the
+    last r cells in row m of c_map(eta) = R(r, lam).
     """
     return _marked_top(lam, r)[1]
 
@@ -251,7 +249,6 @@ def _tail_covers(core: NCore, columns) -> tuple:
     )
 
 
-@lru_cache(maxsize=1)
 def _ribbon_levels(top: NCore, columns, depth: int) -> dict:
     """b <= depth -> {nu: its first ascending chain of length b down from top}; no key if none.
 
@@ -263,8 +260,7 @@ def _ribbon_levels(top: NCore, columns, depth: int) -> dict:
     induction a layer's insertion order is the lexicographic order of
     first paths: a state's first path extends the first path of its
     earliest parent.  Each kept chain and each level's nu order are
-    thus what a depth-first walk over every path finds first.  Only the
-    last walk is kept: a sweep asks for every b of one (lam, r) in a row.
+    thus what a depth-first walk over every path finds first.
     """
     layer = {(top, ()): (top,)}
     levels = {0: {top: (top,)}}
@@ -294,7 +290,6 @@ def ribbon_strong_strips(lam: NCore, r: int, b: int):
     return sorted(strips, key=lambda s: s.nu.parts, reverse=True)
 
 
-@lru_cache(maxsize=1)
 def _marked_tail_levels(top: NCore, columns, depth: int) -> dict:
     """b <= depth -> the set of ends of the marked-tail chains of length b down from top.
 

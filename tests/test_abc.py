@@ -1,12 +1,15 @@
 """Affine Bruhat countertableaux: enumeration, Theta, extension, cocharge."""
 
 import operator
+from itertools import combinations
 
 import pytest
 
+from kschur import abctab
 from kschur.abctab import (
     ABC,
     NonPartitionWeightError,
+    _counterclockwise_choice,
     _ext_cells,
     count_abc,
     count_affine_factorizations,
@@ -287,3 +290,17 @@ def test_deg_below_n_matches_ssyt():
                     assert sorted(a.n_cocharge() for a in abcs) == sorted(
                         cocharge(t) for t in tabs
                     )
+
+
+def test_counterclockwise_choice_steps_back_from_res():
+    # the first option met stepping res - 1, res - 2, ... round the circle,
+    # res itself last; the counter goes up when res was passed over
+    for n in range(2, 9):
+        for res in range(n):
+            for k in range(1, n + 1):
+                for options in combinations(range(n), k):
+                    want = next(o for o in ((res - j) % n for j in range(1, n + 1)) if o in options)
+                    before = abctab.distance_zero_skips
+                    assert _counterclockwise_choice(res, dict.fromkeys(options).keys(), n) == want
+                    skipped = abctab.distance_zero_skips - before
+                    assert skipped == (res in options and k > 1), (n, res, options)

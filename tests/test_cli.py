@@ -257,9 +257,9 @@ def test_verify_mismatch_exits_two(capsys, monkeypatch):
     assert report["failures"]  # witnesses carried through
     assert report["failures"][0]["lhs"] == [[[1], 2]]
 
-    def failing_rect_sides(r, b, lam, n):
+    def failing_rect_sides(r, lam, n):
         one = NCore(n, (1,))
-        return {}, {one}, {one} if r == 2 else set()
+        return [({}, {one}, {one} if r == 2 else set()) for _b in range(1, r)]
 
     monkeypatch.setattr(schubert, "_rect_pieri_sides", failing_rect_sides)
     code, out = run(capsys, "verify", "rect-pieri", "--n", "4", "--max-size", "1")
@@ -452,6 +452,12 @@ def test_option_refusals(capsys):
     # argparse read `--opt=--` as an empty list, which the commands then failed on
     for argv in ("cores --n=--", "abc --n 4 --core=--", "strips --n 4 --core 3 --m=--"):
         assert usage_error(capsys, *argv.split()) == 1
+    # the strip options each kind needs
+    for argv, err in (("--kind strong", "--to is required for strong strips"),
+                      ("--kind ribbon --b 1", "--r and --b are required for ribbon strips"),
+                      ("--kind ribbon --r 2", "--r and --b are required for ribbon strips")):
+        code = main(["strips", "--n", "4", "--core", "3", *argv.split()])
+        assert (code, capsys.readouterr().err) == (1, f"error: {err}\n"), argv
     code = main(["cores", "--n", "four"])
     assert (code, capsys.readouterr().err) == (1, "error: argument --n: not an integer: 'four'\n")
     code = main(["cores", "--n", "1"])

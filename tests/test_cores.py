@@ -11,6 +11,7 @@ from kschur.cores import (
     NonReducedWordError,
     NoActionError,
     _cover_ribbons,
+    _rect_rows,
     _weak_cover,
     a_map,
     act_s,
@@ -347,6 +348,16 @@ def test_covers_up_down_duality():
                     assert core.parts in {
                         m.parts for m, _, _ in strong_covers_down(NCore(n, g))
                     }
+
+
+def test_rect_rows_are_the_rows_of_length_r_in_the_union():
+    # counted off the parts, the rows a scan of lam union R_r finds
+    for n in range(2, 9):
+        for size in range(11):
+            for lam in bounded_partitions_of(size, n):
+                for r in range(1, n):
+                    want = [i for i, p in enumerate(union(lam, rect(r, n)), start=1) if p == r]
+                    assert list(_rect_rows(lam, r, n)) == want, (n, lam, r)
 
 
 def test_rect_translation_examples():

@@ -550,8 +550,8 @@ def test_sweep_verdicts_off_the_core_sides_match_the_checkers():
                     verdict = schubert._verdict(*schubert._affine_monk_sides(r, lam, n))
                     rep = affine_monk_check(r, lam, n)
                     assert verdict == rep["match"] == rendered_match(rep), (n, r, lam)
-                    for b in range(1, r) if size <= 7 else ():
-                        lhs, ribbons, tails = schubert._rect_pieri_sides(r, b, lam, n)
+                    sides = schubert._rect_pieri_sides(r, lam, n) if size <= 7 else []
+                    for b, (lhs, ribbons, tails) in enumerate(sides, start=1):
                         rep = rect_pieri_check(r, b, lam, n)
                         got = (schubert._verdict(lhs, ribbons), ribbons == tails)
                         assert got == (rep["match"], rep["readings_agree"]), (n, r, b, lam)
@@ -559,7 +559,7 @@ def test_sweep_verdicts_off_the_core_sides_match_the_checkers():
                         assert got == want, (n, r, b, lam)
                         instances += 1
     for n, lam, r, b, _extra in RECT_PIERI_FAILURES:
-        assert not schubert._verdict(*schubert._rect_pieri_sides(r, b, lam, n)[:2])
+        assert not schubert._verdict(*schubert._rect_pieri_sides(r, lam, n)[b - 1][:2])
     assert instances == 761
 
 
