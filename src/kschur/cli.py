@@ -327,7 +327,7 @@ def _monk_check(case):
 
 
 def _rect_pieri_check(case):
-    """As `_monk_check` for each b < r of one (r, lam), and whether the ribbon and marked-tail readings agree."""
+    """As `_monk_check` for each b < r of one (r, lam), with whether the two strip readings agree."""
     r, lam, n = case
     results = []
     for b, (lhs, ribbons, tails) in enumerate(schubert._rect_pieri_sides(*case), start=1):

@@ -392,7 +392,7 @@ def _rect_rows(bounded, r: int, n: int) -> range:
 
 
 def rect_translation(core: NCore, r: int) -> NCore:
-    """R(r, core) = c_map(c_inverse(core) union R_r), the window moved by `_rect_shift`.  Checked through n = 10."""
+    """R(r, core) = c_map(c_inverse(core) union R_r), the window moved by `_rect_shift`."""
     rect(r, core.n)
     return _shifted(core, _rect_shift(core.n, (r,)))
 

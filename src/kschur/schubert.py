@@ -399,7 +399,7 @@ def affine_monk_check(r: int, lam, n: int) -> dict:
 
 
 def _rect_pieri_sides(r: int, lam, n: int) -> list:
-    """One entry per b = 1..r-1: xi_mu xi_lam as {core: c}, and the ribbon and marked-tail readings as core sets.
+    """Per b = 1..r-1: xi_mu xi_lam as {core: c}, and the ribbon and marked-tail readings as core sets.
 
     mu = (r^{n-1-r}, r-b); r and lam are checked by the caller.
     R(r, lam) and col_r are built once, and each reading is walked once,
