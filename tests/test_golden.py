@@ -103,6 +103,7 @@ CASES = [
     ("strips-ribbon-n10-json", "strips --n 10 --bounded 4,4,1,1,1,1,1 --kind ribbon --r 4 --b 3 --json"),
     ("verify-rect-pieri-n8-counterexample", "verify rect-pieri --n 8 --max-size 11"),
     ("verify-rect-pieri-n8-size12-counterexample", "verify rect-pieri --n 8 --max-size 12"),
+    ("verify-affine-monk-n8-json", "verify affine-monk --n 8 --max-size 12 --json"),
 ]
 
 
