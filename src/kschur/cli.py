@@ -18,6 +18,7 @@ import os
 import re
 import sys
 from collections import namedtuple
+from functools import partial
 from types import SimpleNamespace
 
 from . import schubert
@@ -320,38 +321,35 @@ def _theta_check(lam):
     return [(not bad, bad)]
 
 
-def _monk_check(case):
-    """The verdict off the core sides; the public checker renders the report of a failure only."""
-    match = schubert._verdict(*schubert._affine_monk_sides(*case))
-    return [(match, None if match else schubert.affine_monk_check(*case))]
+def _pieri_cases(rect: bool, n: int, max_size: int):
+    """(r, lam, n) for every lam and r: r >= 1 for affine Monk, r >= 2 for rect-Pieri."""
+    return [(r, lam, n) for lam in _bounded_up_to(n, max_size) for r in range(1 + rect, n)]
 
 
-def _rect_pieri_check(case):
-    """As `_monk_check` for each b < r of one (r, lam), with whether the two strip readings agree."""
+def _pieri_check(rect: bool, case):
+    """The verdicts of one (r, lam) off the core sides, b = 1 for affine Monk and each b < r for rect-Pieri.
+
+    The public checker renders failures only.
+    """
     r, lam, n = case
+    readings = schubert._pieri_readings(r, lam, n, r - 1 if rect else 1, rect)
     results = []
-    for b, (lhs, ribbons, tails) in enumerate(schubert._rect_pieri_sides(*case), start=1):
-        match = schubert._verdict(lhs, ribbons)
-        results.append((match, None if match else schubert.rect_pieri_check(r, b, lam, n), ribbons == tails))
+    for b, (ribbons, tails) in enumerate(readings, start=1):
+        match = schubert._verdict(schubert._pieri_product(r, b, lam, n), ribbons)
+        failure = None if match else (
+            schubert.rect_pieri_check(r, b, lam, n) if rect else schubert.affine_monk_check(r, lam, n))
+        results.append((match, failure, ribbons == tails))
     return results
-
-
-def _monk_cases(n: int, max_size: int):
-    return [(r, lam, n) for lam in _bounded_up_to(n, max_size) for r in range(1, n)]
-
-
-def _rect_pieri_cases(n: int, max_size: int):
-    return [(r, lam, n) for lam in _bounded_up_to(n, max_size) for r in range(2, n)]
 
 
 #: sweep -> (the bound it reads, cases(n, bound), check(case) -> the results of the instances
 #: of the case, each (match, failure, anything else the extras read), None or the extra report
-#: fields read off all the results); a rect-Pieri case is one (r, lam) and holds every b < r;
+#: fields read off all the results); a Pieri case is one (r, lam) and holds every b it reads;
 #: the homology checks find the schubert functions per call
 SWEEPS = {
-    "affine-monk": ("max_size", _monk_cases, _monk_check, None),
+    "affine-monk": ("max_size", partial(_pieri_cases, False), partial(_pieri_check, False), None),
     "rect-pieri": (
-        "max_size", _rect_pieri_cases, _rect_pieri_check,
+        "max_size", partial(_pieri_cases, True), partial(_pieri_check, True),
         lambda results: {"reading_disagreements": sum(not agree for _, _, agree in results)},
     ),
     "prop-main": ("max_deg", _cores_up_to, _prop_main_check, None),

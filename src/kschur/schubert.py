@@ -13,8 +13,11 @@ put back on each term's window by one shift, the `cores.rect_translation`
 of every rectangle at once, by the k-rectangle property
 s^(k)_{R_r union mu} = s_{R_r} s^(k)_mu.  Products are keyed on cores
 from the Horner walk to the verdict: a conjecture's two sides are core
-sets (`_affine_monk_sides`, `_rect_pieri_sides`), and only the public
-checkers render them as bounded partitions.
+sets, and only the public checkers render them as bounded partitions.
+Affine Monk and rect-Pieri are one family, mu_{r,b} = (r^{n-1-r}, r-b):
+each product is built per (r, b) (`_pieri_product`), each strip reading
+walked once per (lam, r) (`_pieri_readings`), and affine Monk is the
+b = 1 slice, read at depth 1.
 The weak (cyclically decreasing) and horizontal strong strip Pieri
 rules are implemented independently and must agree.
 
@@ -38,7 +41,6 @@ from .cores import (
     NCore,
     _core_of_bounded,
     _h_times,
-    _rect_rows,
     _rect_shift,
     _shifted,
     _weak_pieri_terms,
@@ -46,8 +48,6 @@ from .cores import (
     c_map,
     conjugate,
     normalize,
-    rect_translation,
-    strong_covers_down,
 )
 from .strips import (
     _marked_tail_levels,
@@ -289,22 +289,6 @@ def _gw_eta(w: tuple, d: tuple):
 # -- conjecture checkers -----------------------------------------------------
 
 
-def _monk_covers(r: int, lam, n: int) -> set:
-    """The down covers of R(r, lam) with a ribbon cell in a row where lam union R_r has length r, as cores.
-
-    lam is a checked bounded partition."""
-    rows = _rect_rows(lam, r, n)
-    top = rect_translation(_core_of_bounded(lam, n), r)
-    return {mu for mu, ribbons, _tau in strong_covers_down(top)
-            if any(i in rows for comp in ribbons for i, _j in comp)}
-
-
-def monk_cover_terms(r: int, lam, n: int):
-    """Covers of R(r, lam) dropping a row where lam union R_r has length r."""
-    c_map(lam, n)  # checks lam
-    return _bounded(_monk_covers(r, normalize(lam), n))
-
-
 @lru_cache(maxsize=None)
 def _sh_inverse(n: int) -> dict:
     """sh is injective on S_n: the table lam -> w with sh(w) = lam."""
@@ -359,9 +343,9 @@ def q_monomials_via_sh(r: int, lam, n: int):
     return out
 
 
-def _bounded(cores) -> list:
-    """The bounded partitions of cores, lex descending."""
-    return sorted(map(c_inverse, cores), reverse=True)
+def _bounded_json(cores) -> list:
+    """The bounded partitions of cores as lists, lex descending."""
+    return [list(p) for p in sorted(map(c_inverse, cores), reverse=True)]
 
 
 def _verdict(lhs: dict, rhs) -> bool:
@@ -369,65 +353,65 @@ def _verdict(lhs: dict, rhs) -> bool:
     return lhs.keys() == rhs and all(c == 1 for c in lhs.values())
 
 
-def _terms_json(lhs: dict) -> list:
-    """A product's [bounded nu, c] pairs, lex descending."""
-    return [[list(p), c] for p, c in sorted(((c_inverse(nu), c) for nu, c in lhs.items()), reverse=True)]
+def _pieri_product(r: int, b: int, lam, n: int) -> dict:
+    """xi_{mu_{r,b}} xi_lam as {core: c}, mu_{r,b} = (r^{n-1-r}, r-b); r, b and lam checked by the caller."""
+    return _structure_constants(n, normalize((r,) * (n - 1 - r) + (r - b,)), lam)
 
 
-def _affine_monk_sides(r: int, lam, n: int):
-    """xi_{R'_r} xi_lam as {core: c} and the set of `_monk_covers`; r and lam checked by the caller."""
-    rp = normalize((r,) * (n - r - 1) + (r - 1,))
-    return _structure_constants(n, rp, lam), _monk_covers(r, lam, n)
+def _pieri_readings(r: int, lam, n: int, depth: int, tails: bool) -> list:
+    """Per b = 1..depth, the cores where the ribbon and marked-tail chains of length b below R(r, lam) end.
+
+    R(r, lam) and col_r are built once and each reading walked once, as
+    layer b is what a walk cut at b finds; without tails the marked-tail
+    reading is not walked and its sets are empty.  lam is checked by the
+    caller.
+    """
+    top, columns = _marked_top(_core_of_bounded(lam, n), r)
+    ribbons = _ribbon_levels(top, columns, depth)
+    marked = _marked_tail_levels(top, columns, depth) if tails else {}
+    return [(ribbons.get(b, {}).keys(), marked.get(b, set())) for b in range(1, depth + 1)]
+
+
+def _pieri_report(conjecture: str, r: int, b: int, lam, n: int, ribbons) -> dict:
+    """xi_{mu_{r,b}} xi_lam against the ribbon strip ends of length b, bounded, lex descending."""
+    lhs = _pieri_product(r, b, lam, n)
+    terms = sorted(((c_inverse(nu), c) for nu, c in lhs.items()), reverse=True)
+    return {
+        "conjecture": conjecture,
+        "n": n,
+        "r": r,
+        "lambda": list(lam),
+        "match": _verdict(lhs, ribbons),
+        "lhs": [[list(p), c] for p, c in terms],
+        "rhs": _bounded_json(ribbons),
+    }
 
 
 def affine_monk_check(r: int, lam, n: int) -> dict:
-    """Both sides of the affine Monk conjecture for xi_{R'_r} xi_lam."""
+    """Both sides of the affine Monk conjecture for xi_{R'_r} xi_lam, R'_r = mu_{r,1}.
+
+    The b = 1 slice of the rect-Pieri sides: by the closing length-one
+    proposition the ribbon strips of length 1 below R(r, lam) end at the
+    covers of R(r, lam) that drop a row where lam union R_r has length r.
+    """
     lam = normalize(lam)
     if not 1 <= r < n:
         raise ValueError(f"need 1 <= r < n, got r={r}")
     c_map(lam, n)  # checks lam
-    lhs, rhs = _affine_monk_sides(r, lam, n)
-    return {
-        "conjecture": "affine-monk",
-        "n": n,
-        "r": r,
-        "lambda": list(lam),
-        "match": _verdict(lhs, rhs),
-        "lhs": _terms_json(lhs),
-        "rhs": [list(p) for p in _bounded(rhs)],
-    }
-
-
-def _rect_pieri_sides(r: int, lam, n: int) -> list:
-    """Per b = 1..r-1: xi_mu xi_lam as {core: c}, and the ribbon and marked-tail readings as core sets.
-
-    mu = (r^{n-1-r}, r-b); r and lam are checked by the caller.
-    R(r, lam) and col_r are built once, and each reading is walked once,
-    to depth r - 1, for every b.
-    """
-    top, columns = _marked_top(_core_of_bounded(lam, n), r)
-    ribbons = _ribbon_levels(top, columns, r - 1)
-    tails = _marked_tail_levels(top, columns, r - 1)
-    return [(_structure_constants(n, normalize((r,) * (n - 1 - r) + (r - b,)), lam),
-             ribbons.get(b, {}).keys(), tails.get(b, set())) for b in range(1, r)]
+    ribbons, _tails = _pieri_readings(r, lam, n, 1, False)[0]
+    return _pieri_report("affine-monk", r, 1, lam, n, ribbons)
 
 
 def rect_pieri_check(r: int, b: int, lam, n: int) -> dict:
-    """xi_{(r^{n-1-r}, r-b)} xi_lam against ribbon strong strips."""
+    """xi_{(r^{n-1-r}, r-b)} xi_lam against ribbon strong strips and marked tails, both walked to depth b."""
     lam = normalize(lam)
     if not 1 <= b < r < n:
         raise ValueError(f"need 1 <= b < r < n, got r={r}, b={b}")
     c_map(lam, n)  # checks lam
-    lhs, ribbons, tails = _rect_pieri_sides(r, lam, n)[b - 1]
+    ribbons, tails = _pieri_readings(r, lam, n, b, True)[-1]
     return {
-        "conjecture": "rect-pieri",
-        "n": n,
-        "r": r,
+        **_pieri_report("rect-pieri", r, b, lam, n, ribbons),
         "b": b,
-        "lambda": list(lam),
-        "match": _verdict(lhs, ribbons),
-        "lhs": _terms_json(lhs),
-        "rhs": [list(p) for p in _bounded(ribbons)],
-        "strong_strip_reading": [list(p) for p in _bounded(tails)],
+        "strong_strip_reading": _bounded_json(tails),
         "readings_agree": ribbons == tails,
     }

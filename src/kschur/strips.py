@@ -18,11 +18,12 @@ whose per-step ribbon heads sit in the bottom row or directly above an
 older cell, with a ribbon tail in the marked columns col_r(lam).  The
 ribbon and marked-tail walks down from R(r, lam) go one layer per
 length up to a depth, and their pruning does not read the length b, so
-layer b holds what a walk cut at b finds: `schubert._rect_pieri_sides`
-builds R(r, lam) and col_r once per (lam, r) and reads every b < r off
-one walk of each to depth r - 1.  A layer merges the prefixes that
-share their continuations, keyed by core and head rows (ribbon) or by
-core and last head content (marked tail).  The
+layer b holds what a walk cut at b finds: `schubert._pieri_readings`
+builds R(r, lam) and col_r once per (lam, r) and reads every b up to a
+depth off one walk of each, b < r at depth r - 1 for rect-Pieri and
+b = 1 of the ribbon walk at depth 1 for affine Monk.  A layer merges
+the prefixes that share their continuations, keyed by core and head
+rows (ribbon) or by core and last head content (marked tail).  The
 ribbon walk drops a cover once a head is in neither the bottom row nor
 above a cell of the shape below it: every shape further down is
 smaller, so no longer chain through it qualifies.  Both walks take the

@@ -7,8 +7,10 @@ force over subdiagrams and by the transposition action on w_core, the
 length change of one transposition summed over the entries it passes, their
 ribbon copies as rookwise components by breadth-first search over the
 cells of the skew, the ribbon and marked-tail strip walks one length at
-a time, act_s by scanning the rows for addable corners, R(r, core) by
-composing c_inverse, the union with R_r and c_map,
+a time, the affine-Monk covers by scanning the down covers of R(r, lam)
+for a ribbon cell in a row of length r, act_s by scanning the rows for
+addable corners, R(r, core) by composing c_inverse, the union with R_r
+and c_map,
 the words, strip chains and offsets of an ABC through the quotients
 w_core(hi) w_core(lo)^{-1} and skew shapes, the deformed P-functions by exact symmetrization in finitely many
 variables and in m through the whole inverse K(t)^{-1} K (dual k-Schur
@@ -377,6 +379,18 @@ def marked_tails_of_length(top: NCore, columns, b: int) -> set:
 
     walk(top, None, 0)
     return out
+
+
+def monk_covers(r: int, lam, n: int) -> list:
+    """The down covers of R(r, lam) with a ribbon cell in a row where lam union R_r has length r.
+
+    Bounded, lex descending: the one-cover scan that the depth-1 ribbon level replaced."""
+    eta = union(lam, rect(r, n))
+    rows = {i for i, part in enumerate(eta, start=1) if part == r}
+    top = composed_rect_translation(c_map(lam, n), r)
+    covers = {mu for mu, ribbons, _tau in strong_covers_down(top)
+              if any(i in rows for comp in ribbons for i, _j in comp)}
+    return sorted(map(c_inverse, covers), reverse=True)
 
 
 # -- ABC views through the group and skew shapes -----------------------------

@@ -19,7 +19,6 @@ from kschur.schubert import (
     affine_monk_check,
     gw_invariant,
     horizontal_pieri,
-    monk_cover_terms,
     quantum_monk,
     rect_pieri_check,
     strong_pieri_cohomology,
@@ -49,6 +48,7 @@ from kschur.tpoly import TPoly
 from oracles import (
     expand_symf,
     is_horizontal_strong_strip,
+    monk_covers,
     ptilde_oracle,
     saturated_chains,
     tableau_from_rows,
@@ -273,13 +273,12 @@ def test_criterion_12_monk_suite():
     # the n=5 rectangle instance, 3 terms both sides
     rep = rect_pieri_check(3, 2, (4, 2), 5)
     assert rep["match"] and len(rep["lhs"]) == 3
-    # closing length-one proposition, both directions
-    for n in (2, 3, 4, 5):
-        for size in range(0, 7):
+    # closing length-one proposition, both directions, against the one-cover scan
+    for n in range(2, 9):
+        for size in range(0, 11):
             for lam in bounded_partitions_of(size, n):
                 for r in range(1, n):
                     core = c_map(lam, n)
-                    got = sorted(c_inverse(s.nu) for s in ribbon_strong_strips(core, r, 1))
-                    want = sorted(monk_cover_terms(r, lam, n))
-                    assert got == want, (n, r, lam)
+                    got = sorted((c_inverse(s.nu) for s in ribbon_strong_strips(core, r, 1)), reverse=True)
+                    assert got == monk_covers(r, lam, n), (n, r, lam)
     _report(12, f"Monk example suite + affine Monk sweep ({instances} instances)", t0)

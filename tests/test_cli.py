@@ -234,8 +234,7 @@ def test_verify_rect_pieri_without_instances(capsys):
     assert usage_error(capsys, "verify", "rect-pieri", "--n", "2") == 1
 
 
-def test_parallel_sweep_env(capsys, monkeypatch):
-    monkeypatch.setenv("ASK_THREADS", "2")
+def test_small_prop_main_sweep_matches(capsys):
     code, out = run(capsys, "verify", "prop-main", "--n", "3", "--max-deg", "4")
     assert code == 0
     assert json.loads(out)["match"] is True
@@ -245,11 +244,14 @@ def test_verify_mismatch_exits_two(capsys, monkeypatch):
     # the sweeps read the core sides; a failure's report is rendered from the same sides
     from kschur import schubert
 
-    def failing_sides(r, lam, n):
-        one = NCore(n, (1,))
-        return {one: 2}, {one}
+    def failing_product(r, b, lam, n):
+        return {NCore(n, (1,)): 2}
 
-    monkeypatch.setattr(schubert, "_affine_monk_sides", failing_sides)
+    def one_ribbon_end(r, lam, n, depth, tails):
+        return [({NCore(n, (1,))}, set())] * depth
+
+    monkeypatch.setattr(schubert, "_pieri_product", failing_product)
+    monkeypatch.setattr(schubert, "_pieri_readings", one_ribbon_end)
     code, out = run(capsys, "verify", "affine-monk", "--n", "3", "--max-size", "1")
     assert code == 2
     report = json.loads(out)
@@ -257,11 +259,12 @@ def test_verify_mismatch_exits_two(capsys, monkeypatch):
     assert report["failures"]  # witnesses carried through
     assert report["failures"][0]["lhs"] == [[[1], 2]]
 
-    def failing_rect_sides(r, lam, n):
-        one = NCore(n, (1,))
-        return [({}, {one}, {one} if r == 2 else set()) for _b in range(1, r)]
+    def readings_agreeing_at_r2(r, lam, n, depth, tails):
+        one = {NCore(n, (1,))}
+        return [(one, one if r == 2 else set())] * depth
 
-    monkeypatch.setattr(schubert, "_rect_pieri_sides", failing_rect_sides)
+    monkeypatch.setattr(schubert, "_pieri_product", lambda r, b, lam, n: {})
+    monkeypatch.setattr(schubert, "_pieri_readings", readings_agreeing_at_r2)
     code, out = run(capsys, "verify", "rect-pieri", "--n", "4", "--max-size", "1")
     assert code == 2
     report = json.loads(out)

@@ -30,7 +30,6 @@ from kschur.schubert import (
     homology_structure_constants,
     horizontal_pieri,
     in_box_family,
-    monk_cover_terms,
     perm_length,
     perm_mult,
     q_monomials_via_sh,
@@ -55,6 +54,7 @@ from oracles import (
     k_conjugate,
     kn1_by_abc,
     matrix_structure_constants,
+    monk_covers,
     ribbon_quantum_product,
     subpartitions,
     unpeeled_structure_constants,
@@ -468,7 +468,7 @@ def test_affine_monk_r_nminus1_is_horizontal_strips():
         for size in range(0, 6):
             for lam in bounded_partitions_of(size, n):
                 core = c_map(lam, n)
-                rhs = monk_cover_terms(n - 1, lam, n)
+                rhs = monk_covers(n - 1, lam, n)
                 hss = {
                     c_inverse(s.nu) for s in horizontal_strong_strips_from(core, 1)
                 }
@@ -547,20 +547,31 @@ def test_sweep_verdicts_off_the_core_sides_match_the_checkers():
         for size in range(9):
             for lam in bounded_partitions_of(size, n):
                 for r in range(1, n):
-                    verdict = schubert._verdict(*schubert._affine_monk_sides(r, lam, n))
+                    ribbons, _tails = schubert._pieri_readings(r, lam, n, 1, False)[0]
+                    verdict = schubert._verdict(schubert._pieri_product(r, 1, lam, n), ribbons)
                     rep = affine_monk_check(r, lam, n)
                     assert verdict == rep["match"] == rendered_match(rep), (n, r, lam)
-                    sides = schubert._rect_pieri_sides(r, lam, n) if size <= 7 else []
-                    for b, (lhs, ribbons, tails) in enumerate(sides, start=1):
+                    # the sweep's depth r - 1, where each checker walks to depth b only
+                    readings = schubert._pieri_readings(r, lam, n, r - 1, True) if size <= 7 else []
+                    for b, (ribbons, tails) in enumerate(readings, start=1):
                         rep = rect_pieri_check(r, b, lam, n)
+                        lhs = schubert._pieri_product(r, b, lam, n)
                         got = (schubert._verdict(lhs, ribbons), ribbons == tails)
                         assert got == (rep["match"], rep["readings_agree"]), (n, r, b, lam)
                         want = (rendered_match(rep), rep["rhs"] == rep["strong_strip_reading"])
                         assert got == want, (n, r, b, lam)
                         instances += 1
     for n, lam, r, b, _extra in RECT_PIERI_FAILURES:
-        assert not schubert._verdict(*schubert._rect_pieri_sides(r, lam, n)[b - 1][:2])
+        ribbons, _tails = schubert._pieri_readings(r, lam, n, r - 1, True)[b - 1]
+        assert not schubert._verdict(schubert._pieri_product(r, b, lam, n), ribbons)
     assert instances == 761
+
+
+def test_cold_rect_pieri_check_builds_one_product():
+    # one (r, b) builds its own product only, not those of every b < r
+    _structure_constants.cache_clear()
+    rect_pieri_check(5, 3, (5, 5, 1, 1), 8)
+    assert _structure_constants.cache_info().misses == 1
 
 
 def test_rect_pieri_parameter_validation():
