@@ -68,10 +68,11 @@ def parse_partition(text: str) -> tuple:
 
 
 def _core_from_args(args) -> NCore:
+    # NCore and c_map refuse a composition that is no partition; NCore checks each input once
     if args.core is not None:
-        return NCore(args.n, parse_partition(args.core))
+        return NCore(args.n, parse_composition(args.core))
     if args.bounded is not None:
-        return c_map(parse_partition(args.bounded), args.n)
+        return c_map(parse_composition(args.bounded), args.n)
     raise ValueError("one of --core/--bounded is required")
 
 
@@ -89,10 +90,14 @@ def tpoly_json(p: TPoly, at_t=None):
     return {"valuation": val, "coeffs": [p.coeff(e) for e in range(val, p.degree() + 1)]}
 
 
+#: the encoder of every JSON line printed, built once
+_JSON = json.JSONEncoder(sort_keys=True)
+
+
 def _emit(args, payload, text_lines):
     """Print payload() as JSON with --json, else each line of text_lines(); the other is never built."""
     if args.json:
-        print(json.dumps(payload(), sort_keys=True))
+        print(_JSON.encode(payload()))
     else:
         for line in text_lines():
             print(line)
@@ -148,7 +153,7 @@ def cmd_strips(args) -> int:
     elif args.kind == "strong":
         if args.to is None:
             raise ValueError("--to is required for strong strips")
-        gamma = NCore(args.n, parse_partition(args.to))
+        gamma = NCore(args.n, parse_composition(args.to))
         gap = gamma.degree() - lam.degree()
         if m != gap:
             raise ValueError(f"--m is {m}, but deg(--to) - deg(core) = {gap}")
@@ -373,7 +378,7 @@ def cmd_verify(args) -> int:
     report = {"conjecture": args.sweep, "instance": instance, "match": not failures,
               "instances": len(results), "lhs": [], "rhs": [], "failures": failures,
               **(extra(results) if extra else {})}
-    print(json.dumps(report, sort_keys=True))
+    print(_JSON.encode(report))
     return 0 if not failures else 2
 
 
@@ -421,6 +426,18 @@ COMMANDS = {
 }
 #: what _parse_args reads before the command: -h, or the command itself
 _TOP = Command(None, "", {}, (), (), {}, ("command", tuple(COMMANDS)))
+_HELP_FLAGS = {"-h": None, "--help": None}
+#: command -> its flags (each to its option name, then -h and --help to None) and the
+#: template of its fields, built once at import for every call of main in the
+#: interpreter; _parse_args fills a copy of the template, so no parse sees another's fields
+_PARSE = {
+    command: (
+        {"--" + name: name for name in cmd.options} | _HELP_FLAGS,
+        {name.replace("-", "_"): None for name, (kind, _) in cmd.options.items()
+         if not isinstance(kind, dict)} | cmd.defaults | dict.fromkeys(cmd.positional[:1]),
+    )
+    for command, cmd in COMMANDS.items()
+}
 
 
 def _help(commands) -> str:
@@ -480,7 +497,7 @@ def _parse_args(argv):
     unknown token or a missing option only at the end, so a later -h still
     prints the help.
     """
-    command, cmd, flags, fields = None, _TOP, {"-h": None, "--help": None}, {}
+    command, cmd, flags, fields = None, _TOP, _HELP_FLAGS, {}
     extra, seen, at, dashed, j = [], set(), None, False, 0
     while j < len(argv):
         token, j = argv[j], j + 1
@@ -493,9 +510,8 @@ def _parse_args(argv):
         opt = None if dashed or token == "--" else _option(token, flags)
         if opt is None and command is None:  # the command: its options from here on
             command, cmd = token, COMMANDS[_value("command", cmd.positional[1], token)]
-            flags = {"--" + name: name for name in cmd.options} | flags
-            fields = {name.replace("-", "_"): None for name, (kind, _) in cmd.options.items()
-                      if not isinstance(kind, dict)} | cmd.defaults | dict.fromkeys(cmd.positional[:1])
+            flags, fields = _PARSE[command]
+            fields = dict(fields)
         elif opt is None and cmd.positional and at is None:
             fields[cmd.positional[0]], at = _value(*cmd.positional, token), j - 1
         elif opt is None or opt[0] == "":  # a stray value or an unknown option

@@ -14,6 +14,8 @@ b - n.  The top bead of each runner, plus n, sorted, is the core's
 `window`: the window of its affine Grassmannian element w_core.
 
 `NCore(n, parts)` checks its input; it is the constructor for callers.
+Its checks run once per input, in the cached `_checked_core` (a raise is
+not cached, so a bad input raises on every call).
 There is one instance per window: `NCore` returns the one that the
 cached `_core_of_window` holds, and every core the library builds itself
 comes from a window through that same function, which reads the parts
@@ -31,7 +33,9 @@ beads:
     by the one shift that adds any multiset of rectangles R_r, both
     checked through n = 10;
   * a_map: reduced words -> n-cores; core_to_word is a reduced word of
-    w_core.
+    w_core;
+  * _transposed: the transposed core, an n-core, whose c_inverse is the
+    k-conjugate; the homology products walk it when its h-row is shorter.
 
 Strong (Bruhat) covers on cores are containment plus degree difference
 one; tau_{i,i+s} w_core moves one window entry up by s and one down by s,
@@ -144,12 +148,7 @@ class NCore:
     __slots__ = ("n", "parts", "window")
 
     def __new__(cls, n: int, parts):
-        if n < 2:
-            raise ValueError("modulus n must be at least 2")
-        parts = normalize(parts)
-        if not is_ncore(parts, n):
-            raise ValueError(f"{parts} has a hook of length {n}")
-        return _core_of_window(n, _window(n, _beads(parts)))
+        return _checked_core(n, tuple(parts))
 
     def __reduce__(self):
         # copies and unpickled cores come back through the intern table
@@ -161,6 +160,17 @@ class NCore:
 
     def __repr__(self):
         return f"NCore({self.n}, {list(self.parts)})"
+
+
+@lru_cache(maxsize=None)
+def _checked_core(n: int, parts: tuple) -> NCore:
+    """`NCore`'s checks, run once per input, then its interned core: a raise is not cached."""
+    if n < 2:
+        raise ValueError("modulus n must be at least 2")
+    parts = normalize(parts)
+    if not is_ncore(parts, n):
+        raise ValueError(f"{parts} has a hook of length {n}")
+    return _core_of_window(n, _window(n, _beads(parts)))
 
 
 def _slots(window, n: int) -> dict:
@@ -345,6 +355,12 @@ def core_of(w: AffinePermutation) -> NCore:
     if not w.is_grassmannian():
         raise ValueError("not an affine Grassmannian element")
     return _core_of_window(w.n, w.window)
+
+
+@lru_cache(maxsize=None)
+def _transposed(core: NCore) -> NCore:
+    """The transposed core, an n-core too: c_inverse of it is the k-conjugate (Lapointe-Morse, JCTA 2005)."""
+    return _core_of_window(core.n, _window(core.n, _beads(conjugate(core.parts))))
 
 
 @lru_cache(maxsize=None)

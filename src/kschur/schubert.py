@@ -43,6 +43,7 @@ from .cores import (
     _h_times,
     _rect_shift,
     _shifted,
+    _transposed,
     _weak_pieri_terms,
     c_inverse,
     c_map,
@@ -50,11 +51,11 @@ from .cores import (
     normalize,
 )
 from .strips import (
+    _marked_covers,
     _marked_tail_levels,
     _marked_top,
     _ribbon_levels,
     horizontal_strong_strips_from,
-    marked_strong_covers,
 )
 from .symfun import _kschur_row
 
@@ -81,7 +82,8 @@ def strong_pieri_cohomology(m: int, lam: NCore) -> dict:
     """xi^{c_{0,m}} xi^lam: multiplicity = number of strong m-strips.
 
     Counted a step at a time, per (core, last content), so each core's
-    marked covers are read once per step, not once per chain.
+    marked covers, sorted once per core (`strips._marked_covers`), are
+    read once per step, not once per chain.
     """
     if not 1 <= m < lam.n:
         raise ValueError(f"need 1 <= m < n, got m={m}")
@@ -89,7 +91,7 @@ def strong_pieri_cohomology(m: int, lam: NCore) -> dict:
     for _ in range(m):
         nxt: dict = {}
         for cur, by_content in layer.items():
-            for gamma, c in marked_strong_covers(cur):
+            for gamma, c in _marked_covers(cur):
                 count = sum(k for last, k in by_content.items() if last < c)
                 if count:
                     tally = nxt.setdefault(gamma, {})
@@ -122,15 +124,24 @@ def _structure_constants(n: int, mu_b, lam_b) -> dict:
     By the k-rectangle property s^(k)_{R_r union mu} = s_{R_r} s^(k)_mu,
     c^{R union nu}_{R union mu, lam} = c^nu_{mu, lam}: the rectangles of
     both factors are peeled off first and put back on every nu by one
-    window shift, their `rect_translation`s added up.  Callers must not
-    change the cached dict.
+    window shift, their `rect_translation`s added up.  omega is a ring
+    automorphism with omega s^(k)_mu = s^(k)_{mu^omega}, the k-conjugate
+    read off the transposed core (Lapointe-Morse, JCTA 2005), so
+    c^nu_{mu, lam} = c^{nu^omega}_{mu^omega, lam^omega}: when mu^omega
+    has fewer parts than mu, its shorter h-row walks lam^omega and each
+    term is transposed back.  Callers must not change the cached dict.
     """
     mu_b, mu_rects = _peel(mu_b, n)
     lam_b, lam_rects = _peel(lam_b, n)
     rects = mu_rects + lam_rects
     mu_b, lam_b = sorted((mu_b, lam_b), key=sum)
     lam = _core_of_bounded(lam_b, n)  # the callers checked both factors
-    prod = _h_times(_kschur_row(n, mu_b, False).items(), lam)
+    mu_omega = c_inverse(_transposed(_core_of_bounded(mu_b, n)))
+    if len(mu_omega) < len(mu_b):
+        prod = _h_times(_kschur_row(n, mu_omega, False).items(), _transposed(lam))
+        prod = {_transposed(nu): c for nu, c in prod.items()}
+    else:
+        prod = _h_times(_kschur_row(n, mu_b, False).items(), lam)
     if not rects:
         return prod
     shift = _rect_shift(n, rects)
@@ -140,7 +151,9 @@ def _structure_constants(n: int, mu_b, lam_b) -> dict:
 def homology_structure_constants(mu: NCore, lam: NCore) -> dict:
     """Coefficients c^nu in xi_mu xi_lam = sum c^nu xi_nu, keyed on the cores nu.
 
-    A copy of the cached product, so a caller may change it."""
+    A copy of the cached product, so a caller may change it.  Its order
+    is that of the route the product took (direct or k-conjugate), so a
+    caller sorts before it renders."""
     if mu.n != lam.n:
         raise ValueError("mismatched moduli")
     return dict(_structure_constants(mu.n, c_inverse(mu), c_inverse(lam)))

@@ -3,6 +3,9 @@
 A marked strong cover of rho is a strong cover (rho <_B gamma) together
 with the content of the head of one ribbon copy in gamma/rho.  A strong
 m-strip is a saturated chain with a strictly increasing content vector.
+Each core's marked covers are sorted once, in the cached `_marked_covers`
+that `strong_strips` and `schubert.strong_pieri_cohomology` read;
+`marked_strong_covers` returns a fresh list of them.
 
 A horizontal strong m-strip (lam, nu) is a saturated chain from nu up
 to the translation R(n-1, lam) = (lam_1 + n - 1, lam) whose bottom rows
@@ -82,10 +85,16 @@ class RibbonStrongStrip(NamedTuple):
 
 
 def marked_strong_covers(rho: NCore):
-    """All (gamma, c): rho <_B gamma, c the content of a ribbon head."""
+    """All (gamma, c): rho <_B gamma, c the content of a ribbon head; a fresh list."""
+    return list(_marked_covers(rho))
+
+
+@lru_cache(maxsize=None)
+def _marked_covers(rho: NCore) -> tuple:
+    """The marked strong covers of rho sorted by (gamma, c), once per core: the walks read this."""
     out = [(gamma, j - i) for gamma, ribbons, _tau in strong_covers_up(rho)
            for i, j in map(ribbon_head, ribbons)]
-    return sorted(out, key=lambda gc: (gc[0].parts, gc[1]))
+    return tuple(sorted(out, key=lambda gc: (gc[0].parts, gc[1])))
 
 
 def strong_strips(nu: NCore, gamma: NCore, m: int):
@@ -101,7 +110,7 @@ def strong_strips(nu: NCore, gamma: NCore, m: int):
             if cur == gamma:
                 strips.append(StrongStrip(tuple(chain), tuple(contents)))
             return
-        for nxt, c in marked_strong_covers(cur):
+        for nxt, c in _marked_covers(cur):
             if contents and c <= contents[-1]:
                 continue
             if contains(gamma.parts, nxt.parts):

@@ -21,7 +21,8 @@ the degree, and homology structure constants by multiplying k-Schur
 functions in the h basis and reading the product back through the
 dual basis at the product degree, or by weak Pieri without peeling
 off the k-rectangles, each h_m applied by the group product v w_core
-over the cyclically decreasing v and a full length.  The quantum
+over the cyclically decreasing v and a full length, or by the lower
+factor's own h-row alone, never its k-conjugate's.  The quantum
 product of a Grassmannian comes from the Schur product by the rim-hook
 rule, beside the homology product read by ribbons.  Horizontal strips
 are tested row by row.  Kostka numbers,
@@ -53,6 +54,9 @@ from kschur.cli import SWEEPS
 from kschur.cores import (
     NCore,
     NoActionError,
+    _h_times,
+    _rect_shift,
+    _shifted,
     c_inverse,
     c_map,
     conjugate,
@@ -67,7 +71,7 @@ from kschur.cores import (
     union,
     w_core,
 )
-from kschur.schubert import _structure_constants
+from kschur.schubert import _peel, _structure_constants
 from kschur.strips import _step_tail_ok, horizontal_strong_strips_from, phi
 from kschur.symfun import (
     ONE,
@@ -864,6 +868,16 @@ def h_times_by_group(a: tuple, core: NCore) -> dict:
                 nxt[nu] = nxt.get(nu, 0) + c
         cur = nxt
     return cur
+
+
+def direct_structure_constants(n: int, mu_b, lam_b) -> dict:
+    """`schubert._structure_constants` by the lower-degree factor's own h-row, never its k-conjugate's."""
+    mu_b, mu_rects = _peel(mu_b, n)
+    lam_b, lam_rects = _peel(lam_b, n)
+    mu_b, lam_b = sorted((mu_b, lam_b), key=sum)
+    prod = _h_times(_kschur_row(n, mu_b, False).items(), c_map(lam_b, n))
+    shift = _rect_shift(n, mu_rects + lam_rects)
+    return {_shifted(nu, shift): c for nu, c in prod.items()}
 
 
 def unpeeled_structure_constants(n: int, mu_b, lam_b) -> tuple:

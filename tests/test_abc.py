@@ -25,8 +25,9 @@ from kschur.cores import (
     w_core,
 )
 from kschur.strips import horizontal_strong_strips_from, psi
-from kschur.symfun import bounded_partitions_of
+from kschur.symfun import bounded_partitions_of, weak_kostka_foulkes
 from kschur.tableaux import cocharge, semistandard_tableaux
+from kschur.tpoly import TPoly
 
 from oracles import (
     phi_strip_chains,
@@ -304,3 +305,13 @@ def test_counterclockwise_choice_steps_back_from_res():
                     assert _counterclockwise_choice(res, dict.fromkeys(options).keys(), n) == want
                     skipped = abctab.distance_zero_skips - before
                     assert skipped == (res in options and k > 1), (n, res, options)
+
+
+def test_counterclockwise_rule_pins_two_weak_kf_entries():
+    # the first weak KF entries that depend on passing over res: a rule that lets res win
+    # gives 2t^5 for both.  Under this rule the Catalan-function formula
+    # s^(k)_nu = H(Delta^k(nu); nu) of Blasiak-Morse-Seelinger-Zabrocki (JAMS 2019), read at
+    # 1/t as in ROADMAP item 5, held for every k-Schur function of n = 3..7, d <= 11
+    t4_t5 = TPoly.t(4) + TPoly.t(5)
+    assert weak_kostka_foulkes((6, 2, 2), (3, 3, 3, 1), 7) == t4_t5
+    assert weak_kostka_foulkes((7, 2, 2), (4, 3, 3, 1), 8) == t4_t5

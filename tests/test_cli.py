@@ -340,6 +340,17 @@ def test_shared_parser_keeps_no_state(capsys):
         ), argv
 
 
+def test_a_parse_that_sets_fields_leaves_the_next_defaults_alone():
+    # each parse fills its own copy of the command's field template
+    argv = "strips --n 4 --core 3,1,1".split()
+    fresh = vars(_parse_args(argv))
+    assert fresh == {"command": "strips", "n": 4, "json": False, "core": "3,1,1", "bounded": None,
+                     "kind": "horizontal", "m": None, "to": None, "r": None, "b": None}
+    ribbon = vars(_parse_args("strips --n 5 --core 3,1,1 --kind ribbon --r 2 --b 1 --json".split()))
+    assert (ribbon["kind"], ribbon["r"], ribbon["b"], ribbon["json"]) == ("ribbon", 2, 1, True)
+    assert vars(_parse_args(argv)) == fresh
+
+
 def test_closed_stdout_exits_one_without_traceback():
     # the reader is gone before the CLI writes: exit 1, nothing on stderr
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(kschur.__file__)))

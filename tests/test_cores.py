@@ -10,13 +10,16 @@ from kschur.cores import (
     NCore,
     NonReducedWordError,
     NoActionError,
+    _core_of_window,
     _cover_ribbons,
     _rect_rows,
+    _transposed,
     _weak_cover,
     a_map,
     act_s,
     c_inverse,
     c_map,
+    conjugate,
     core_of,
     core_to_word,
     cores_of_degree,
@@ -220,6 +223,30 @@ def test_core_equality_is_identity():
     assert NCore.__hash__ is object.__hash__
     assert NCore.__eq__ is object.__eq__
     assert hash(core) == object.__hash__(core)
+
+
+def test_checked_core_raises_on_every_call_and_interns_any_sequence():
+    # NCore checks each input once; a raise is not cached, so a bad input raises every time
+    for _ in range(3):
+        with pytest.raises(ValueError, match="has a hook of length 3"):
+            NCore(3, (3,))
+        with pytest.raises(ValueError, match="not a partition"):
+            NCore(4, [1, 2])
+        with pytest.raises(ValueError, match="modulus n must be at least 2"):
+            NCore(1, [1])
+    core = NCore(4, (3, 1, 1))
+    assert NCore(4, [3, 1, 1]) is core and NCore(4, (3, 1, 1, 0)) is core
+    assert NCore(4, iter([3, 1, 1])) is core
+    assert core is _core_of_window(4, core.window)
+
+
+def test_transposed_core_is_the_interned_conjugate():
+    for n in range(2, 7):
+        for d in range(9):
+            for core in cores_of_degree(n, d):
+                flipped = _transposed(core)
+                assert flipped is NCore(n, conjugate(core.parts)), core
+                assert _transposed(flipped) is core
 
 
 def test_strong_covers_examples():

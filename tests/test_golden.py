@@ -13,6 +13,7 @@ never overwrites an existing one.
 
 import json
 import os
+import random
 import sys
 
 import pytest
@@ -128,6 +129,18 @@ def test_golden_transcript(case, capsys):
     out = capsys.readouterr().out
     assert code == case["exit"]
     assert out == _transcript(case["id"])
+
+
+def test_golden_transcripts_replay_twice_in_one_interpreter(capsys):
+    # warm caches, the intern table and the parser's tables outlive each call: every case,
+    # twice, in a seeded shuffled order, still prints its transcript and exits as recorded
+    from kschur.cli import main
+
+    cases = _load_cases() * 2
+    random.Random(32).shuffle(cases)
+    for case in cases:
+        code = main(case["argv"].split())
+        assert (code, capsys.readouterr().out) == (case["exit"], _transcript(case["id"])), case["id"]
 
 
 def test_golden_cases_recorded():

@@ -50,6 +50,7 @@ from kschur.symfun import (
 
 from oracles import (
     bcf_quantum_product,
+    direct_structure_constants,
     h_times_by_group,
     k_conjugate,
     kn1_by_abc,
@@ -604,6 +605,21 @@ def test_structure_constants_commute_with_k_conjugation():
                 assert dict(got) == want, (n, lam, mu)
                 checked += 1
     assert checked == 1235
+
+
+def test_structure_constants_match_the_direct_route():
+    # the k-conjugate route (mu^omega has fewer parts than mu) against mu's own h-row, n <= 6
+    pairs = conjugate_route = 0
+    for n, max_d in ((2, 8), (3, 8), (4, 8), (5, 8), (6, 8)):
+        P = [p for d in range(max_d + 1) for p in bounded_partitions_of(d, n)]
+        for i, lam_b in enumerate(P):
+            for mu_b in P[i:]:
+                got = _structure_constants(n, mu_b, lam_b)
+                assert got == direct_structure_constants(n, mu_b, lam_b), (n, mu_b, lam_b)
+                low = min(_peel(mu_b, n)[0], _peel(lam_b, n)[0], key=sum)
+                conjugate_route += len(k_conjugate(low, n)) < len(low)
+                pairs += 1
+    assert (pairs, conjugate_route) == (4492, 1039)
 
 
 def test_quantum_grassmannian_rim_hooks_match_kschur_ribbons():
